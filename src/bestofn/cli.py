@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .errors import (
@@ -33,7 +35,6 @@ from .estimators import (
     Direction,
     EstimatorKind,
     ResultPool,
-    RunRecord,
     anderson_darling_normality,
     boon_nonparametric,
     boon_parametric_gaussian,
@@ -77,9 +78,16 @@ def _detect_format(path: str, explicit: str | None) -> str:
     return "jsonl" if Path(path).suffix.lower() in (".jsonl", ".ndjson") else "csv"
 
 
+class _OutputError(Exception):
+    """Writing a report or curve file failed; wraps the OSError."""
+
+
 def _parse_score(raw, line_num: int, column: str, bad_rows: list) -> float | None:
     if raw is None or (isinstance(raw, str) and raw.strip() == ""):
         bad_rows.append((line_num, f"missing {column!r} value"))
+        return None
+    if isinstance(raw, bool):
+        bad_rows.append((line_num, f"non-numeric {column!r} value {raw!r}"))
         return None
     try:
         value = float(raw)
@@ -98,25 +106,28 @@ def load_pool(pool_file: PoolFile) -> ResultPool:
     Any rejected row fails the whole load: partial ingestion would silently
     change m, and m is part of every downstream estimate.
     """
-    records: list[RunRecord] = []
+    vals: list[float] = []
+    tests: list[float] = []
     bad_rows: list[tuple[int, str]] = []
-    if pool_file.format == "csv":
-        _read_csv(pool_file, records, bad_rows)
-    else:
-        _read_jsonl(pool_file, records, bad_rows)
+    read = _read_csv if pool_file.format == "csv" else _read_jsonl
+    columns = (pool_file.val_column, pool_file.test_column)
+    for line, row in read(pool_file, bad_rows):
+        v, t = (_parse_score(row.get(c), line, c, bad_rows) for c in columns)
+        if v is not None and t is not None:
+            vals.append(v)
+            tests.append(t)
     if bad_rows:
         raise PoolFileError(f"malformed rows in {pool_file.path}", bad_rows)
-    if not records:
+    if not vals:
         raise PoolFileError(f"no data rows in {pool_file.path}")
-    return ResultPool(
-        records=tuple(records),
-        direction=pool_file.direction,
-        metric_name=pool_file.test_column,
-    )
+    return ResultPool.from_arrays(vals, tests, pool_file.direction, pool_file.test_column)
 
 
-def _read_csv(pool_file: PoolFile, records: list, bad_rows: list) -> None:
-    with open(pool_file.path, newline="", encoding="utf-8") as fh:
+def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, row) for each well-formed CSV row."""
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first column name.
+    with open(pool_file.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for column in (pool_file.val_column, pool_file.test_column):
@@ -127,13 +138,15 @@ def _read_csv(pool_file: PoolFile, records: list, bad_rows: list) -> None:
                 )
         for row in reader:
             line = reader.line_num
-            v = _parse_score(row.get(pool_file.val_column), line, pool_file.val_column, bad_rows)
-            t = _parse_score(row.get(pool_file.test_column), line, pool_file.test_column, bad_rows)
-            if v is not None and t is not None:
-                records.append(RunRecord(v, t))
+            if None in row:  # DictReader files fields beyond the header under None
+                bad_rows.append((line, f"{len(header) + len(row[None])} fields, "
+                                       f"header has {len(header)}"))
+            else:
+                yield line, row
 
 
-def _read_jsonl(pool_file: PoolFile, records: list, bad_rows: list) -> None:
+def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each JSON object with both fields."""
     with open(pool_file.path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             if not line.strip():
@@ -150,10 +163,7 @@ def _read_jsonl(pool_file: PoolFile, records: list, bad_rows: list) -> None:
             if missing:
                 bad_rows.append((line_num, f"missing field(s) {', '.join(missing)}"))
                 continue
-            v = _parse_score(obj[pool_file.val_column], line_num, pool_file.val_column, bad_rows)
-            t = _parse_score(obj[pool_file.test_column], line_num, pool_file.test_column, bad_rows)
-            if v is not None and t is not None:
-                records.append(RunRecord(v, t))
+            yield line_num, obj
 
 
 def _pool_fingerprint(pool_file: PoolFile, pool: ResultPool) -> dict:
@@ -192,12 +202,17 @@ def _base_report(args: argparse.Namespace, argv: list[str]) -> dict:
     }
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
 def _write_report(report: dict, output: str | None) -> None:
-    if output is None:
-        return
-    with open(output, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    if output is not None:
+        _write_output(output, json.dumps(report, indent=2) + "\n")
 
 
 def _fmt(x: float | None) -> str:
@@ -334,16 +349,17 @@ def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> int:
     curve_csv = None
     if args.output is not None:
         curve_csv = str(Path(args.output).with_suffix("")) + ".curve.csv"
-        with open(curve_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "expected_best_test", "ci_lo", "ci_hi"])
-            for p in points:
-                writer.writerow([
-                    p.m,
-                    repr(p.expected_best_test),
-                    repr(p.ci.lo) if p.ci else "",
-                    repr(p.ci.hi) if p.ci else "",
-                ])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["m", "expected_best_test", "ci_lo", "ci_hi"])
+        for p in points:
+            writer.writerow([
+                p.m,
+                repr(p.expected_best_test),
+                repr(p.ci.lo) if p.ci else "",
+                repr(p.ci.hi) if p.ci else "",
+            ])
+        _write_output(curve_csv, buf.getvalue())
         report["curve_csv"] = curve_csv
     _write_report(report, args.output)
 
@@ -363,7 +379,7 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     pool_a = load_pool(file_a)
     pool_b = load_pool(file_b)
     config = _config_from_args(args)
-    n = args.n[0] if isinstance(args.n, list) else args.n
+    n = args.n
     result = compare_architectures(pool_a, pool_b, n, config, workers=args.workers)
 
     report = _base_report(args, argv)
@@ -397,12 +413,19 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _parse_n_list(raw: str) -> list[int]:
+def _positive_int(raw: str) -> int:
     try:
-        values = [int(part) for part in raw.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"invalid n list {raw!r}") from exc
-    if not values or any(n < 1 for n in values):
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
+def _parse_n_list(raw: str) -> list[int]:
+    values = [_positive_int(part) for part in raw.split(",") if part.strip() != ""]
+    if not values:
         raise argparse.ArgumentTypeError(f"n values must be positive integers, got {raw!r}")
     return values
 
@@ -444,8 +467,9 @@ def _add_sampling_flags(sub: argparse.ArgumentParser, bootstrap_default) -> None
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--bandwidth", type=_parse_bandwidth, default="auto",
                      help='smoothing bandwidth: "auto" or a number (default: auto)')
-    sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads for replicate evaluation (default: 1)")
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="worker threads for replicate evaluation, at most one per "
+                          "CPU core is used (default: 1)")
 
 
 def _pool_file_from_args(args: argparse.Namespace, path: str) -> PoolFile:
@@ -506,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("compare", help="CI on the best-out-of-n difference of two pools")
     p.add_argument("input_a", help="baseline pool file")
     p.add_argument("input_b", help="candidate pool file")
-    p.add_argument("--n", type=_parse_n_list, default=[DEFAULT_N],
+    p.add_argument("--n", type=_positive_int, default=DEFAULT_N,
                    help="n for the compared estimates (default: 5)")
     _add_input_flags(p)
     _add_sampling_flags(p, bootstrap_default=DEFAULT_REPLICATES)
@@ -531,6 +555,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ESTIMATOR
     except (PoolFileError, InvalidDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except _OutputError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)

@@ -20,13 +20,11 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
-from .distributions import GaussianParams, std_normal_expected_max
+from .distributions import GaussianParams, _log_ndtr, std_normal_expected_max
 from .errors import DegeneratePoolError, InsufficientDataError, InvalidDataError
 
 __all__ = [
@@ -70,42 +68,55 @@ class RunRecord(NamedTuple):
     test: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResultPool:
     """The m (validation, test) pairs collected for one architecture.
 
-    Record order carries no meaning; every estimator in this package is
-    permutation-invariant. Scores must be finite.
+    Scores are held as two read-only float64 arrays of equal length; row
+    order carries no meaning, as every estimator in this package is
+    permutation-invariant. Scores must be finite. Two pools are equal when
+    their scores, direction and metric name are; pools are not hashable.
     """
 
-    records: tuple[RunRecord, ...]
+    validation_scores: np.ndarray
+    test_scores: np.ndarray
     direction: Direction = Direction.MAXIMIZE
     metric_name: str = "score"
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(RunRecord(*r) for r in self.records))
-        object.__setattr__(self, "direction", Direction(self.direction))
-        if len(self.records) == 0:
+        v = np.array(self.validation_scores, dtype=float)
+        t = np.array(self.test_scores, dtype=float)
+        if v.ndim != 1 or v.shape != t.shape:
+            raise InvalidDataError("validation and test must be equal-length 1-d arrays")
+        if v.size == 0:
             raise InvalidDataError("result pool must contain at least one record")
-        for rec in self.records:
-            if not (math.isfinite(rec.validation) and math.isfinite(rec.test)):
-                raise InvalidDataError(f"non-finite score in record {rec!r}")
+        if not (np.isfinite(v).all() and np.isfinite(t).all()):
+            i = int(np.flatnonzero(~(np.isfinite(v) & np.isfinite(t)))[0])
+            raise InvalidDataError(f"non-finite score in record {i}: ({v[i]!r}, {t[i]!r})")
+        v.flags.writeable = False
+        t.flags.writeable = False
+        object.__setattr__(self, "validation_scores", v)
+        object.__setattr__(self, "test_scores", t)
+        object.__setattr__(self, "direction", Direction(self.direction))
+
+    def __eq__(self, other):
+        if not isinstance(other, ResultPool):
+            return NotImplemented
+        return (
+            self.direction is other.direction
+            and self.metric_name == other.metric_name
+            and np.array_equal(self.validation_scores, other.validation_scores)
+            and np.array_equal(self.test_scores, other.test_scores)
+        )
 
     @property
     def m(self) -> int:
-        return len(self.records)
+        return self.validation_scores.size
 
-    @cached_property
-    def validation_scores(self) -> np.ndarray:
-        a = np.array([r.validation for r in self.records], dtype=float)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def test_scores(self) -> np.ndarray:
-        a = np.array([r.test for r in self.records], dtype=float)
-        a.flags.writeable = False
-        return a
+    @property
+    def records(self) -> tuple[RunRecord, ...]:
+        """The pool as (validation, test) records, built on each access."""
+        return tuple(map(RunRecord, self.validation_scores.tolist(), self.test_scores.tolist()))
 
     @classmethod
     def from_pairs(
@@ -114,11 +125,8 @@ class ResultPool:
         direction: Direction | str = Direction.MAXIMIZE,
         metric_name: str = "score",
     ) -> "ResultPool":
-        return cls(
-            records=tuple(RunRecord(float(v), float(t)) for v, t in pairs),
-            direction=Direction(direction),
-            metric_name=metric_name,
-        )
+        rows = np.array([(v, t) for v, t in pairs], dtype=float).reshape(-1, 2)
+        return cls(rows[:, 0], rows[:, 1], direction, metric_name)
 
     @classmethod
     def from_arrays(
@@ -128,32 +136,8 @@ class ResultPool:
         direction: Direction | str = Direction.MAXIMIZE,
         metric_name: str = "score",
     ) -> "ResultPool":
-        """Build a pool from two equal-length arrays.
-
-        Fast path for resampling loops: scores are validated vectorized and
-        the per-record checks of the regular constructor are skipped.
-        """
-        validation = np.asarray(validation, dtype=float)
-        test = np.asarray(test, dtype=float)
-        if validation.shape != test.shape or validation.ndim != 1:
-            raise InvalidDataError("validation and test must be equal-length 1-d arrays")
-        if validation.size == 0:
-            raise InvalidDataError("result pool must contain at least one record")
-        if not (np.isfinite(validation).all() and np.isfinite(test).all()):
-            raise InvalidDataError("non-finite score in input arrays")
-        pool = object.__new__(cls)
-        object.__setattr__(
-            pool, "records", tuple(map(RunRecord, validation.tolist(), test.tolist()))
-        )
-        object.__setattr__(pool, "direction", Direction(direction))
-        object.__setattr__(pool, "metric_name", metric_name)
-        v = validation.copy()
-        t = test.copy()
-        v.flags.writeable = False
-        t.flags.writeable = False
-        pool.__dict__["validation_scores"] = v
-        pool.__dict__["test_scores"] = t
-        return pool
+        """Build a pool from two equal-length arrays (copied)."""
+        return cls(validation, test, direction, metric_name)
 
 
 @dataclass(frozen=True)
@@ -202,6 +186,21 @@ def _oriented_scores(pool: ResultPool) -> tuple[np.ndarray, np.ndarray, float]:
     return pool.validation_scores, pool.test_scores, 1.0
 
 
+def _tie_groups(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end (exclusive) index of each run of equal values."""
+    start = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+    return start, np.concatenate((start[1:], [sorted_values.size]))
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, with tied values sharing their average rank."""
+    order = np.argsort(x, kind="stable")
+    start, end = _tie_groups(x[order])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((start + end + 1) / 2.0, end - start)
+    return ranks
+
+
 def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
     """Rank-weighted test average over validation order (maximize convention).
 
@@ -212,9 +211,7 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     order = np.lexsort((tests, vals))
     sv = vals[order]
     st = tests[order]
-    # Boundaries of tied-validation groups in the sorted array.
-    group_start = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1])))
-    group_end = np.concatenate((group_start[1:], [m]))
+    group_start, group_end = _tie_groups(sv)
     upper = (group_end / m) ** n
     lower = (group_start / m) ** n
     group_mean_test = np.add.reduceat(st, group_start) / (group_end - group_start)
@@ -334,7 +331,7 @@ def summarize(pool: ResultPool) -> PoolSummary:
 
     spearman = pearson = None
     if m >= 3 and np.std(vals) > 0.0 and np.std(tests) > 0.0:
-        spearman = float(scipy_stats.spearmanr(vals, tests).statistic)
+        spearman = _pearson(_average_ranks(vals), _average_ranks(tests))
         pearson = _pearson(vals, tests)
     return PoolSummary(
         m=m,
@@ -365,9 +362,9 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
         raise InsufficientDataError("zero variance; normality check is undefined")
     z = np.sort((x - x.mean()) / sd)
     i = np.arange(1, m + 1)
-    # logcdf/logsf keep the tail terms finite for extreme standardized values.
-    log_cdf = scipy_stats.norm.logcdf(z)
-    log_sf = scipy_stats.norm.logsf(z)
+    # log-space tails keep the terms finite for extreme standardized values.
+    log_cdf = _log_ndtr(z)
+    log_sf = _log_ndtr(-z)
     a2 = -m - float(np.mean((2 * i - 1) * (log_cdf + log_sf[::-1])))
     corrected = a2 * (1.0 + 4.0 / m - 25.0 / (m * m))
     return NormalityResult(statistic=corrected, reject_at_5pct=corrected > _AD_CRITICAL_5PCT)

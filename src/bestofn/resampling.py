@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -132,7 +133,9 @@ def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _map_indexed(count: int, fn: Callable[[int], object], workers: int) -> list:
-    """Evaluate fn(0..count-1) into index-ordered slots, optionally threaded."""
+    """Evaluate fn(0..count-1) into index-ordered slots, optionally threaded
+    on at most one thread per CPU core."""
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as ex:

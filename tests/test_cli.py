@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bestofn import cli
 from bestofn.cli import EXIT_DATA, EXIT_ESTIMATOR, EXIT_OK, EXIT_USAGE, main
 
 import helpers
@@ -85,6 +90,32 @@ class TestSummarize:
         path.write_text('{"validation": 0.1, "test": 1.0}\nnot json\n')
         assert run(["summarize", path]) == EXIT_DATA
         assert "line 2" in capsys.readouterr().err
+
+    def test_jsonl_boolean_score_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "pool.jsonl"
+        path.write_text('{"validation": 0.1, "test": 1.0}\n{"validation": 0.2, "test": true}\n')
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 2" in err and "True" in err
+
+    def test_csv_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("validation,test\n0.1,1\n0.2,3\n".encode("utf-8-sig"))
+        assert run(["summarize", path]) == EXIT_OK
+        assert "m=2" in capsys.readouterr().out
+
+    def test_csv_row_with_extra_fields_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "extra.csv"
+        path.write_text("validation,test\n0.1,10\n0.2,20,99\n")
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 3" in err and "3 fields" in err
+
+    def test_unwritable_output_is_reported_as_a_write_error(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "report.json"
+        assert run(["summarize", toy_csv, "--output", out]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot write output" in err and "cannot read input" not in err
 
 
 class TestBoon:
@@ -290,8 +321,43 @@ class TestUsageErrors:
         assert run(["boon", toy_csv, "--n", "zero"]) == EXIT_USAGE
         assert run(["boon", toy_csv, "--n", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("value", ["3,5", "0", "-2"])
+    def test_compare_takes_exactly_one_positive_n(self, toy_csv, capsys, value):
+        assert run(["compare", toy_csv, toy_csv, "--n", value]) == EXIT_USAGE
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_workers_below_one_rejected(self, toy_csv, capsys, value):
+        assert run(["boon", toy_csv, "--bootstrap", "200", "--workers", value]) == EXIT_USAGE
+        assert "--workers" in capsys.readouterr().err
+
     def test_bad_bandwidth(self, toy_csv):
         assert run(["curve", toy_csv, "--bandwidth", "-2"]) == EXIT_USAGE
 
     def test_bad_level(self, toy_csv):
         assert run(["boon", toy_csv, "--bootstrap", "200", "--level", "1.5"]) == EXIT_USAGE
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    rows = [(0.1 * i, float(i % 7)) for i in range(12)]
+    path = helpers.write_pool_csv(tmp_path / "pool.csv", rows)
+    script = f"""
+import sys
+import bestofn
+from bestofn import cli
+for argv in (
+    ["summarize", {path!r}],
+    ["boon", {path!r}, "--bootstrap", "100"],
+    ["boon", {path!r}, "--estimator", "gaussian", "--bootstrap", "100"],
+    ["compare", {path!r}, {path!r}, "--bootstrap", "100"],
+    ["curve", {path!r}, "--m-max", "2", "--samples-per-m", "100", "--bootstrap", "100"],
+):
+    assert cli.main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

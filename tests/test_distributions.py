@@ -5,6 +5,7 @@ import pytest
 
 from bestofn.distributions import (
     ContinuousDistribution,
+    _log_ndtr,
     DiscreteDistribution,
     GaussianParams,
     expected_max_continuous,
@@ -48,6 +49,19 @@ class TestStdNormalExpectedMax:
 
     def test_memoized_values_are_stable(self):
         assert std_normal_expected_max(7) == std_normal_expected_max(7)
+
+    def test_trapezoid_rule_matches_adaptive_quadrature(self):
+        for n in range(1, 101):
+            assert std_normal_expected_max(n) == pytest.approx(
+                expected_max_continuous(standard_normal(), n), abs=1e-11
+            )
+
+
+def test_log_ndtr_matches_scipy_in_both_tails():
+    from scipy.special import log_ndtr
+
+    z = np.concatenate([np.linspace(-60.0, 60.0, 24001), [-37.0, -36.999999, -37.000001]])
+    np.testing.assert_allclose(_log_ndtr(z), log_ndtr(z), rtol=1e-12, atol=1e-300)
 
 
 class TestExpectedMaxContinuous:

@@ -226,6 +226,39 @@ class TestFitGaussianParams:
             )
 
 
+class TestResultPool:
+    def test_arrays_are_read_only_copies(self):
+        v, t = np.array([0.3, 0.1, 0.2]), np.array([3.0, 1.0, 2.0])
+        pool = ResultPool.from_arrays(v, t)
+        v[0] = 99.0
+        assert pool.validation_scores.tolist() == [0.3, 0.1, 0.2]
+        for arr in (pool.validation_scores, pool.test_scores):
+            assert arr.dtype == np.float64 and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_records_round_trip_the_pairs(self):
+        pairs = [(0.3, 3.0), (0.1, 1.0), (0.1, 2.0)]
+        pool = ResultPool.from_pairs(pairs)
+        assert pool.records == tuple(pairs)
+        assert ResultPool.from_pairs(pool.records) == pool
+        assert pool.m == 3
+
+    def test_equality_compares_scores_direction_and_metric(self):
+        pool = ResultPool.from_pairs([(0.1, 1.0), (0.2, 2.0)])
+        assert pool == ResultPool.from_arrays([0.1, 0.2], [1.0, 2.0])
+        assert pool != ResultPool.from_arrays([0.1, 0.2], [1.0, 2.5])
+        assert pool != ResultPool.from_arrays([0.1, 0.2], [1.0, 2.0], Direction.MINIMIZE)
+        assert pool != ResultPool.from_arrays([0.1, 0.2], [1.0, 2.0], metric_name="acc")
+
+    @pytest.mark.parametrize(
+        "v,t", [([1.0, 2.0], [1.0]), ([[1.0]], [[1.0]]), ([1.0, math.nan], [1.0, 2.0])]
+    )
+    def test_malformed_arrays_rejected(self, v, t):
+        with pytest.raises(InvalidDataError):
+            ResultPool.from_arrays(v, t)
+
+
 class TestSummarize:
     def test_mean_of_small_pool(self):
         pool = ResultPool.from_pairs([(0.0, 1.0), (1.0, 2.0), (0.5, 3.0), (2.0, 4.0)])
@@ -257,6 +290,16 @@ class TestSummarize:
         s = summarize(ResultPool.from_pairs([(1.0, 3.0), (2.0, 5.0)]))
         assert s.std_test is not None
         assert s.spearman_val_test is None and s.pearson_val_test is None
+
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_spearman_matches_scipy(self, tied):
+        pool = helpers.bivariate_normal_pool(m=200, rho=0.6, seed=5)
+        v, t = pool.validation_scores, pool.test_scores
+        if tied:
+            v, t = v.round(1), t.round(1)
+        expected = scipy_stats.spearmanr(v, t).statistic
+        got = summarize(ResultPool.from_arrays(v, t)).spearman_val_test
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_constant_axis_has_absent_correlations(self):
         s = summarize(ResultPool.from_pairs([(1.0, 3.0), (2.0, 3.0), (3.0, 3.0)]))

@@ -21,6 +21,8 @@ from bestofn import (
     smoothed_bootstrap_ci,
 )
 
+from bestofn import resampling
+
 import helpers
 import oracles
 
@@ -130,6 +132,28 @@ class TestBootstrapCI:
         ci = bootstrap_ci(pool, picky, cfg)
         assert ci.lo <= ci.hi
         assert bootstrap_ci(pool, picky, cfg, workers=3) == ci
+
+
+    def test_thread_pool_is_capped_at_the_core_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(resampling, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(resampling.os, "cpu_count", lambda: 3)
+        assert resampling._map_indexed(5, lambda i: i * i, 10**6) == [0, 1, 4, 9, 16]
+        assert sizes == [3]
 
 
 class TestSmoothedBootstrapCI:
