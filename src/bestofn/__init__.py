@@ -32,6 +32,7 @@ from .errors import (
 )
 from .estimators import (
     BoonEstimate,
+    BoonStatistic,
     Direction,
     EstimatorKind,
     NormalityResult,
@@ -80,6 +81,7 @@ __all__ = [
     "ResultPool",
     "EstimatorKind",
     "BoonEstimate",
+    "BoonStatistic",
     "PoolSummary",
     "NormalityResult",
     "boon_nonparametric",

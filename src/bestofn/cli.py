@@ -32,6 +32,7 @@ from .errors import (
     ResamplingDegenerateError,
 )
 from .estimators import (
+    BoonStatistic,
     Direction,
     EstimatorKind,
     ResultPool,
@@ -41,6 +42,8 @@ from .estimators import (
     summarize,
 )
 from .resampling import (
+    MAX_REPLICATES,
+    STREAM_VERSION,
     ResamplingConfig,
     best_of_m_curve,
     bootstrap_ci,
@@ -190,6 +193,7 @@ def _ci_dict(ci) -> dict:
 def _base_report(args: argparse.Namespace, argv: list[str]) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
+        "stream_version": STREAM_VERSION,
         "tool": {"name": "bestofn", "version": __version__},
         "command": ["bestofn", *argv],
         "subcommand": args.subcommand,
@@ -293,11 +297,7 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> int:
             "ci": None,
         }
         if args.bootstrap is not None:
-            if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
-                stat = lambda p, n=n: boon_parametric_gaussian(p, n).value  # noqa: E731
-            else:
-                stat = lambda p, n=n: boon_nonparametric(p, n).value  # noqa: E731
-            ci = bootstrap_ci(pool, stat, config, workers=args.workers)
+            ci = bootstrap_ci(pool, BoonStatistic(n, kind), config, workers=args.workers)
             entry["ci"] = _ci_dict(ci)
         estimates.append(entry)
 
@@ -423,6 +423,13 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _replicate_count(raw: str) -> int:
+    value = _positive_int(raw)
+    if value > MAX_REPLICATES:
+        raise argparse.ArgumentTypeError(f"at most {MAX_REPLICATES} replicates, got {raw!r}")
+    return value
+
+
 def _parse_n_list(raw: str) -> list[int]:
     values = [_positive_int(part) for part in raw.split(",") if part.strip() != ""]
     if not values:
@@ -455,11 +462,12 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_sampling_flags(sub: argparse.ArgumentParser, bootstrap_default) -> None:
     if bootstrap_default is None:
-        sub.add_argument("--bootstrap", type=int, default=None, nargs="?",
+        sub.add_argument("--bootstrap", type=_replicate_count, default=None, nargs="?",
                          const=DEFAULT_REPLICATES, metavar="B",
                          help="attach bootstrap CIs using B replicates (default B: 10000)")
     else:
-        sub.add_argument("--bootstrap", type=int, default=bootstrap_default, metavar="B",
+        sub.add_argument("--bootstrap", type=_replicate_count, default=bootstrap_default,
+                         metavar="B",
                          help=f"replicate count (default: {bootstrap_default})")
     sub.add_argument("--level", type=float, default=DEFAULT_LEVEL,
                      help="confidence level (default: 0.95)")
@@ -521,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("curve", help="expected best-validation test score vs pool size")
     p.add_argument("input", help="pool file (CSV or JSONL)")
     p.add_argument("--m-max", type=int, default=20, help="largest pool size (default: 20)")
-    p.add_argument("--samples-per-m", type=int, default=10_000,
+    p.add_argument("--samples-per-m", type=_replicate_count, default=10_000,
                    help="Monte Carlo samples per pool size (default: 10000)")
     _add_input_flags(p)
     _add_sampling_flags(p, bootstrap_default=DEFAULT_REPLICATES)

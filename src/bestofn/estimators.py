@@ -33,6 +33,7 @@ __all__ = [
     "ResultPool",
     "EstimatorKind",
     "BoonEstimate",
+    "BoonStatistic",
     "PoolSummary",
     "NormalityResult",
     "boon_nonparametric",
@@ -259,9 +260,11 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _check_spread(vals: np.ndarray, tests: np.ndarray) -> None:
-    if float(np.std(vals)) == 0.0:
+    # Equal scores, not a zero np.std: the mean of equal values can round
+    # away from them and leave a spurious nonzero deviation.
+    if np.ptp(vals) == 0.0:
         raise DegeneratePoolError("validation scores have zero variance")
-    if float(np.std(tests)) == 0.0:
+    if np.ptp(tests) == 0.0:
         raise DegeneratePoolError("test scores have zero variance")
 
 
@@ -311,6 +314,30 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
 def _parametric_value(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
     rho = _pearson(vals, tests)
     return float(tests.mean()) + rho * float(tests.std(ddof=1)) * std_normal_expected_max(n)
+
+
+@dataclass(frozen=True)
+class BoonStatistic:
+    """Boo(n) as a resampling statistic: ``BoonStatistic(n, kind)(pool)``
+    is the value of the chosen estimator on the pool.
+
+    The resampling routines recognise it and evaluate a whole block of
+    resamples as one array instead of calling it once per resample; any
+    other callable taking a pool works too, one resample at a time.
+    """
+
+    n: int
+    kind: EstimatorKind = EstimatorKind.NONPARAMETRIC
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n}")
+        object.__setattr__(self, "kind", EstimatorKind(self.kind))
+
+    def __call__(self, pool: ResultPool) -> float:
+        if self.kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
+            return boon_parametric_gaussian(pool, self.n).value
+        return boon_nonparametric(pool, self.n).value
 
 
 def summarize(pool: ResultPool) -> PoolSummary:

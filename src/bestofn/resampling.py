@@ -4,11 +4,17 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract: replicate r draws from a dedicated stream derived
-from (seed, r) by a counter-style split (numpy SeedSequence spawn keys),
-and results are aggregated into indexed slots. Output is therefore
-bit-identical for a given seed no matter how replicates are scheduled,
-including under thread parallelism (``workers > 1``).
+Determinism contract (stream version 2): bootstrap, compare and Monte
+Carlo replicates are drawn in fixed-size chunks. Chunk k holds
+``max(1, 2**14 // size)`` replicates, where size is the number of records
+one replicate draws, and takes every draw from its own stream, split off
+(seed, k) by numpy SeedSequence spawn keys: first the chunk's whole block
+of draws, then, in row order, a fresh draw for each row whose statistic
+failed. Which replicates share a stream therefore depends on the seed and
+the resample size only, and chunks are aggregated into indexed slots, so
+output is bit-identical for a given seed however chunks are scheduled,
+including under thread parallelism (``workers > 1``). Curve point m draws
+from streams split off (seed, m, 0) and (seed, m, 1).
 """
 
 from __future__ import annotations
@@ -22,19 +28,19 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import GaussianParams
+from .distributions import GaussianParams, std_normal_expected_max
 from .errors import (
     BestOfNError,
     InsufficientDataError,
     ResamplingDegenerateError,
 )
 from .estimators import (
+    BoonStatistic,
     EstimatorKind,
     ResultPool,
     _boon_weighted_average,
-    _check_spread,
     _oriented_scores,
-    _parametric_value,
+    _tie_groups,
 )
 
 __all__ = [
@@ -50,13 +56,21 @@ __all__ = [
     "compare_architectures",
 ]
 
+# Recorded in every report: changes whenever a seed maps to other draws.
+STREAM_VERSION = 2
+
+# Replicate and sample counts are allocated up front, 8 bytes each.
+MAX_REPLICATES = 10_000_000
+
 # Retries are tolerated for up to this fraction of all statistic
 # evaluations before a resampling run is declared degenerate.
 _FAILURE_BUDGET = 0.01
 _MAX_ATTEMPTS_PER_REPLICATE = 100
 
-# Fixed chunk length for vectorized curve sampling. Part of the output
-# contract: chunking follows sample count only, never worker count.
+# Resampled records per replicate chunk, and fixed chunk length for
+# vectorized curve sampling. Both are part of the output contract:
+# chunking follows resample size and sample count only, never worker count.
+_CHUNK_ELEMENTS = 1 << 14
 _CURVE_CHUNK = 65536
 
 
@@ -75,8 +89,10 @@ class ResamplingConfig:
     bandwidth: float | str = "auto"
 
     def __post_init__(self):
-        if self.replicates < 100:
-            raise ValueError(f"replicates must be >= 100, got {self.replicates}")
+        if not 100 <= self.replicates <= MAX_REPLICATES:
+            raise ValueError(
+                f"replicates must lie in [100, {MAX_REPLICATES}], got {self.replicates}"
+            )
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
         if not 0 <= int(self.seed) < 2**64:
@@ -127,8 +143,8 @@ class ComparisonResult(NamedTuple):
     significant: bool
 
 
-def _replicate_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one replicate (or one sub-task)."""
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for one chunk (or one curve sub-task)."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
@@ -139,8 +155,7 @@ def _map_indexed(count: int, fn: Callable[[int], object], workers: int) -> list:
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        chunksize = max(1, count // (workers * 8))
-        return list(ex.map(fn, range(count), chunksize=chunksize))
+        return list(ex.map(fn, range(count)))
 
 
 def _percentile_interval(
@@ -152,48 +167,116 @@ def _percentile_interval(
     )
 
 
-def _replicate_with_retry(
-    index: int,
-    seed: int,
-    draw: Callable[[np.random.Generator], object],
-    evaluate: Callable[[object], float],
-) -> tuple[float, int]:
-    """One replicate value plus the number of failed attempts it took.
-
-    Retries draw fresh resamples from the replicate's own stream, so the
-    result stays independent of every other replicate.
-    """
-    rng = _replicate_rng(seed, index)
-    failures = 0
-    for _ in range(_MAX_ATTEMPTS_PER_REPLICATE):
-        sample = draw(rng)
-        try:
-            value = float(evaluate(sample))
-        except (BestOfNError, ValueError, ZeroDivisionError, FloatingPointError):
-            failures += 1
-            continue
-        if math.isfinite(value):
-            return value, failures
-        failures += 1
-    return math.nan, failures
-
-
-def _collect_replicates(
+def _chunked_replicates(
     count: int,
+    size: int,
     seed: int,
-    draw: Callable[[np.random.Generator], object],
-    evaluate: Callable[[object], float],
+    block: Callable[[np.random.Generator, int], np.ndarray],
     workers: int,
 ) -> np.ndarray:
-    pairs = _map_indexed(
-        count, lambda i: _replicate_with_retry(i, seed, draw, evaluate), workers
-    )
-    values = np.array([v for v, _ in pairs], dtype=float)
-    failures = sum(f for _, f in pairs)
-    attempts = count + failures
-    if np.isnan(values).any() or failures / attempts > _FAILURE_BUDGET:
-        raise ResamplingDegenerateError(failures / attempts)
+    """``count`` replicate values, drawn chunk by chunk (see the module
+    docstring for the stream layout).
+
+    ``block(rng, rows)`` draws and evaluates ``rows`` replicates of
+    ``size`` records each, with NaN marking a failed evaluation. Each failed
+    row is redrawn one at a time from its chunk's stream, up to
+    ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the run aborts with
+    :class:`ResamplingDegenerateError` when more than 1% of all evaluations
+    fail.
+    """
+    rows = max(1, _CHUNK_ELEMENTS // size)
+
+    def one_chunk(k: int) -> tuple[np.ndarray, int]:
+        rng = _rng(seed, k)
+        values = block(rng, min(rows, count - k * rows))
+        failures = 0
+        for i in np.flatnonzero(np.isnan(values)):
+            failures += 1
+            for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
+                values[i] = block(rng, 1)[0]
+                if not math.isnan(values[i]):
+                    break
+                failures += 1
+        return values, failures
+
+    parts = _map_indexed(-(-count // rows), one_chunk, workers)
+    values = np.concatenate([v for v, _ in parts])
+    failures = sum(f for _, f in parts)
+    failure_rate = failures / (count + failures)
+    if np.isnan(values).any() or failure_rate > _FAILURE_BUDGET:
+        raise ResamplingDegenerateError(failure_rate)
     return values
+
+
+def _count_boon(vals: np.ndarray, tests: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Non-parametric Boo(n) of resamples given as rows of indices into one
+    pool (maximize convention), without sorting any resample.
+
+    A resample is a count vector over the (validation, test)-sorted pool.
+    With S_g the cumulative count up to validation tie group g and s the
+    resample size, group g weighs (S_g/s)^n - (S_{g-1}/s)^n times its
+    count-weighted mean test score: the rank-weight formula applied to
+    counts.
+    """
+    m = vals.size
+    order = np.lexsort((tests, vals))
+    rank = np.empty(m, dtype=np.intp)
+    rank[order] = np.arange(m)
+    sorted_tests = tests[order]
+    group_start, _ = _tie_groups(vals[order])
+    tied = group_start.size < m
+
+    def boon(idx: np.ndarray, n: int) -> np.ndarray:
+        rows, size = idx.shape
+        flat = (rank[idx] + m * np.arange(rows)[:, None]).ravel()
+        counts = np.bincount(flat, minlength=rows * m).reshape(rows, m)
+        group_tests = sorted_tests
+        if tied:
+            test_sums = np.add.reduceat(counts * sorted_tests, group_start, axis=1)
+            counts = np.add.reduceat(counts, group_start, axis=1)
+            group_tests = test_sums / np.maximum(counts, 1)
+        upper = np.cumsum(counts, axis=1)
+        power = (np.arange(size + 1) / size) ** n
+        return ((power[upper] - power[upper - counts]) * group_tests).sum(axis=1)
+
+    return boon
+
+
+def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
+    """Non-parametric Boo(n) of each row of (vals, tests) (maximize
+    convention): rows are sorted by validation and weighed with the fixed
+    rank weights; rows with tied validations take the grouped formula."""
+    m = vals.shape[1]
+    order = np.argsort(vals, axis=1)
+    sorted_vals = np.take_along_axis(vals, order, axis=1)
+    out = np.take_along_axis(tests, order, axis=1) @ np.diff((np.arange(m + 1) / m) ** n)
+    for r in np.flatnonzero((sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1)):
+        out[r] = _boon_weighted_average(vals[r], tests[r], n)
+    return out
+
+
+def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_n: float) -> np.ndarray:
+    """Parametric Boo(n) of each row of (vals, tests), mu_test + rho *
+    sigma_test * E_n with sample estimates; NaN for a row without
+    validation or test spread."""
+    vc = vals - vals.mean(axis=1, keepdims=True)
+    tc = tests - tests.mean(axis=1, keepdims=True)
+    syy = (tc * tc).sum(axis=1)
+    degenerate = (np.ptp(vals, axis=1) == 0.0) | (np.ptp(tests, axis=1) == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = (vc * tc).sum(axis=1) / np.sqrt((vc * vc).sum(axis=1) * syy)
+    out = tests.mean(axis=1) + rho * np.sqrt(syy / (vals.shape[1] - 1)) * e_n
+    out[degenerate] = np.nan
+    return out
+
+
+def _evaluate(statistic: Callable[[ResultPool], float], pool: ResultPool) -> float:
+    """The statistic's value on one resample, NaN if it fails there."""
+    try:
+        value = float(statistic(pool))
+    except (BestOfNError, ValueError, ZeroDivisionError, FloatingPointError):
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 def _auto_bandwidths(pool: ResultPool) -> tuple[float, float]:
@@ -208,6 +291,61 @@ def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float
     if bandwidth == "auto":
         return _auto_bandwidths(pool)
     return float(bandwidth), float(bandwidth)
+
+
+def _boon_block(
+    pool: ResultPool, statistic: BoonStatistic, size: int
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Draw-and-evaluate block for a Boo(n) statistic, vectorised over the
+    chunk's rows."""
+    vals, tests, sign = _oriented_scores(pool)
+    if statistic.kind is EstimatorKind.NONPARAMETRIC:
+        boon = _count_boon(vals, tests)
+
+        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return sign * boon(rng.integers(0, pool.m, size=(rows, size)), statistic.n)
+    else:
+        if size < 3:
+            raise InsufficientDataError(
+                f"parametric estimation needs resamples of >= 3 records, got {size}"
+            )
+        e_n = std_normal_expected_max(statistic.n)
+
+        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            idx = rng.integers(0, pool.m, size=(rows, size))
+            return sign * _gaussian_boon(vals[idx], tests[idx], e_n)
+    return block
+
+
+def _statistic_block(
+    pool: ResultPool,
+    statistic: Callable[[ResultPool], float],
+    size: int,
+    h_val: float,
+    h_test: float,
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Draw-and-evaluate block for any pool statistic: the chunk's index
+    block, then its noise block when smoothing, then one pool per row."""
+    vals = pool.validation_scores
+    tests = pool.test_scores
+    smoothing = h_val > 0.0 or h_test > 0.0
+
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        idx = rng.integers(0, pool.m, size=(rows, size))
+        v = vals[idx]
+        t = tests[idx]
+        if smoothing:
+            noise = rng.standard_normal((rows, size, 2))
+            v = v + h_val * noise[:, :, 0]
+            t = t + h_test * noise[:, :, 1]
+        return np.array([
+            _evaluate(
+                statistic, ResultPool.from_arrays(v[r], t[r], pool.direction, pool.metric_name)
+            )
+            for r in range(rows)
+        ])
+
+    return block
 
 
 def _bootstrap_interval(
@@ -225,21 +363,11 @@ def _bootstrap_interval(
     size = pool.m if resample_size is None else int(resample_size)
     if size < 1:
         raise ValueError(f"resample_size must be >= 1, got {size}")
-    vals = pool.validation_scores
-    tests = pool.test_scores
-    smoothing = h_val > 0.0 or h_test > 0.0
-
-    def draw(rng: np.random.Generator) -> ResultPool:
-        idx = rng.integers(0, pool.m, size=size)
-        v = vals[idx]
-        t = tests[idx]
-        if smoothing:
-            noise = rng.standard_normal((size, 2))
-            v = v + h_val * noise[:, 0]
-            t = t + h_test * noise[:, 1]
-        return ResultPool.from_arrays(v, t, pool.direction, pool.metric_name)
-
-    values = _collect_replicates(config.replicates, config.seed, draw, statistic, workers)
+    if isinstance(statistic, BoonStatistic) and h_val == 0.0 and h_test == 0.0:
+        block = _boon_block(pool, statistic, size)
+    else:
+        block = _statistic_block(pool, statistic, size, h_val, h_test)
+    values = _chunked_replicates(config.replicates, size, config.seed, block, workers)
     return _percentile_interval(values, config.level, method, config.replicates)
 
 
@@ -259,6 +387,10 @@ def bootstrap_ci(
     of the replicate values. A statistic may fail on the odd degenerate
     resample; such replicates are redrawn, and the run aborts with
     :class:`ResamplingDegenerateError` if more than 1% of evaluations fail.
+
+    A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
+    once; any other callable is called on one resampled pool at a time.
+    Both see the same resamples under the same seed.
     """
     return _bootstrap_interval(
         pool, statistic, config, 0.0, 0.0, CIMethod.BOOTSTRAP, resample_size, workers
@@ -289,17 +421,6 @@ def smoothed_bootstrap_ci(
     )
 
 
-def _simulate_scores(
-    params: GaussianParams, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    z = rng.standard_normal((m, 2))
-    vals = params.mu_val + params.sigma_val * z[:, 0]
-    tests = params.mu_test + params.sigma_test * (
-        params.rho * z[:, 0] + math.sqrt(1.0 - params.rho**2) * z[:, 1]
-    )
-    return vals, tests
-
-
 def monte_carlo_ci_gaussian(
     params: GaussianParams,
     m: int,
@@ -325,20 +446,19 @@ def monte_carlo_ci_gaussian(
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
 
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return _simulate_scores(params, m, rng)
+    e_n = std_normal_expected_max(n)
 
-    if estimator_kind is EstimatorKind.NONPARAMETRIC:
-        def evaluate(sample: tuple[np.ndarray, np.ndarray]) -> float:
-            vals, tests = sample
-            return _boon_weighted_average(vals, tests, n)
-    else:
-        def evaluate(sample: tuple[np.ndarray, np.ndarray]) -> float:
-            vals, tests = sample
-            _check_spread(vals, tests)
-            return _parametric_value(vals, tests, n)
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        z = rng.standard_normal((rows, m, 2))
+        vals = params.mu_val + params.sigma_val * z[:, :, 0]
+        tests = params.mu_test + params.sigma_test * (
+            params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
+        )
+        if estimator_kind is EstimatorKind.NONPARAMETRIC:
+            return _sorted_boon(vals, tests, n)
+        return _gaussian_boon(vals, tests, e_n)
 
-    values = _collect_replicates(config.replicates, config.seed, draw, evaluate, workers)
+    values = _chunked_replicates(config.replicates, m, config.seed, block, workers)
     return _percentile_interval(
         values, config.level, CIMethod.MONTE_CARLO_GAUSSIAN, config.replicates
     )
@@ -413,8 +533,10 @@ def best_of_m_curve(
     m_values = list(m_values)
     if len(m_values) == 0:
         raise ValueError("m_values must not be empty")
-    if samples_per_m < 1:
-        raise ValueError(f"samples_per_m must be >= 1, got {samples_per_m}")
+    if not 1 <= samples_per_m <= MAX_REPLICATES:
+        raise ValueError(
+            f"samples_per_m must lie in [1, {MAX_REPLICATES}], got {samples_per_m}"
+        )
     for m in m_values:
         if m < 1:
             raise ValueError(f"pool sizes must be >= 1, got {m}")
@@ -427,13 +549,13 @@ def best_of_m_curve(
 
     def one_point(task_index: int) -> CurvePoint:
         m = m_values[task_index]
-        point_rng = _replicate_rng(config.seed, m, 0)
+        point_rng = _rng(config.seed, m, 0)
         draws = _best_test_draws(vals, tests, m, samples_per_m, point_rng, 0.0, 0.0, replace)
         expected = sign * float(draws.mean())
         mc_se = float(draws.std(ddof=1) / math.sqrt(samples_per_m)) if samples_per_m > 1 else None
         ci = None
         if with_ci:
-            band_rng = _replicate_rng(config.seed, m, 1)
+            band_rng = _rng(config.seed, m, 1)
             band = sign * _best_test_draws(
                 vals, tests, m, config.replicates, band_rng, h_val, h_test, replace
             )
@@ -475,17 +597,15 @@ def compare_architectures(
         - _boon_weighted_average(vals_a, tests_a, n)
     )
 
-    def draw(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return rng.integers(0, m_a, size=m_a), rng.integers(0, m_b, size=m_b)
+    boon_a = _count_boon(vals_a, tests_a)
+    boon_b = _count_boon(vals_b, tests_b)
 
-    def evaluate(sample: tuple[np.ndarray, np.ndarray]) -> float:
-        idx_a, idx_b = sample
-        return sign * (
-            _boon_weighted_average(vals_b[idx_b], tests_b[idx_b], n)
-            - _boon_weighted_average(vals_a[idx_a], tests_a[idx_a], n)
-        )
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        idx_a = rng.integers(0, m_a, size=(rows, m_a))
+        idx_b = rng.integers(0, m_b, size=(rows, m_b))
+        return sign * (boon_b(idx_b, n) - boon_a(idx_a, n))
 
-    values = _collect_replicates(config.replicates, config.seed, draw, evaluate, workers)
+    values = _chunked_replicates(config.replicates, m_a + m_b, config.seed, block, workers)
     ci = _percentile_interval(values, config.level, CIMethod.BOOTSTRAP, config.replicates)
     significant = not ci.contains(0.0)
     return ComparisonResult(delta=delta, ci=ci, significant=significant)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bestofn import cli
+from bestofn import cli, resampling
 from bestofn.cli import EXIT_DATA, EXIT_ESTIMATOR, EXIT_OK, EXIT_USAGE, main
 
 import helpers
@@ -155,6 +155,24 @@ class TestBoon:
         assert entry["ci"]["replicates"] == 500
         assert entry["ci"]["lo"] <= entry["value"] <= entry["ci"]["hi"]
         assert report["seed"] == 7
+
+    def test_every_n_sees_the_same_resamples(self, tmp_path):
+        pool = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=4)
+        rows = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))
+        path = helpers.write_pool_csv(tmp_path / "pool.csv", rows)
+        reports = {}
+        for ns in ("1,5,20", "5"):
+            out = tmp_path / f"boon-{ns}.json"
+            assert run(["boon", path, "--n", ns, "--bootstrap", "500", "--output", out]) == EXIT_OK
+            reports[ns] = {e["n"]: e["ci"] for e in read_report(out)["estimates"]}
+        assert reports["1,5,20"][5] == reports["5"][5]
+
+    def test_gaussian_ci_on_mostly_degenerate_resamples_fails(self, tmp_path, capsys):
+        # a third of the resamples have a single validation value
+        path = helpers.write_pool_csv(tmp_path / "pool.csv", [(0, 1), (0, 2), (1, 3)])
+        rc = run(["boon", path, "--estimator", "gaussian", "--bootstrap", "500"])
+        assert rc == EXIT_ESTIMATOR
+        assert "resamples" in capsys.readouterr().err
 
     def test_synthetic_pool_ci_covers_closed_form(self, tmp_path):
         pool = helpers.bivariate_normal_pool(
@@ -331,11 +349,36 @@ class TestUsageErrors:
         assert run(["boon", toy_csv, "--bootstrap", "200", "--workers", value]) == EXIT_USAGE
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["boon", "{pool}", "--bootstrap", str(10**12)],
+        ["compare", "{pool}", "{pool}", "--bootstrap", str(10**12)],
+        ["curve", "{pool}", "--bootstrap", str(10**12)],
+        ["curve", "{pool}", "--samples-per-m", str(10**12)],
+    ])
+    def test_replicate_counts_are_bounded(self, toy_csv, capsys, argv):
+        assert run([a.format(pool=toy_csv) for a in argv]) == EXIT_USAGE
+        assert argv[-2] in capsys.readouterr().err
+
     def test_bad_bandwidth(self, toy_csv):
         assert run(["curve", toy_csv, "--bandwidth", "-2"]) == EXIT_USAGE
 
     def test_bad_level(self, toy_csv):
         assert run(["boon", toy_csv, "--bootstrap", "200", "--level", "1.5"]) == EXIT_USAGE
+
+
+def test_every_report_records_the_stream_version(toy_csv, tmp_path):
+    commands = [
+        ["summarize", toy_csv],
+        ["boon", toy_csv, "--n", "2", "--bootstrap", "100"],
+        ["curve", toy_csv, "--m-max", "2", "--samples-per-m", "100", "--bootstrap", "100"],
+        ["compare", toy_csv, toy_csv, "--bootstrap", "100"],
+    ]
+    for argv in commands:
+        out = tmp_path / f"{argv[0]}.json"
+        assert run(argv + ["--output", out]) == EXIT_OK
+        report = read_report(out)
+        assert report["stream_version"] == resampling.STREAM_VERSION == 2
+        assert report["schema_version"] == 1
 
 
 def test_commands_run_without_importing_scipy(tmp_path):
@@ -344,7 +387,7 @@ def test_commands_run_without_importing_scipy(tmp_path):
     script = f"""
 import sys
 import bestofn
-from bestofn import cli
+from bestofn import cli, resampling
 for argv in (
     ["summarize", {path!r}],
     ["boon", {path!r}, "--bootstrap", "100"],

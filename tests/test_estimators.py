@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from bestofn import (
+    BoonStatistic,
     DegeneratePoolError,
     Direction,
     EstimatorKind,
@@ -174,6 +175,12 @@ class TestBoonParametricGaussian:
         with pytest.raises(DegeneratePoolError, match="validation"):
             boon_parametric_gaussian(pool, 5)
 
+    def test_equal_scores_with_an_inexact_mean_are_degenerate(self):
+        # the mean of three 0.1s rounds away from 0.1, so their np.std is not 0
+        pool = ResultPool.from_pairs([(0.1, 4.0), (0.1, 5.0), (0.1, 6.0)])
+        with pytest.raises(DegeneratePoolError, match="validation"):
+            boon_parametric_gaussian(pool, 5)
+
     def test_requires_three_records(self):
         pool = ResultPool.from_pairs([(1.0, 2.0), (3.0, 4.0)])
         with pytest.raises(InsufficientDataError):
@@ -202,6 +209,21 @@ class TestBoonParametricGaussian:
         got = boon_parametric_gaussian(mapped, 5).value
         want = a * boon_parametric_gaussian(pool, 5).value + b
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestBoonStatistic:
+    def test_call_is_the_estimator_value(self):
+        pool = helpers.bivariate_normal_pool(m=20, rho=0.4, seed=2, direction="minimize")
+        assert BoonStatistic(3)(pool) == boon_nonparametric(pool, 3).value
+        gaussian = BoonStatistic(3, "gaussian_parametric")
+        assert gaussian.kind is EstimatorKind.GAUSSIAN_PARAMETRIC
+        assert gaussian(pool) == boon_parametric_gaussian(pool, 3).value
+
+    def test_invalid_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            BoonStatistic(0)
+        with pytest.raises(ValueError):
+            BoonStatistic(5, "bayesian")
 
 
 class TestFitGaussianParams:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bestofn import (
+    BoonStatistic,
     CIMethod,
     Direction,
     EstimatorKind,
@@ -16,12 +18,13 @@ from bestofn import (
     best_single_model,
     bootstrap_ci,
     boon_nonparametric,
+    boon_parametric_gaussian,
     compare_architectures,
     monte_carlo_ci_gaussian,
     smoothed_bootstrap_ci,
 )
 
-from bestofn import resampling
+from bestofn import BestOfNError, resampling
 
 import helpers
 import oracles
@@ -44,6 +47,7 @@ class TestResamplingConfig:
         "kwargs",
         [
             dict(replicates=99),
+            dict(replicates=10**12),
             dict(level=0.0),
             dict(level=1.0),
             dict(seed=-1),
@@ -331,6 +335,12 @@ class TestBestOfMCurve:
         with pytest.raises(ValueError):
             best_of_m_curve(pool, [], 100, ResamplingConfig(replicates=500, seed=0))
 
+    def test_sample_count_is_bounded(self):
+        # refused before the 8 TB of draws would be allocated
+        pool = helpers.bivariate_normal_pool(m=5, seed=2)
+        with pytest.raises(ValueError, match="samples_per_m"):
+            best_of_m_curve(pool, [2], 10**12, ResamplingConfig(replicates=500, seed=0))
+
 
 class TestCompareArchitectures:
     def test_identical_pools_are_not_significant(self):
@@ -390,3 +400,147 @@ class TestCompareArchitectures:
         assert dual.delta == pytest.approx(-result.delta, abs=1e-12)
         assert dual.ci.lo == pytest.approx(-result.ci.hi, rel=1e-12)
         assert dual.ci.hi == pytest.approx(-result.ci.lo, rel=1e-12)
+
+
+def _row_oracle(pool, idx, statistic):
+    """The statistic on each resample row, through the per-pool estimators;
+    NaN where the estimator rejects the resample."""
+    out = []
+    for row in idx:
+        resample = ResultPool.from_arrays(
+            pool.validation_scores[row], pool.test_scores[row], pool.direction
+        )
+        try:
+            out.append(statistic(resample))
+        except BestOfNError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+class TestEngine:
+    """The vectorised Boo(n) engine against the one-pool estimators."""
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_rows_match_the_estimators_on_the_same_index_blocks(self, direction, kind):
+        rng = np.random.default_rng(808)
+        checked = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # n > m is intentionally included
+            # equal 0.1 validations have a mean that rounds away from 0.1
+            inexact = [(0.1, 4.0), (0.1, 5.0), (0.1, 6.0), (0.7, 5.0)]
+            for records in [helpers.random_tied_records(rng, m_max=8) for _ in range(30)] + [
+                inexact
+            ]:
+                pool = ResultPool.from_pairs(records, direction)
+                for n in (1, 2, 5, 20):
+                    for size in {pool.m, 3, 11}:
+                        stat = BoonStatistic(n, kind)
+                        if kind is EstimatorKind.GAUSSIAN_PARAMETRIC and size < 3:
+                            continue
+                        block = resampling._boon_block(pool, stat, size)
+                        got = block(np.random.default_rng(n), 25)
+                        idx = np.random.default_rng(n).integers(0, pool.m, size=(25, size))
+                        want = _row_oracle(pool, idx, stat)
+                        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                        scale = np.abs(pool.test_scores).max()
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+                        checked += 1
+        assert checked > 250
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_boon_statistic_agrees_with_the_generic_path(self, kind):
+        pool = ResultPool.from_pairs(
+            helpers.random_tied_records(np.random.default_rng(5), m_max=40)
+            + [(0.5, 7.0), (1.5, 12.0), (2.5, 3.0)]
+        )
+        cfg = ResamplingConfig(replicates=2000, seed=17)
+        if kind is EstimatorKind.NONPARAMETRIC:
+            generic = lambda p: boon_nonparametric(p, 5).value  # noqa: E731
+        else:
+            generic = lambda p: boon_parametric_gaussian(p, 5).value  # noqa: E731
+        fast = bootstrap_ci(pool, BoonStatistic(5, kind), cfg)
+        slow = bootstrap_ci(pool, generic, cfg)
+        assert fast.lo == pytest.approx(slow.lo, rel=1e-12)
+        assert fast.hi == pytest.approx(slow.hi, rel=1e-12)
+
+    def test_compare_matches_the_estimators_on_its_index_blocks(self):
+        pool_a = helpers.bivariate_normal_pool(m=7, rho=0.3, seed=4, direction="minimize")
+        pool_b = ResultPool.from_pairs(
+            [(1.0, 2.0), (1.0, 3.0), (0.0, 5.0), (2.0, 1.0)], "minimize"
+        )
+        cfg = ResamplingConfig(replicates=100, seed=3)
+        ci = compare_architectures(pool_a, pool_b, 3, cfg).ci
+        # one chunk holds all 100 replicates: A's index block, then B's
+        rng = resampling._rng(3, 0)
+        idx_a = rng.integers(0, pool_a.m, size=(100, pool_a.m))
+        idx_b = rng.integers(0, pool_b.m, size=(100, pool_b.m))
+        stat = BoonStatistic(3)
+        want = _row_oracle(pool_b, idx_b, stat) - _row_oracle(pool_a, idx_a, stat)
+        lo, hi = np.quantile(want, [0.025, 0.975])
+        assert ci.lo == pytest.approx(lo, rel=1e-12)
+        assert ci.hi == pytest.approx(hi, rel=1e-12)
+
+    def test_all_tied_validations_make_every_n_the_test_mean(self):
+        params = GaussianParams(mu_val=63.5, mu_test=0.0, sigma_val=1e-300, sigma_test=1.0, rho=0.0)
+        cfg = ResamplingConfig(replicates=500, seed=7)
+        n1 = monte_carlo_ci_gaussian(params, 20, 1, EstimatorKind.NONPARAMETRIC, cfg)
+        n5 = monte_carlo_ci_gaussian(params, 20, 5, EstimatorKind.NONPARAMETRIC, cfg)
+        assert (n5.lo, n5.hi) == (n1.lo, n1.hi)
+
+    def test_monte_carlo_rows_match_the_estimators(self):
+        params = GaussianParams(mu_val=1.0, mu_test=2.0, sigma_val=0.5, sigma_test=1.5, rho=0.6)
+        m, n = 9, 4
+        z = np.random.default_rng(1).standard_normal((50, m, 2))
+        vals = params.mu_val + params.sigma_val * z[:, :, 0]
+        tests = params.mu_test + params.sigma_test * (
+            params.rho * z[:, :, 0] + math.sqrt(1 - params.rho**2) * z[:, :, 1]
+        )
+        vals[:5, 1] = vals[:5, 0]  # tied validations take the grouped formula
+        got = resampling._sorted_boon(vals, tests, n)
+        want = [boon_nonparametric(ResultPool.from_arrays(v, t), n).value
+                for v, t in zip(vals, tests)]
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_chunk_layout_ignores_the_replicate_count(self):
+        # replicate r of a longer run equals replicate r of a shorter one
+        pool = helpers.bivariate_normal_pool(m=30, seed=6)
+        stat = BoonStatistic(5)
+        block = resampling._boon_block(pool, stat, pool.m)
+        short = resampling._chunked_replicates(700, pool.m, 9, block, 1)
+        long = resampling._chunked_replicates(1500, pool.m, 9, block, 1)
+        np.testing.assert_array_equal(short, long[:700])
+
+
+class TestDegenerateGaussianResamples:
+    def test_mostly_degenerate_pool_is_refused(self):
+        # about a third of resamples repeat validation 0 or 1 only
+        pool = ResultPool.from_pairs([(0.0, 1.0), (0.0, 2.0), (1.0, 3.0)])
+        stat = BoonStatistic(5, EstimatorKind.GAUSSIAN_PARAMETRIC)
+        with pytest.raises(ResamplingDegenerateError):
+            bootstrap_ci(pool, stat, ResamplingConfig(replicates=1000, seed=0))
+
+    def test_resamples_below_three_records_are_refused(self):
+        pool = helpers.bivariate_normal_pool(m=10, seed=1)
+        stat = BoonStatistic(5, EstimatorKind.GAUSSIAN_PARAMETRIC)
+        with pytest.raises(InsufficientDataError):
+            bootstrap_ci(pool, stat, ResamplingConfig(replicates=200, seed=0), resample_size=2)
+
+    def test_rare_degenerate_resamples_are_redrawn(self, monkeypatch):
+        # 5 * (1/5)^5 = 0.16% of resamples repeat one record
+        pool = ResultPool.from_pairs([(float(i), float(3 * i % 5)) for i in range(5)])
+        stat = BoonStatistic(5, EstimatorKind.GAUSSIAN_PARAMETRIC)
+        cfg = ResamplingConfig(replicates=3000, seed=21)
+        degenerate_rows = []
+        engine = resampling._gaussian_boon
+
+        def counting(vals, tests, e_n):
+            out = engine(vals, tests, e_n)
+            degenerate_rows.append(int(np.isnan(out).sum()))
+            return out
+
+        monkeypatch.setattr(resampling, "_gaussian_boon", counting)
+        ci = bootstrap_ci(pool, stat, cfg)
+        assert sum(degenerate_rows) > 0
+        assert np.isfinite([ci.lo, ci.hi]).all()
+        assert bootstrap_ci(pool, stat, cfg, workers=3) == ci
