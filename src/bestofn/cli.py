@@ -62,6 +62,8 @@ DEFAULT_N = 5
 DEFAULT_REPLICATES = 10_000
 DEFAULT_LEVEL = 0.95
 DEFAULT_COLUMNS = ("validation", "test")
+# A curve sample holds m draws of each kind; this keeps one under 10 MB.
+MAX_CURVE_M = 100_000
 
 
 @dataclass(frozen=True)
@@ -322,8 +324,6 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> int:
 def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> int:
     pool_file = _pool_file_from_args(args, args.input)
     pool = load_pool(pool_file)
-    if args.m_max < 1:
-        raise ValueError(f"--m-max must be >= 1, got {args.m_max}")
     config = _config_from_args(args)
     points = best_of_m_curve(
         pool,
@@ -423,11 +423,17 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _replicate_count(raw: str) -> int:
-    value = _positive_int(raw)
-    if value > MAX_REPLICATES:
-        raise argparse.ArgumentTypeError(f"at most {MAX_REPLICATES} replicates, got {raw!r}")
-    return value
+def _at_most(limit: int, noun: str):
+    def parse(raw: str) -> int:
+        value = _positive_int(raw)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"at most {limit} {noun}, got {raw!r}")
+        return value
+
+    return parse
+
+
+_replicate_count = _at_most(MAX_REPLICATES, "replicates")
 
 
 def _parse_n_list(raw: str) -> list[int]:
@@ -473,8 +479,6 @@ def _add_sampling_flags(sub: argparse.ArgumentParser, bootstrap_default) -> None
                      help="confidence level (default: 0.95)")
     sub.add_argument("--seed", type=int, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    sub.add_argument("--bandwidth", type=_parse_bandwidth, default="auto",
-                     help='smoothing bandwidth: "auto" or a number (default: auto)')
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="worker threads for replicate evaluation, at most one per "
                           "CPU core is used (default: 1)")
@@ -528,9 +532,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("curve", help="expected best-validation test score vs pool size")
     p.add_argument("input", help="pool file (CSV or JSONL)")
-    p.add_argument("--m-max", type=int, default=20, help="largest pool size (default: 20)")
+    p.add_argument("--m-max", type=_at_most(MAX_CURVE_M, "records"), default=20,
+                   help=f"largest pool size, at most {MAX_CURVE_M} (default: 20)")
     p.add_argument("--samples-per-m", type=_replicate_count, default=10_000,
                    help="Monte Carlo samples per pool size (default: 10000)")
+    p.add_argument("--bandwidth", type=_parse_bandwidth, default="auto",
+                   help='band smoothing bandwidth: "auto" or a number (default: auto)')
     _add_input_flags(p)
     _add_sampling_flags(p, bootstrap_default=DEFAULT_REPLICATES)
     p.set_defaults(func=_cmd_curve)

@@ -4,17 +4,19 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 2): bootstrap, compare and Monte
-Carlo replicates are drawn in fixed-size chunks. Chunk k holds
-``max(1, 2**14 // size)`` replicates, where size is the number of records
-one replicate draws, and takes every draw from its own stream, split off
-(seed, k) by numpy SeedSequence spawn keys: first the chunk's whole block
-of draws, then, in row order, a fresh draw for each row whose statistic
-failed. Which replicates share a stream therefore depends on the seed and
+Determinism contract (stream version 3): every routine draws its
+replicates through one engine, in fixed-size chunks. A run of ``size``
+records per replicate, where a without-replacement curve sample counts the
+whole pool, holds ``max(1, 2**14 // size)`` replicates per chunk, and chunk
+k takes every draw from its own stream, split off (seed, *key, k) by numpy
+SeedSequence spawn keys: first the chunk's whole block of draws, then, in
+row order, a fresh draw for each row whose statistic failed. Bootstrap,
+compare and Monte Carlo runs have an empty key; curve point m makes two
+runs, keyed (m, 0) for its samples and (m, 1) for its smoothed band.
+Which replicates share a stream therefore depends on the seed, the key and
 the resample size only, and chunks are aggregated into indexed slots, so
 output is bit-identical for a given seed however chunks are scheduled,
-including under thread parallelism (``workers > 1``). Curve point m draws
-from streams split off (seed, m, 0) and (seed, m, 1).
+including under thread parallelism (``workers > 1``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -67,20 +69,18 @@ MAX_REPLICATES = 10_000_000
 _FAILURE_BUDGET = 0.01
 _MAX_ATTEMPTS_PER_REPLICATE = 100
 
-# Resampled records per replicate chunk, and fixed chunk length for
-# vectorized curve sampling. Both are part of the output contract:
-# chunking follows resample size and sample count only, never worker count.
+# Resampled records per replicate chunk. Part of the output contract:
+# chunking follows resample size only, never worker count.
 _CHUNK_ELEMENTS = 1 << 14
-_CURVE_CHUNK = 65536
 
 
 @dataclass(frozen=True)
 class ResamplingConfig:
     """Knobs shared by every resampling routine.
 
-    ``bandwidth`` only matters for the smoothed bootstrap: "auto" selects
-    the per-axis rule sigma_hat * m**(-1/6); an explicit value is used for
-    both axes as given.
+    ``bandwidth`` only matters for smoothed draws (the smoothed bootstrap
+    and curve bands): "auto" selects the per-axis rule sigma_hat *
+    m**(-1/6); an explicit value is used for both axes as given.
     """
 
     replicates: int = 10_000
@@ -144,7 +144,7 @@ class ComparisonResult(NamedTuple):
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for one chunk (or one curve sub-task)."""
+    """Independent generator for one chunk."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
@@ -173,9 +173,11 @@ def _chunked_replicates(
     seed: int,
     block: Callable[[np.random.Generator, int], np.ndarray],
     workers: int,
+    *,
+    key: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """``count`` replicate values, drawn chunk by chunk (see the module
-    docstring for the stream layout).
+    """``count`` replicate values, drawn chunk by chunk from the streams
+    split off (seed, *key, k) (see the module docstring for the layout).
 
     ``block(rng, rows)`` draws and evaluates ``rows`` replicates of
     ``size`` records each, with NaN marking a failed evaluation. Each failed
@@ -187,7 +189,7 @@ def _chunked_replicates(
     rows = max(1, _CHUNK_ELEMENTS // size)
 
     def one_chunk(k: int) -> tuple[np.ndarray, int]:
-        rng = _rng(seed, k)
+        rng = _rng(seed, *key, k)
         values = block(rng, min(rows, count - k * rows))
         failures = 0
         for i in np.flatnonzero(np.isnan(values)):
@@ -208,9 +210,39 @@ def _chunked_replicates(
     return values
 
 
-def _count_boon(vals: np.ndarray, tests: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Non-parametric Boo(n) of resamples given as rows of indices into one
-    pool (maximize convention), without sorting any resample.
+def _draw(
+    rng: np.random.Generator,
+    columns: tuple[np.ndarray, ...],
+    rows: int,
+    size: int,
+    bandwidths: tuple[float, ...] = (),
+    replace: bool = True,
+) -> list[np.ndarray]:
+    """``rows`` resamples of ``size`` records from equal-length columns.
+
+    Records are drawn with replacement, or without it as the ``size``
+    smallest of one uniform key per pool record; each column is gathered at
+    the drawn records and, when a bandwidth is nonzero, moved by that
+    bandwidth times standard normal noise drawn for all columns at once.
+    """
+    pool_size = columns[0].size
+    if replace:
+        idx = rng.integers(0, pool_size, size=(rows, size))
+    else:
+        idx = np.argpartition(rng.random((rows, pool_size)), size - 1, axis=1)[:, :size]
+    out = [c[idx] for c in columns]
+    if any(bandwidths):
+        noise = rng.standard_normal((rows, size, len(columns)))
+        out = [c + h * noise[:, :, j] for j, (c, h) in enumerate(zip(out, bandwidths))]
+    return out
+
+
+def _count_boon(
+    vals: np.ndarray, tests: np.ndarray
+) -> tuple[np.ndarray, Callable[[np.ndarray, int], np.ndarray]]:
+    """Non-parametric Boo(n) of resamples (maximize convention), without
+    sorting any resample: returns each record's position in the sorted pool
+    and a kernel taking rows of those positions.
 
     A resample is a count vector over the (validation, test)-sorted pool.
     With S_g the cumulative count up to validation tie group g and s the
@@ -226,9 +258,9 @@ def _count_boon(vals: np.ndarray, tests: np.ndarray) -> Callable[[np.ndarray, in
     group_start, _ = _tie_groups(vals[order])
     tied = group_start.size < m
 
-    def boon(idx: np.ndarray, n: int) -> np.ndarray:
-        rows, size = idx.shape
-        flat = (rank[idx] + m * np.arange(rows)[:, None]).ravel()
+    def boon(ranks: np.ndarray, n: int) -> np.ndarray:
+        rows, size = ranks.shape
+        flat = (ranks + m * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(flat, minlength=rows * m).reshape(rows, m)
         group_tests = sorted_tests
         if tied:
@@ -239,7 +271,7 @@ def _count_boon(vals: np.ndarray, tests: np.ndarray) -> Callable[[np.ndarray, in
         power = (np.arange(size + 1) / size) ** n
         return ((power[upper] - power[upper - counts]) * group_tests).sum(axis=1)
 
-    return boon
+    return rank, boon
 
 
 def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
@@ -279,7 +311,9 @@ def _evaluate(statistic: Callable[[ResultPool], float], pool: ResultPool) -> flo
     return value if math.isfinite(value) else math.nan
 
 
-def _auto_bandwidths(pool: ResultPool) -> tuple[float, float]:
+def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float, float]:
+    if bandwidth != "auto":
+        return float(bandwidth), float(bandwidth)
     # Scott-style rule for bivariate data: sigma_hat * m**(-1/6) per axis.
     factor = pool.m ** (-1.0 / 6.0)
     sd_val = float(pool.validation_scores.std(ddof=1)) if pool.m >= 2 else 0.0
@@ -287,33 +321,34 @@ def _auto_bandwidths(pool: ResultPool) -> tuple[float, float]:
     return sd_val * factor, sd_test * factor
 
 
-def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float, float]:
-    if bandwidth == "auto":
-        return _auto_bandwidths(pool)
-    return float(bandwidth), float(bandwidth)
-
-
 def _boon_block(
-    pool: ResultPool, statistic: BoonStatistic, size: int
+    pool: ResultPool, statistic: BoonStatistic, size: int, bandwidths: tuple[float, ...] = ()
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Draw-and-evaluate block for a Boo(n) statistic, vectorised over the
-    chunk's rows."""
+    chunk's rows: unsmoothed non-parametric rows by counts, smoothed ones
+    by sorting, Gaussian rows by their moments."""
     vals, tests, sign = _oriented_scores(pool)
-    if statistic.kind is EstimatorKind.NONPARAMETRIC:
-        boon = _count_boon(vals, tests)
-
-        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * boon(rng.integers(0, pool.m, size=(rows, size)), statistic.n)
-    else:
+    n = statistic.n
+    # Noise scaled by sign on oriented scores is exactly the oriented image
+    # of noise added to the pool's own scores, as the generic path does.
+    bandwidths = tuple(sign * h for h in bandwidths)
+    if statistic.kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
         if size < 3:
             raise InsufficientDataError(
                 f"parametric estimation needs resamples of >= 3 records, got {size}"
             )
-        e_n = std_normal_expected_max(statistic.n)
+        e_n = std_normal_expected_max(n)
 
         def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            idx = rng.integers(0, pool.m, size=(rows, size))
-            return sign * _gaussian_boon(vals[idx], tests[idx], e_n)
+            return sign * _gaussian_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), e_n)
+    elif any(bandwidths):
+        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return sign * _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
+    else:
+        rank, boon = _count_boon(vals, tests)
+
+        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return sign * boon(_draw(rng, (rank,), rows, size)[0], n)
     return block
 
 
@@ -321,23 +356,13 @@ def _statistic_block(
     pool: ResultPool,
     statistic: Callable[[ResultPool], float],
     size: int,
-    h_val: float,
-    h_test: float,
+    bandwidths: tuple[float, ...],
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Draw-and-evaluate block for any pool statistic: the chunk's index
-    block, then its noise block when smoothing, then one pool per row."""
-    vals = pool.validation_scores
-    tests = pool.test_scores
-    smoothing = h_val > 0.0 or h_test > 0.0
+    """Draw-and-evaluate block for any pool statistic: one pool per row."""
+    columns = (pool.validation_scores, pool.test_scores)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        idx = rng.integers(0, pool.m, size=(rows, size))
-        v = vals[idx]
-        t = tests[idx]
-        if smoothing:
-            noise = rng.standard_normal((rows, size, 2))
-            v = v + h_val * noise[:, :, 0]
-            t = t + h_test * noise[:, :, 1]
+        v, t = _draw(rng, columns, rows, size, bandwidths)
         return np.array([
             _evaluate(
                 statistic, ResultPool.from_arrays(v[r], t[r], pool.direction, pool.metric_name)
@@ -352,8 +377,7 @@ def _bootstrap_interval(
     pool: ResultPool,
     statistic: Callable[[ResultPool], float],
     config: ResamplingConfig,
-    h_val: float,
-    h_test: float,
+    bandwidths: tuple[float, ...],
     method: CIMethod,
     resample_size: int | None,
     workers: int,
@@ -363,10 +387,10 @@ def _bootstrap_interval(
     size = pool.m if resample_size is None else int(resample_size)
     if size < 1:
         raise ValueError(f"resample_size must be >= 1, got {size}")
-    if isinstance(statistic, BoonStatistic) and h_val == 0.0 and h_test == 0.0:
-        block = _boon_block(pool, statistic, size)
+    if isinstance(statistic, BoonStatistic):
+        block = _boon_block(pool, statistic, size, bandwidths)
     else:
-        block = _statistic_block(pool, statistic, size, h_val, h_test)
+        block = _statistic_block(pool, statistic, size, bandwidths)
     values = _chunked_replicates(config.replicates, size, config.seed, block, workers)
     return _percentile_interval(values, config.level, method, config.replicates)
 
@@ -393,7 +417,7 @@ def bootstrap_ci(
     Both see the same resamples under the same seed.
     """
     return _bootstrap_interval(
-        pool, statistic, config, 0.0, 0.0, CIMethod.BOOTSTRAP, resample_size, workers
+        pool, statistic, config, (), CIMethod.BOOTSTRAP, resample_size, workers
     )
 
 
@@ -414,10 +438,9 @@ def smoothed_bootstrap_ci(
     With bandwidth 0 the output is replicate-for-replicate identical to
     :func:`bootstrap_ci` under the same seed.
     """
-    h_val, h_test = _resolve_bandwidths(pool, config.bandwidth)
+    bandwidths = _resolve_bandwidths(pool, config.bandwidth)
     return _bootstrap_interval(
-        pool, statistic, config, h_val, h_test, CIMethod.SMOOTHED_BOOTSTRAP,
-        resample_size, workers,
+        pool, statistic, config, bandwidths, CIMethod.SMOOTHED_BOOTSTRAP, resample_size, workers
     )
 
 
@@ -464,49 +487,6 @@ def monte_carlo_ci_gaussian(
     )
 
 
-def _best_test_draws(
-    vals: np.ndarray,
-    tests: np.ndarray,
-    m: int,
-    count: int,
-    rng: np.random.Generator,
-    h_val: float,
-    h_test: float,
-    replace: bool,
-) -> np.ndarray:
-    """Test scores of the best-validation record across ``count`` samples
-    of size m, vectorized in fixed-size chunks.
-
-    ``vals`` must already be oriented so best means maximal. Validation
-    ties are resolved uniformly at random, which keeps the sample mean an
-    unbiased Monte Carlo image of the rank-weighted estimator.
-    """
-    pool_size = vals.size
-    smoothing = h_val > 0.0 or h_test > 0.0
-    chunk = _CURVE_CHUNK if replace else max(1, (1 << 21) // max(pool_size, 1))
-    out = np.empty(count, dtype=float)
-    pos = 0
-    while pos < count:
-        c = min(chunk, count - pos)
-        if replace:
-            idx = rng.integers(0, pool_size, size=(c, m))
-        else:
-            keys = rng.random((c, pool_size))
-            idx = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        v = vals[idx]
-        t = tests[idx]
-        if smoothing:
-            noise = rng.standard_normal((c, m, 2))
-            v = v + h_val * noise[:, :, 0]
-            t = t + h_test * noise[:, :, 1]
-        tie_break = rng.random((c, m))
-        best = v.max(axis=1, keepdims=True)
-        pick = np.where(v == best, tie_break, -1.0).argmax(axis=1)
-        out[pos : pos + c] = t[np.arange(c), pick]
-        pos += c
-    return out
-
-
 def best_of_m_curve(
     pool: ResultPool,
     m_values: Sequence[int],
@@ -545,24 +525,35 @@ def best_of_m_curve(
                 f"without-replacement samples of size {m} exceed the pool (m={pool.m})"
             )
     vals, tests, sign = _oriented_scores(pool)
-    h_val, h_test = _resolve_bandwidths(pool, config.bandwidth)
+    bandwidths = _resolve_bandwidths(pool, config.bandwidth)
+
+    def best_tests(m: int, count: int, h: tuple[float, ...], run: int) -> np.ndarray:
+        """Test scores of the best-validation record of ``count`` size-m
+        samples, from the run keyed (m, run). Validation ties are resolved
+        uniformly at random, which keeps the mean an unbiased Monte Carlo
+        image of the rank-weighted estimator."""
+
+        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            v, t = _draw(rng, (vals, tests), rows, m, h, replace)
+            tie_break = rng.random((rows, m))
+            best = v.max(axis=1, keepdims=True)
+            return t[np.arange(rows), np.where(v == best, tie_break, -1.0).argmax(axis=1)]
+
+        # A without-replacement sample draws one key per pool record.
+        size = m if replace else pool.m
+        return sign * _chunked_replicates(count, size, config.seed, block, 1, key=(m, run))
 
     def one_point(task_index: int) -> CurvePoint:
         m = m_values[task_index]
-        point_rng = _rng(config.seed, m, 0)
-        draws = _best_test_draws(vals, tests, m, samples_per_m, point_rng, 0.0, 0.0, replace)
-        expected = sign * float(draws.mean())
+        draws = best_tests(m, samples_per_m, (), 0)
         mc_se = float(draws.std(ddof=1) / math.sqrt(samples_per_m)) if samples_per_m > 1 else None
         ci = None
         if with_ci:
-            band_rng = _rng(config.seed, m, 1)
-            band = sign * _best_test_draws(
-                vals, tests, m, config.replicates, band_rng, h_val, h_test, replace
-            )
+            band = best_tests(m, config.replicates, bandwidths, 1)
             ci = _percentile_interval(
                 band, config.level, CIMethod.SMOOTHED_BOOTSTRAP, config.replicates
             )
-        return CurvePoint(m=m, expected_best_test=expected, ci=ci, mc_se=mc_se)
+        return CurvePoint(m=m, expected_best_test=float(draws.mean()), ci=ci, mc_se=mc_se)
 
     return list(_map_indexed(len(m_values), one_point, workers))
 
@@ -597,13 +588,13 @@ def compare_architectures(
         - _boon_weighted_average(vals_a, tests_a, n)
     )
 
-    boon_a = _count_boon(vals_a, tests_a)
-    boon_b = _count_boon(vals_b, tests_b)
+    rank_a, boon_a = _count_boon(vals_a, tests_a)
+    rank_b, boon_b = _count_boon(vals_b, tests_b)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        idx_a = rng.integers(0, m_a, size=(rows, m_a))
-        idx_b = rng.integers(0, m_b, size=(rows, m_b))
-        return sign * (boon_b(idx_b, n) - boon_a(idx_a, n))
+        (ranks_a,) = _draw(rng, (rank_a,), rows, m_a)
+        (ranks_b,) = _draw(rng, (rank_b,), rows, m_b)
+        return sign * (boon_b(ranks_b, n) - boon_a(ranks_a, n))
 
     values = _chunked_replicates(config.replicates, m_a + m_b, config.seed, block, workers)
     ci = _percentile_interval(values, config.level, CIMethod.BOOTSTRAP, config.replicates)

@@ -242,8 +242,11 @@ class TestCurve:
         mean = float(pool.test_scores.mean())
         assert abs(point["expected_best_test"] - mean) <= 3 * point["mc_se"]
 
-    def test_rejects_bad_m_max(self, toy_csv):
-        assert run(["curve", toy_csv, "--m-max", "0"]) == EXIT_USAGE
+    def test_rejects_bad_m_max(self, tmp_path, capsys):
+        # refused by the parser: the missing input file is never opened
+        for value in ("0", "100001", str(10**9)):
+            assert run(["curve", tmp_path / "missing.csv", "--m-max", value]) == EXIT_USAGE
+            assert "--m-max" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -362,6 +365,12 @@ class TestUsageErrors:
     def test_bad_bandwidth(self, toy_csv):
         assert run(["curve", toy_csv, "--bandwidth", "-2"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [["boon", "{pool}"], ["compare", "{pool}", "{pool}"]])
+    def test_bandwidth_is_a_curve_flag_only(self, toy_csv, capsys, argv):
+        argv = [a.format(pool=toy_csv) for a in argv] + ["--bandwidth", "0.5"]
+        assert run(argv) == EXIT_USAGE
+        assert "--bandwidth" in capsys.readouterr().err
+
     def test_bad_level(self, toy_csv):
         assert run(["boon", toy_csv, "--bootstrap", "200", "--level", "1.5"]) == EXIT_USAGE
 
@@ -377,7 +386,7 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--output", out]) == EXIT_OK
         report = read_report(out)
-        assert report["stream_version"] == resampling.STREAM_VERSION == 2
+        assert report["stream_version"] == resampling.STREAM_VERSION == 3
         assert report["schema_version"] == 1
 
 

@@ -335,6 +335,62 @@ class TestBestOfMCurve:
         with pytest.raises(ValueError):
             best_of_m_curve(pool, [], 100, ResamplingConfig(replicates=500, seed=0))
 
+    def test_point_is_two_keyed_chunk_runs(self):
+        # point m draws its samples in chunks of 2**14 // m rows, chunk k
+        # from the stream (seed, m, 0, k), and its band from (seed, m, 1, k)
+        base = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=8)
+        pool = ResultPool.from_arrays(
+            base.validation_scores.round(1), base.test_scores, Direction.MINIMIZE
+        )
+        m, seed, h, samples, replicates = 5, 12, 0.25, 7000, 5000
+        cfg = ResamplingConfig(replicates=replicates, seed=seed, bandwidth=h)
+        (point,) = best_of_m_curve(pool, [m], samples, cfg)
+
+        def best_tests(run, count, h):
+            rows = 2**14 // m
+            out = []
+            for k in range(-(-count // rows)):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m, run, k)))
+                r = min(rows, count - k * rows)
+                idx = rng.integers(0, pool.m, size=(r, m))
+                v, t = -pool.validation_scores[idx], -pool.test_scores[idx]
+                if h:
+                    noise = rng.standard_normal((r, m, 2))
+                    v, t = v + h * noise[:, :, 0], t + h * noise[:, :, 1]
+                tie_break = rng.random((r, m))
+                for i in range(r):
+                    tied = np.flatnonzero(v[i] == v[i].max())
+                    out.append(-t[i, tied[np.argmax(tie_break[i, tied])]])
+            return np.array(out)
+
+        draws = best_tests(0, samples, 0.0)
+        assert point.expected_best_test == float(draws.mean())
+        assert point.mc_se == float(draws.std(ddof=1) / math.sqrt(samples))
+        lo, hi = np.quantile(best_tests(1, replicates, h), [0.025, 0.975])
+        assert (point.ci.lo, point.ci.hi) == (lo, hi)
+
+    def test_without_replacement_chunks_draw_at_most_2_14_keys(self, monkeypatch):
+        pool = helpers.bivariate_normal_pool(m=5000, seed=2)
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size):
+                sizes.append(math.prod(size))
+                return self.rng.random(size)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rng = resampling._rng
+        monkeypatch.setattr(resampling, "_rng", lambda *key: Recording(rng(*key)))
+        cfg = ResamplingConfig(replicates=100, seed=3)
+        best_of_m_curve(pool, [1, 40, 5000], 20, cfg, replace=False)
+        # 2**14 // 5000 = 3 rows of 5000 keys per chunk
+        assert max(sizes) == 3 * 5000
+
     def test_sample_count_is_bounded(self):
         # refused before the 8 TB of draws would be allocated
         pool = helpers.bivariate_normal_pool(m=5, seed=2)
@@ -450,19 +506,21 @@ class TestEngine:
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_boon_statistic_agrees_with_the_generic_path(self, kind):
-        pool = ResultPool.from_pairs(
-            helpers.random_tied_records(np.random.default_rng(5), m_max=40)
-            + [(0.5, 7.0), (1.5, 12.0), (2.5, 3.0)]
-        )
-        cfg = ResamplingConfig(replicates=2000, seed=17)
+        records = helpers.random_tied_records(np.random.default_rng(5), m_max=40) + [
+            (0.5, 7.0), (1.5, 12.0), (2.5, 3.0)
+        ]
         if kind is EstimatorKind.NONPARAMETRIC:
             generic = lambda p: boon_nonparametric(p, 5).value  # noqa: E731
         else:
             generic = lambda p: boon_parametric_gaussian(p, 5).value  # noqa: E731
-        fast = bootstrap_ci(pool, BoonStatistic(5, kind), cfg)
-        slow = bootstrap_ci(pool, generic, cfg)
-        assert fast.lo == pytest.approx(slow.lo, rel=1e-12)
-        assert fast.hi == pytest.approx(slow.hi, rel=1e-12)
+        for bandwidth in (0.0, "auto"):
+            for direction in ("maximize", "minimize"):
+                pool = ResultPool.from_pairs(records, direction)
+                cfg = ResamplingConfig(replicates=2000, seed=17, bandwidth=bandwidth)
+                fast = smoothed_bootstrap_ci(pool, BoonStatistic(5, kind), cfg)
+                slow = smoothed_bootstrap_ci(pool, generic, cfg)
+                assert fast.lo == pytest.approx(slow.lo, rel=1e-12)
+                assert fast.hi == pytest.approx(slow.hi, rel=1e-12)
 
     def test_compare_matches_the_estimators_on_its_index_blocks(self):
         pool_a = helpers.bivariate_normal_pool(m=7, rho=0.3, seed=4, direction="minimize")
