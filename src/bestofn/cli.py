@@ -62,7 +62,7 @@ DEFAULT_N = 5
 DEFAULT_REPLICATES = 10_000
 DEFAULT_LEVEL = 0.95
 DEFAULT_COLUMNS = ("validation", "test")
-# A curve sample holds m draws of each kind; this keeps one under 10 MB.
+# Bounds a curve's work: every sample draws m records of each kind.
 MAX_CURVE_M = 100_000
 
 

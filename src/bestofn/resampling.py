@@ -4,19 +4,28 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 3): every routine draws its
+Determinism contract (stream version 4): every routine draws its
 replicates through one engine, in fixed-size chunks. A run of ``size``
-records per replicate, where a without-replacement curve sample counts the
-whole pool, holds ``max(1, 2**14 // size)`` replicates per chunk, and chunk
-k takes every draw from its own stream, split off (seed, *key, k) by numpy
-SeedSequence spawn keys: first the chunk's whole block of draws, then, in
-row order, a fresh draw for each row whose statistic failed. Bootstrap,
-compare and Monte Carlo runs have an empty key; curve point m makes two
-runs, keyed (m, 0) for its samples and (m, 1) for its smoothed band.
-Which replicates share a stream therefore depends on the seed, the key and
-the resample size only, and chunks are aggregated into indexed slots, so
-output is bit-identical for a given seed however chunks are scheduled,
-including under thread parallelism (``workers > 1``).
+records per replicate holds ``max(1, 2**14 // size)`` replicates per
+chunk, and chunk k takes every draw from its own stream, split off
+(seed, *key, k) by numpy SeedSequence spawn keys: first the chunk's whole
+block of draws, then, in row order, a fresh draw for each row whose
+statistic failed. Bootstrap, compare and Monte Carlo runs have an empty
+key. A curve makes two runs, keyed (0,) for its samples and (1,) for its
+smoothed band, and each sample is one nested sequence of records read by
+every point: point m takes the first best-validation record among the
+first m. A with-replacement sample counts as one record, so a chunk holds
+2**14 samples and draws record j for all of its rows before record j + 1:
+the indices, then, in a band, the validation and test noise as one
+(2, rows) draw. A without-replacement sample counts the whole pool: it
+draws one uniform key per pool record (then, in a band, (2, rows, pool
+size) noise), and its sequence is the records in increasing key order. A
+point's numbers therefore depend on the seed, the run, the sample count
+and m, not on the other points requested. Which replicates share a stream
+depends on the seed, the key and the resample size only, and chunks are
+aggregated into indexed slots, so output is bit-identical for a given seed
+however chunks are scheduled, including under thread parallelism
+(``workers > 1``).
 """
 
 from __future__ import annotations
@@ -59,7 +68,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -72,6 +81,10 @@ _MAX_ATTEMPTS_PER_REPLICATE = 100
 # Resampled records per replicate chunk. Part of the output contract:
 # chunking follows resample size only, never worker count.
 _CHUNK_ELEMENTS = 1 << 14
+
+# Best test scores one curve scan holds (8 bytes each); further points take
+# further scans of the same streams.
+_CURVE_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -150,8 +163,8 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 def _map_indexed(count: int, fn: Callable[[int], object], workers: int) -> list:
     """Evaluate fn(0..count-1) into index-ordered slots, optionally threaded
-    on at most one thread per CPU core."""
-    workers = min(workers, os.cpu_count() or 1)
+    on at most one thread per CPU core and per task."""
+    workers = min(workers, count, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -180,8 +193,9 @@ def _chunked_replicates(
     split off (seed, *key, k) (see the module docstring for the layout).
 
     ``block(rng, rows)`` draws and evaluates ``rows`` replicates of
-    ``size`` records each, with NaN marking a failed evaluation. Each failed
-    row is redrawn one at a time from its chunk's stream, up to
+    ``size`` records each, as ``rows`` values or a ``(rows, points)`` array,
+    with NaN marking a failed evaluation. Each row holding a failure is
+    redrawn one at a time from its chunk's stream, up to
     ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the run aborts with
     :class:`ResamplingDegenerateError` when more than 1% of all evaluations
     fail.
@@ -192,17 +206,17 @@ def _chunked_replicates(
         rng = _rng(seed, *key, k)
         values = block(rng, min(rows, count - k * rows))
         failures = 0
-        for i in np.flatnonzero(np.isnan(values)):
+        for i in np.flatnonzero(np.isnan(values.reshape(len(values), -1)).any(axis=1)):
             failures += 1
             for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
                 values[i] = block(rng, 1)[0]
-                if not math.isnan(values[i]):
+                if not np.isnan(values[i]).any():
                     break
                 failures += 1
         return values, failures
 
     parts = _map_indexed(-(-count // rows), one_chunk, workers)
-    values = np.concatenate([v for v, _ in parts])
+    values = parts[0][0] if len(parts) == 1 else np.concatenate([v for v, _ in parts])
     failures = sum(f for _, f in parts)
     failure_rate = failures / (count + failures)
     if np.isnan(values).any() or failure_rate > _FAILURE_BUDGET:
@@ -216,20 +230,15 @@ def _draw(
     rows: int,
     size: int,
     bandwidths: tuple[float, ...] = (),
-    replace: bool = True,
 ) -> list[np.ndarray]:
-    """``rows`` resamples of ``size`` records from equal-length columns.
+    """``rows`` with-replacement resamples of ``size`` records from
+    equal-length columns.
 
-    Records are drawn with replacement, or without it as the ``size``
-    smallest of one uniform key per pool record; each column is gathered at
-    the drawn records and, when a bandwidth is nonzero, moved by that
-    bandwidth times standard normal noise drawn for all columns at once.
+    Each column is gathered at the drawn records and, when a bandwidth is
+    nonzero, moved by that bandwidth times standard normal noise drawn for
+    all columns at once.
     """
-    pool_size = columns[0].size
-    if replace:
-        idx = rng.integers(0, pool_size, size=(rows, size))
-    else:
-        idx = np.argpartition(rng.random((rows, pool_size)), size - 1, axis=1)[:, :size]
+    idx = rng.integers(0, columns[0].size, size=(rows, size))
     out = [c[idx] for c in columns]
     if any(bandwidths):
         noise = rng.standard_normal((rows, size, len(columns)))
@@ -499,11 +508,13 @@ def best_of_m_curve(
 ) -> list[CurvePoint]:
     """Expected best-validation test score as a function of pool size m.
 
-    For each m, draws ``samples_per_m`` with-replacement samples of size m
-    from the pool, takes each sample's best-validation record, and averages
-    the test scores: the Monte Carlo counterpart of the rank-weighted
-    estimator at n = m. With ``with_ci`` the smoothed-bootstrap percentile
-    band of the best-single-model statistic at that pool size is attached
+    Draws ``samples_per_m`` with-replacement samples of size m from the
+    pool, takes each sample's best-validation record, and averages the test
+    scores: the Monte Carlo counterpart of the rank-weighted estimator at
+    n = m. Each sample is a nested sequence of ``max(m_values)`` records and
+    point m reads its first m records, the first of tied best records
+    winning. With ``with_ci`` the smoothed-bootstrap percentile band of the
+    best-single-model statistic at that pool size is attached
     (``config.replicates`` smoothed draws).
 
     ``replace=False`` switches to without-replacement samples (requires
@@ -527,35 +538,89 @@ def best_of_m_curve(
     vals, tests, sign = _oriented_scores(pool)
     bandwidths = _resolve_bandwidths(pool, config.bandwidth)
 
-    def best_tests(m: int, count: int, h: tuple[float, ...], run: int) -> np.ndarray:
-        """Test scores of the best-validation record of ``count`` size-m
-        samples, from the run keyed (m, run). Validation ties are resolved
-        uniformly at random, which keeps the mean an unbiased Monte Carlo
-        image of the rank-weighted estimator."""
+    def best_tests(ms: list[int], count: int, run: int, h: tuple[float, ...]) -> np.ndarray:
+        """``(len(ms), count)`` test scores of the best-validation record
+        among the first m records of each sample, for the increasing sizes
+        ``ms``, from the run keyed (run,)."""
 
-        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            v, t = _draw(rng, (vals, tests), rows, m, h, replace)
-            tie_break = rng.random((rows, m))
-            best = v.max(axis=1, keepdims=True)
-            return t[np.arange(rows), np.where(v == best, tie_break, -1.0).argmax(axis=1)]
+        def with_replacement(rng: np.random.Generator, rows: int) -> np.ndarray:
+            out = np.empty((len(ms), rows))
+            out_row = dict(zip(ms, out))
+            best_v, best_t = np.full(rows, -np.inf), np.empty(rows)
+            for j in range(1, ms[-1] + 1):
+                idx = rng.integers(0, pool.m, size=rows)
+                v, t = vals[idx], tests[idx]
+                if any(h):
+                    noise = rng.standard_normal((2, rows))
+                    v, t = v + h[0] * noise[0], t + h[1] * noise[1]
+                np.copyto(best_t, t, where=v > best_v)
+                np.maximum(best_v, v, out=best_v)
+                if j in out_row:
+                    out_row[j][:] = best_t
+            return out.T
 
-        # A without-replacement sample draws one key per pool record.
-        size = m if replace else pool.m
-        return sign * _chunked_replicates(count, size, config.seed, block, 1, key=(m, run))
+        def without_replacement(rng: np.random.Generator, rows: int) -> np.ndarray:
+            keys = rng.random((rows, pool.m))
+            noise = rng.standard_normal((2, rows, pool.m)) if any(h) else None
 
-    def one_point(task_index: int) -> CurvePoint:
-        m = m_values[task_index]
-        draws = best_tests(m, samples_per_m, (), 0)
+            def first_records(m: int, in_order: bool) -> tuple[np.ndarray, ...]:
+                """Validation, test and key of each sample's m smallest-key
+                records, in increasing key order when ``in_order``."""
+                idx = np.argpartition(keys, m - 1, axis=1)[:, :m]
+                k = np.take_along_axis(keys, idx, axis=1)
+                if in_order:
+                    by_key = np.argsort(k, axis=1)
+                    idx, k = (np.take_along_axis(a, by_key, axis=1) for a in (idx, k))
+                v, t = vals[idx], tests[idx]
+                if noise is not None:
+                    v = v + h[0] * np.take_along_axis(noise[0], idx, axis=1)
+                    t = t + h[1] * np.take_along_axis(noise[1], idx, axis=1)
+                return v, t, k
+
+            # The largest size needs no order: its first best record is the
+            # smallest-key one among those of best validation.
+            v, t, k = first_records(ms[-1], in_order=False)
+            first_best = np.where(v == v.max(axis=1, keepdims=True), k, np.inf).argmin(axis=1)
+            last = t[np.arange(rows), first_best][:, None]
+            if len(ms) == 1:
+                return last
+            # Smaller sizes read the running best of the ordered records.
+            v, t, _ = first_records(ms[-2], in_order=True)
+            new_best = np.ones(v.shape, dtype=bool)
+            new_best[:, 1:] = v[:, 1:] > np.maximum.accumulate(v, axis=1)[:, :-1]
+            first_best = np.where(new_best, np.arange(ms[-2]), 0)
+            np.maximum.accumulate(first_best, axis=1, out=first_best)
+            head = np.take_along_axis(t, first_best[:, [m - 1 for m in ms[:-1]]], axis=1)
+            return np.concatenate([head, last], axis=1)
+
+        if replace:
+            block, size = with_replacement, 1
+        else:
+            block, size = without_replacement, pool.m
+        values = _chunked_replicates(count, size, config.seed, block, workers, key=(run,))
+        values = np.ascontiguousarray(values.T)
+        values *= sign
+        return values
+
+    def estimate(draws: np.ndarray) -> tuple[float, float | None]:
         mc_se = float(draws.std(ddof=1) / math.sqrt(samples_per_m)) if samples_per_m > 1 else None
-        ci = None
-        if with_ci:
-            band = best_tests(m, config.replicates, bandwidths, 1)
-            ci = _percentile_interval(
-                band, config.level, CIMethod.SMOOTHED_BOOTSTRAP, config.replicates
-            )
-        return CurvePoint(m=m, expected_best_test=float(draws.mean()), ci=ci, mc_se=mc_se)
+        return float(draws.mean()), mc_se
 
-    return list(_map_indexed(len(m_values), one_point, workers))
+    points = {}
+    ms = sorted(set(m_values))
+    per_scan = max(1, _CURVE_VALUES // max(samples_per_m, config.replicates if with_ci else 1))
+    for g in range(0, len(ms), per_scan):
+        group = ms[g : g + per_scan]
+        estimates = [estimate(d) for d in best_tests(group, samples_per_m, 0, ())]
+        cis = [None] * len(group)
+        if with_ci:
+            cis = [
+                _percentile_interval(b, config.level, CIMethod.SMOOTHED_BOOTSTRAP, config.replicates)
+                for b in best_tests(group, config.replicates, 1, bandwidths)
+            ]
+        for m, (mean, mc_se), ci in zip(group, estimates, cis):
+            points[m] = CurvePoint(m=m, expected_best_test=mean, ci=ci, mc_se=mc_se)
+    return [points[m] for m in m_values]
 
 
 def compare_architectures(

@@ -304,8 +304,9 @@ class TestBestOfMCurve:
     def test_deterministic_and_parallel_safe(self):
         pool = helpers.bivariate_normal_pool(m=25, rho=0.2, seed=55)
         cfg = ResamplingConfig(replicates=400, seed=1)
-        a = best_of_m_curve(pool, [1, 4, 6], 3000, cfg, workers=1)
-        b = best_of_m_curve(pool, [1, 4, 6], 3000, cfg, workers=3)
+        # 40,000 samples make three chunks of 2**14, so threads share them
+        a = best_of_m_curve(pool, [1, 4, 6], 40_000, cfg, workers=1)
+        b = best_of_m_curve(pool, [1, 4, 6], 40_000, cfg, workers=3)
         assert a == b
 
     def test_per_m_streams_do_not_depend_on_list_order(self):
@@ -335,39 +336,78 @@ class TestBestOfMCurve:
         with pytest.raises(ValueError):
             best_of_m_curve(pool, [], 100, ResamplingConfig(replicates=500, seed=0))
 
-    def test_point_is_two_keyed_chunk_runs(self):
-        # point m draws its samples in chunks of 2**14 // m rows, chunk k
-        # from the stream (seed, m, 0, k), and its band from (seed, m, 1, k)
+    def test_point_is_the_documented_nested_scan(self):
+        # every sample is a nested sequence of records; chunk k of 2**14
+        # samples draws from the stream (seed, run, k), record by record for
+        # all of its rows: an index, then (band only) a (2, rows) noise draw.
+        # Point m takes the first best-validation record among the first m.
         base = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=8)
         pool = ResultPool.from_arrays(
             base.validation_scores.round(1), base.test_scores, Direction.MINIMIZE
         )
-        m, seed, h, samples, replicates = 5, 12, 0.25, 7000, 5000
+        m, seed, h, samples, replicates = 5, 12, 0.25, 20_000, 5000
         cfg = ResamplingConfig(replicates=replicates, seed=seed, bandwidth=h)
         (point,) = best_of_m_curve(pool, [m], samples, cfg)
 
         def best_tests(run, count, h):
-            rows = 2**14 // m
             out = []
-            for k in range(-(-count // rows)):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(m, run, k)))
-                r = min(rows, count - k * rows)
-                idx = rng.integers(0, pool.m, size=(r, m))
-                v, t = -pool.validation_scores[idx], -pool.test_scores[idx]
-                if h:
-                    noise = rng.standard_normal((r, m, 2))
-                    v, t = v + h * noise[:, :, 0], t + h * noise[:, :, 1]
-                tie_break = rng.random((r, m))
-                for i in range(r):
-                    tied = np.flatnonzero(v[i] == v[i].max())
-                    out.append(-t[i, tied[np.argmax(tie_break[i, tied])]])
-            return np.array(out)
+            for k in range(-(-count // 2**14)):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, k)))
+                rows = min(2**14, count - k * 2**14)
+                v, t = np.empty((rows, m)), np.empty((rows, m))
+                for j in range(m):
+                    idx = rng.integers(0, pool.m, size=rows)
+                    v[:, j], t[:, j] = -pool.validation_scores[idx], -pool.test_scores[idx]
+                    if h:
+                        noise = rng.standard_normal((2, rows))
+                        v[:, j] += h * noise[0]
+                        t[:, j] += h * noise[1]
+                out.append(-t[np.arange(rows), v.argmax(axis=1)])
+            return np.concatenate(out)
 
         draws = best_tests(0, samples, 0.0)
         assert point.expected_best_test == float(draws.mean())
         assert point.mc_se == float(draws.std(ddof=1) / math.sqrt(samples))
-        lo, hi = np.quantile(best_tests(1, replicates, h), [0.025, 0.975])
+        level = cfg.level
+        lo, hi = np.quantile(best_tests(1, replicates, h), [(1 - level) / 2, (1 + level) / 2])
         assert (point.ci.lo, point.ci.hi) == (lo, hi)
+
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_point_does_not_depend_on_the_other_points(self, monkeypatch, replace):
+        base = helpers.bivariate_normal_pool(m=30, rho=0.4, seed=9)
+        pool = ResultPool.from_arrays(base.validation_scores.round(1), base.test_scores)
+        cfg = ResamplingConfig(replicates=700, seed=5)
+        m, samples = 7, 3000
+        (alone,) = best_of_m_curve(pool, [m], samples, cfg, replace=replace)
+        full = best_of_m_curve(pool, range(1, 21), samples, cfg, replace=replace)
+        pair = best_of_m_curve(pool, [20, m], samples, cfg, replace=replace)
+        assert alone.ci is not None
+        assert alone == full[m - 1] == pair[1]
+        assert full[19] == pair[0]
+        # a scan holding one point's samples at a time gives the same curve
+        monkeypatch.setattr(resampling, "_CURVE_VALUES", samples)
+        assert best_of_m_curve(pool, range(1, 21), samples, cfg, replace=replace) == full
+
+    @pytest.mark.filterwarnings("ignore:best-out-of")
+    @pytest.mark.parametrize("replace", [True, False])
+    @pytest.mark.parametrize("direction", [Direction.MAXIMIZE, Direction.MINIMIZE])
+    def test_first_of_tied_records_is_unbiased(self, direction, replace):
+        # 3 distinct validations over 12 records, tests differing within ties
+        rng = np.random.default_rng(31)
+        vals = np.repeat([0.1, 0.2, 0.3], 4)
+        pool = ResultPool.from_arrays(vals, rng.normal(size=12), direction)
+        records = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))
+        # without replacement every sample draws 12 keys, so fewer samples
+        points = best_of_m_curve(
+            pool, range(1, 21 if replace else 13), 1_000_000 if replace else 200_000,
+            ResamplingConfig(replicates=500, seed=17), with_ci=False, replace=replace,
+        )
+        for p in points:
+            if replace:
+                exact = boon_nonparametric(pool, p.m).value
+            else:
+                exact = oracles.enumerate_best_of_subsets(records, p.m, direction.value)
+            assert abs(p.expected_best_test - exact) <= 4 * p.mc_se
 
     def test_without_replacement_chunks_draw_at_most_2_14_keys(self, monkeypatch):
         pool = helpers.bivariate_normal_pool(m=5000, seed=2)
@@ -568,6 +608,20 @@ class TestEngine:
         short = resampling._chunked_replicates(700, pool.m, 9, block, 1)
         long = resampling._chunked_replicates(1500, pool.m, 9, block, 1)
         np.testing.assert_array_equal(short, long[:700])
+
+    def test_a_row_with_a_failed_point_is_redrawn_whole(self):
+        # a (rows, points) block whose second point fails in about 0.5% of rows
+        def block(rng, rows):
+            out = rng.random((rows, 3))
+            out[out[:, 0] < 0.005, 1] = math.nan
+            return out
+
+        values = resampling._chunked_replicates(5000, 1, 4, block, 1)
+        first = block(np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,))), 5000)
+        failed = np.isnan(first).any(axis=1)
+        assert values.shape == (5000, 3) and failed.any() and not np.isnan(values).any()
+        np.testing.assert_array_equal(values[~failed], first[~failed])
+        assert (values[failed] != first[failed]).all()
 
 
 class TestDegenerateGaussianResamples:
