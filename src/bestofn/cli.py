@@ -234,7 +234,8 @@ def _cmd_summarize(args: argparse.Namespace, argv: list[str]) -> int:
     pool = load_pool(pool_file)
     s = summarize(pool)
     normality = None
-    if pool.m >= 8 and s.std_test and s.std_test > 0.0:
+    # Unequal test scores, not a nonzero std: equal scores can round to one.
+    if pool.m >= 8 and s.range_test[0] < s.range_test[1]:
         ad = anderson_darling_normality(pool.test_scores)
         normality = {"statistic": ad.statistic, "reject_at_5pct": ad.reject_at_5pct}
 

@@ -49,6 +49,13 @@ __all__ = [
 # A2 * (1 + 4/m - 25/m^2).
 _AD_CRITICAL_5PCT = 0.752
 
+# Pools up to this size are sorted by np.lexsort, larger ones by
+# _pair_order's argsorts. Measured on bootstrap resamples of untied and
+# 2-decimal validations (2-vCPU Xeon VM, numpy 2.4): lexsort takes 26 against
+# 51 µs at m=500, 65-78 against 77-90 µs at m=800, 91-92 against 74-76 µs at
+# m=900 and 115-120 against 78-82 µs at m=1000.
+_LEXSORT_MAX_SIZE = 850
+
 
 class Direction(str, enum.Enum):
     """Whether a better score is a larger one (accuracy) or smaller (loss)."""
@@ -202,6 +209,38 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _pair_order(vals: np.ndarray, tests: np.ndarray, *, stable: bool = False) -> np.ndarray:
+    """An order sorting the records by (validation, test): the same sorted
+    pairs as ``np.lexsort((tests, vals))``, and with ``stable`` its very
+    permutation (equal pairs in index order).
+
+    Large pools avoid lexsort's two mergesorts: argsort the validations,
+    number their tie groups and, if any, sort the records by test and then
+    stably by group id (a radix sort when the ids fit 16 bits).
+    """
+    m = vals.size
+    if m <= _LEXSORT_MAX_SIZE:
+        return np.lexsort((tests, vals))
+    order = np.argsort(vals)
+    sorted_vals = vals[order]
+    new_group = sorted_vals[1:] != sorted_vals[:-1]
+    if new_group.all():
+        return order
+    ids = np.cumsum(new_group)
+    group = np.empty(m, dtype=np.uint16 if ids[-1] < 1 << 16 else np.intp)
+    group[order[0]] = 0
+    group[order[1:]] = ids
+    by_test = np.argsort(tests)
+    if stable:
+        sorted_tests = tests[by_test]
+        run = np.zeros(m, dtype=np.intp)
+        np.cumsum(sorted_tests[1:] != sorted_tests[:-1], out=run[1:])
+        run *= m
+        # Equal tests back into index order: each run's keys sort in place.
+        by_test = np.sort(run + by_test) - run
+    return by_test[np.argsort(group[by_test], kind="stable")]
+
+
 def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
     """Rank-weighted test average over validation order (maximize convention).
 
@@ -209,7 +248,7 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     a canonical order and the result is bit-identical under record shuffles.
     """
     m = vals.size
-    order = np.lexsort((tests, vals))
+    order = _pair_order(vals, tests)
     sv = vals[order]
     st = tests[order]
     group_start, group_end = _tie_groups(sv)
@@ -357,7 +396,7 @@ def summarize(pool: ResultPool) -> PoolSummary:
     range_test = (float(tests.min()), float(tests.max()))
 
     spearman = pearson = None
-    if m >= 3 and np.std(vals) > 0.0 and np.std(tests) > 0.0:
+    if m >= 3 and np.ptp(vals) > 0.0 and np.ptp(tests) > 0.0:
         spearman = _pearson(_average_ranks(vals), _average_ranks(tests))
         pearson = _pearson(vals, tests)
     return PoolSummary(
@@ -384,9 +423,10 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
     m = x.size
     if m < 8:
         raise InsufficientDataError(f"need at least 8 values, got {m}")
-    sd = float(x.std(ddof=1))
-    if sd == 0.0:
+    # Equal values, as in _check_spread: their std can round to nonzero.
+    if np.ptp(x) == 0.0:
         raise InsufficientDataError("zero variance; normality check is undefined")
+    sd = float(x.std(ddof=1))
     z = np.sort((x - x.mean()) / sd)
     i = np.arange(1, m + 1)
     # log-space tails keep the terms finite for extreme standardized values.

@@ -51,6 +51,7 @@ from .estimators import (
     ResultPool,
     _boon_weighted_average,
     _oriented_scores,
+    _pair_order,
     _tie_groups,
 )
 
@@ -247,11 +248,11 @@ def _draw(
 
 
 def _count_boon(
-    vals: np.ndarray, tests: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray, int], np.ndarray]]:
-    """Non-parametric Boo(n) of resamples (maximize convention), without
-    sorting any resample: returns each record's position in the sorted pool
-    and a kernel taking rows of those positions.
+    vals: np.ndarray, tests: np.ndarray, size: int, n: int
+) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Non-parametric Boo(n) of resamples of ``size`` records (maximize
+    convention), without sorting any resample: returns each record's
+    position in the sorted pool and a kernel taking rows of those positions.
 
     A resample is a count vector over the (validation, test)-sorted pool.
     With S_g the cumulative count up to validation tie group g and s the
@@ -260,15 +261,16 @@ def _count_boon(
     counts.
     """
     m = vals.size
-    order = np.lexsort((tests, vals))
+    order = _pair_order(vals, tests, stable=True)
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
     sorted_tests = tests[order]
     group_start, _ = _tie_groups(vals[order])
     tied = group_start.size < m
+    power = (np.arange(size + 1) / size) ** n
 
-    def boon(ranks: np.ndarray, n: int) -> np.ndarray:
-        rows, size = ranks.shape
+    def boon(ranks: np.ndarray) -> np.ndarray:
+        rows = ranks.shape[0]
         flat = (ranks + m * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(flat, minlength=rows * m).reshape(rows, m)
         group_tests = sorted_tests
@@ -277,7 +279,6 @@ def _count_boon(
             counts = np.add.reduceat(counts, group_start, axis=1)
             group_tests = test_sums / np.maximum(counts, 1)
         upper = np.cumsum(counts, axis=1)
-        power = (np.arange(size + 1) / size) ** n
         return ((power[upper] - power[upper - counts]) * group_tests).sum(axis=1)
 
     return rank, boon
@@ -354,10 +355,10 @@ def _boon_block(
         def block(rng: np.random.Generator, rows: int) -> np.ndarray:
             return sign * _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
     else:
-        rank, boon = _count_boon(vals, tests)
+        rank, boon = _count_boon(vals, tests, size, n)
 
         def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * boon(_draw(rng, (rank,), rows, size)[0], n)
+            return sign * boon(_draw(rng, (rank,), rows, size)[0])
     return block
 
 
@@ -653,13 +654,13 @@ def compare_architectures(
         - _boon_weighted_average(vals_a, tests_a, n)
     )
 
-    rank_a, boon_a = _count_boon(vals_a, tests_a)
-    rank_b, boon_b = _count_boon(vals_b, tests_b)
+    rank_a, boon_a = _count_boon(vals_a, tests_a, m_a, n)
+    rank_b, boon_b = _count_boon(vals_b, tests_b, m_b, n)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
         (ranks_a,) = _draw(rng, (rank_a,), rows, m_a)
         (ranks_b,) = _draw(rng, (rank_b,), rows, m_b)
-        return sign * (boon_b(ranks_b, n) - boon_a(ranks_a, n))
+        return sign * (boon_b(ranks_b) - boon_a(ranks_a))
 
     values = _chunked_replicates(config.replicates, m_a + m_b, config.seed, block, workers)
     ci = _percentile_interval(values, config.level, CIMethod.BOOTSTRAP, config.replicates)

@@ -59,6 +59,19 @@ class TestSummarize:
         normality = read_report(out)["summary"]["normality"]
         assert normality is not None and "statistic" in normality
 
+    @pytest.mark.parametrize(
+        "rows",
+        [[(0.1, 4.0), (0.1, 5.0), (0.1, 6.0)], [(float(i), 63.16) for i in range(10)]],
+    )
+    def test_equal_scores_have_absent_correlations_and_normality(self, rows, tmp_path):
+        # Equal scores whose std rounds to nonzero (1.4e-17 and 7.5e-15).
+        path = helpers.write_pool_csv(tmp_path / "pool.csv", rows)
+        out = tmp_path / "report.json"
+        assert run(["summarize", path, "--output", out]) == EXIT_OK
+        summary = read_report(out)["summary"]
+        assert summary["spearman_val_test"] is None and summary["pearson_val_test"] is None
+        assert summary["normality"] is None
+
     def test_non_numeric_row_is_an_error_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("validation,test\n0.1,10\noops,20\n0.3,30\n")

@@ -24,7 +24,7 @@ from bestofn import (
     smoothed_bootstrap_ci,
 )
 
-from bestofn import BestOfNError, resampling
+from bestofn import BestOfNError, estimators, resampling
 
 import helpers
 import oracles
@@ -515,6 +515,29 @@ def _row_oracle(pool, idx, statistic):
 
 class TestEngine:
     """The vectorised Boo(n) engine against the one-pool estimators."""
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_large_pool_sort_leaves_the_numbers_unchanged(self, direction, monkeypatch):
+        # Runs of equal (validation, test) pairs: the count kernel's sums
+        # depend on which record of such a run sorts first.
+        rng = np.random.default_rng(8)
+        m = 2000
+        idx = rng.integers(0, m, m)
+        v, t = rng.normal(size=m).round(2)[idx], rng.normal(size=m).round(1)[idx]
+        pool_a = ResultPool.from_arrays(v, t, direction)
+        pool_b = ResultPool.from_arrays(v[::-1], t[::-1] + 0.05, direction)
+        config = ResamplingConfig(replicates=200, seed=6)
+
+        def numbers():
+            return (
+                bootstrap_ci(pool_a, BoonStatistic(5), config),
+                bootstrap_ci(pool_a, boon5, config),
+                compare_architectures(pool_a, pool_b, 5, config),
+            )
+
+        got = numbers()
+        monkeypatch.setattr(estimators, "_LEXSORT_MAX_SIZE", m)
+        assert got == numbers()
 
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     @pytest.mark.parametrize("kind", list(EstimatorKind))
