@@ -245,15 +245,9 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     """Rank-weighted test average over validation order (maximize convention).
 
     Sorting is by (validation, test) so tied-validation groups are summed in
-    a canonical order and the result is bit-identical under record shuffles
-    (n = 1 sums exactly, so needs no order).
+    a canonical order and the result is bit-identical under record shuffles.
     """
     m = vals.size
-    if n == 1:
-        # The test mean, summed exactly: the rounded weights below can miss it
-        # by 1e-16 of the largest score (-75.66666666659 for tests 0, 999603
-        # and -999830).
-        return math.fsum(tests.tolist()) / m
     order = _pair_order(vals, tests)
     sv = vals[order]
     st = tests[order]
