@@ -209,10 +209,10 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _pair_order(vals: np.ndarray, tests: np.ndarray, *, stable: bool = False) -> np.ndarray:
+def _pair_order(vals: np.ndarray, tests: np.ndarray) -> np.ndarray:
     """An order sorting the records by (validation, test): the same sorted
-    pairs as ``np.lexsort((tests, vals))``, and with ``stable`` its very
-    permutation (equal pairs in index order).
+    pairs as ``np.lexsort((tests, vals))``, though equal pairs may come in
+    another order.
 
     Large pools avoid lexsort's two mergesorts: argsort the validations,
     number their tie groups and, if any, sort the records by test and then
@@ -231,13 +231,6 @@ def _pair_order(vals: np.ndarray, tests: np.ndarray, *, stable: bool = False) ->
     group[order[0]] = 0
     group[order[1:]] = ids
     by_test = np.argsort(tests)
-    if stable:
-        sorted_tests = tests[by_test]
-        run = np.zeros(m, dtype=np.intp)
-        np.cumsum(sorted_tests[1:] != sorted_tests[:-1], out=run[1:])
-        run *= m
-        # Equal tests back into index order: each run's keys sort in place.
-        by_test = np.sort(run + by_test) - run
     return by_test[np.argsort(group[by_test], kind="stable")]
 
 

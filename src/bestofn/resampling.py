@@ -51,7 +51,6 @@ from .estimators import (
     ResultPool,
     _boon_weighted_average,
     _oriented_scores,
-    _pair_order,
     _tie_groups,
 )
 
@@ -261,7 +260,9 @@ def _count_boon(
     counts.
     """
     m = vals.size
-    order = _pair_order(vals, tests, stable=True)
+    # lexsort's own permutation, not _pair_order's: the grouped sums below
+    # depend on which of two equal pairs comes first. Once per run, it is cheap.
+    order = np.lexsort((tests, vals))
     rank = np.empty(m, dtype=np.intp)
     rank[order] = np.arange(m)
     sorted_tests = tests[order]

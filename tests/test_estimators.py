@@ -198,8 +198,6 @@ class TestPairOrder:
             want = np.lexsort((t, v))
             got = estimators._pair_order(v, t)
             assert np.array_equal(v[got], v[want]) and np.array_equal(t[got], t[want]), name
-            stable = estimators._pair_order(v, t, stable=True)
-            assert np.array_equal(stable, want), name
 
     def test_more_groups_than_sixteen_bits_number(self):
         rng = np.random.default_rng(3)
@@ -208,7 +206,6 @@ class TestPairOrder:
         want = np.lexsort((t, v))
         got = estimators._pair_order(v, t)
         assert np.array_equal(v[got], v[want]) and np.array_equal(t[got], t[want])
-        assert np.array_equal(estimators._pair_order(v, t, stable=True), want)
 
 
 class TestBoonParametricGaussian:
