@@ -409,9 +409,9 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+        return _seed(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{SEED_ENV_VAR}: {exc}") from exc
 
 
 def _positive_int(raw: str) -> int:
@@ -421,6 +421,28 @@ def _positive_int(raw: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
+def _seed(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"seed must be an integer in [0, 2**64), got {raw!r}"
+        )
+    return value
+
+
+def _level(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"level must lie in (0, 1), got {raw!r}")
     return value
 
 
@@ -476,9 +498,9 @@ def _add_sampling_flags(sub: argparse.ArgumentParser, bootstrap_default) -> None
         sub.add_argument("--bootstrap", type=_replicate_count, default=bootstrap_default,
                          metavar="B",
                          help=f"replicate count (default: {bootstrap_default})")
-    sub.add_argument("--level", type=float, default=DEFAULT_LEVEL,
+    sub.add_argument("--level", type=_level, default=DEFAULT_LEVEL,
                      help="confidence level (default: 0.95)")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", type=_seed, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--workers", type=_positive_int, default=1,
                      help="worker threads for replicate evaluation, at most one per "

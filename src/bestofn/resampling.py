@@ -4,14 +4,17 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 4): every routine draws its
+Determinism contract (stream version 5): every routine draws its
 replicates through one engine, in fixed-size chunks. A run of ``size``
 records per replicate holds ``max(1, 2**14 // size)`` replicates per
 chunk, and chunk k takes every draw from its own stream, split off
 (seed, *key, k) by numpy SeedSequence spawn keys: first the chunk's whole
 block of draws, then, in row order, a fresh draw for each row whose
 statistic failed. Bootstrap, compare and Monte Carlo runs have an empty
-key. A curve makes two runs, keyed (0,) for its samples and (1,) for its
+key. A Monte Carlo run simulates pools of m records: a Gaussian-kind
+chunk draws a (rows, m, 2) standard normal block, a non-parametric one a
+(rows, m) block of standardised validations and then one test residual
+per row. A curve makes two runs, keyed (0,) for its samples and (1,) for its
 smoothed band, and each sample is one nested sequence of records read by
 every point: point m takes the first best-validation record among the
 first m. A with-replacement sample counts as one record, so a chunk holds
@@ -68,7 +71,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -471,6 +474,18 @@ def monte_carlo_ci_gaussian(
     re-evaluates the chosen estimator; the percentile interval of those
     replicate values captures how much the estimator moves from one
     m-experiment study to the next.
+
+    The non-parametric kind never simulates the test scores record by
+    record. With z the standardised validations, the test score of the
+    j-th ranked validation (its concomitant) is mu_t + rho * sigma_t *
+    z_(j) + sigma_t * sqrt(1 - rho**2) * e_j, where the e_j are iid
+    N(0, 1) and independent of the order statistics z_(j) (David 1973;
+    Bhattacharya 1974). A rank-weighted sum sum_j w_j * t_[j] is therefore
+    distributed exactly as mu_t * sum(w) + rho * sigma_t * (w . sort(z)) +
+    sigma_t * sqrt(1 - rho**2) * ||w|| * g with one g ~ N(0, 1) per pool,
+    which is what each replicate draws. Rows whose validations tie after
+    rounding take the group-averaged weights, as the estimator does, and
+    those weights' norm.
     """
     estimator_kind = EstimatorKind(estimator_kind)
     if n < 1:
@@ -479,23 +494,54 @@ def monte_carlo_ci_gaussian(
         raise ValueError(f"m must be a positive integer, got {m}")
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
-
-    e_n = std_normal_expected_max(n)
-
-    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        z = rng.standard_normal((rows, m, 2))
-        vals = params.mu_val + params.sigma_val * z[:, :, 0]
-        tests = params.mu_test + params.sigma_test * (
-            params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
-        )
-        if estimator_kind is EstimatorKind.NONPARAMETRIC:
-            return _sorted_boon(vals, tests, n)
-        return _gaussian_boon(vals, tests, e_n)
-
+    block = _monte_carlo_block(params, m, n, estimator_kind)
     values = _chunked_replicates(config.replicates, m, config.seed, block, workers)
     return _percentile_interval(
         values, config.level, CIMethod.MONTE_CARLO_GAUSSIAN, config.replicates
     )
+
+
+def _monte_carlo_block(
+    params: GaussianParams, m: int, n: int, kind: EstimatorKind
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """Draw-and-evaluate block for Boo(n) of pools of m records simulated
+    from ``params``: Gaussian rows from a ``(rows, m, 2)`` standard normal
+    draw, non-parametric rows from sorted validations plus one test
+    residual (see :func:`monte_carlo_ci_gaussian`)."""
+    if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
+        e_n = std_normal_expected_max(n)
+
+        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            z = rng.standard_normal((rows, m, 2))
+            vals = params.mu_val + params.sigma_val * z[:, :, 0]
+            tests = params.mu_test + params.sigma_test * (
+                params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
+            )
+            return _gaussian_boon(vals, tests, e_n)
+
+        return block
+
+    power = (np.arange(m + 1) / m) ** n
+    w = np.diff(power)
+    w_sum, w_norm = w.sum(), math.sqrt(w @ w)
+    slope = params.rho * params.sigma_test
+    residual = params.sigma_test * math.sqrt(1.0 - params.rho**2)
+
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        z = rng.standard_normal((rows, m))
+        g = rng.standard_normal(rows)
+        z.sort(axis=1)
+        out = params.mu_test * w_sum + slope * (z @ w) + residual * w_norm * g
+        vals = params.mu_val + params.sigma_val * z
+        for r in np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1)):
+            start, end = _tie_groups(vals[r])
+            wr = np.repeat((power[end] - power[start]) / (end - start), end - start)
+            out[r] = (
+                params.mu_test * wr.sum() + slope * (z[r] @ wr) + residual * math.sqrt(wr @ wr) * g[r]
+            )
+        return out
+
+    return block
 
 
 def best_of_m_curve(
@@ -646,6 +692,11 @@ def compare_architectures(
         )
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    for name, pool in (("A", pool_a), ("B", pool_b)):
+        if pool.m < 2:
+            raise InsufficientDataError(
+                f"compare needs m >= 2 records in pool {name}, got m={pool.m}"
+            )
     vals_a, tests_a, sign = _oriented_scores(pool_a)
     vals_b, tests_b, _ = _oriented_scores(pool_b)
     m_a, m_b = pool_a.m, pool_b.m

@@ -283,13 +283,13 @@ class TestCompare:
         comparison = read_report(out)["comparison"]
         assert comparison["delta"] == pytest.approx(1.0, abs=1e-9)
 
-    def test_single_row_files_have_zero_width_ci(self, tmp_path):
-        a = helpers.write_pool_csv(tmp_path / "a.csv", [(1.0, 2.0)])
-        b = helpers.write_pool_csv(tmp_path / "b.csv", [(1.0, 4.0)])
-        out = tmp_path / "cmp.json"
-        assert run(["compare", a, b, "--bootstrap", "500", "--output", out]) == EXIT_OK
-        comparison = read_report(out)["comparison"]
-        assert comparison["ci"]["lo"] == comparison["ci"]["hi"] == comparison["delta"] == 2.0
+    def test_single_row_files_are_an_estimator_error(self, toy_csv, tmp_path, capsys):
+        one = helpers.write_pool_csv(tmp_path / "one.csv", [(1.0, 2.0)])
+        for argv, name in (([one, toy_csv], "pool A"), ([toy_csv, one], "pool B")):
+            out = tmp_path / "cmp.json"
+            assert run(["compare", *argv, "--bootstrap", "500", "--output", out]) == EXIT_ESTIMATOR
+            assert name in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestSeedHandling:
@@ -308,6 +308,19 @@ class TestSeedHandling:
     def test_invalid_env_var_is_a_usage_error(self, toy_csv, monkeypatch):
         monkeypatch.setenv("BESTOFN_SEED", "eleven")
         assert run(["boon", toy_csv]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["-1", str(2**64)])
+    def test_out_of_range_env_var_is_named(self, toy_csv, capsys, monkeypatch, value):
+        monkeypatch.setenv("BESTOFN_SEED", value)
+        assert run(["boon", toy_csv]) == EXIT_USAGE
+        assert "BESTOFN_SEED" in capsys.readouterr().err
+
+    def test_largest_seed_is_accepted(self, toy_csv, tmp_path):
+        out = tmp_path / "r.json"
+        seed = 2**64 - 1
+        assert run(["boon", toy_csv, "--n", "2", "--bootstrap", "100", "--seed", seed,
+                    "--output", out]) == EXIT_OK
+        assert read_report(out)["seed"] == seed
 
 
 class TestRoundTrip:
@@ -387,6 +400,17 @@ class TestUsageErrors:
     def test_bad_level(self, toy_csv):
         assert run(["boon", toy_csv, "--bootstrap", "200", "--level", "1.5"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--level", "1.5"), ("--level", "nan"), ("--level", "0"),
+        ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "seven"),
+    ])
+    def test_bad_level_or_seed_is_named_before_any_input_is_read(
+        self, tmp_path, capsys, flag, value
+    ):
+        missing = tmp_path / "missing.csv"
+        assert run(["boon", missing, "--bootstrap", "100", flag, value]) == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+
 
 def test_every_report_records_the_stream_version(toy_csv, tmp_path):
     commands = [
@@ -399,7 +423,7 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--output", out]) == EXIT_OK
         report = read_report(out)
-        assert report["stream_version"] == resampling.STREAM_VERSION == 4
+        assert report["stream_version"] == resampling.STREAM_VERSION == 5
         assert report["schema_version"] == 1
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -103,10 +103,15 @@ class TestBoonNonparametric:
             ResultPool.from_pairs([(math.nan, 1.0)])
 
     @given(small_pools())
+    @example([(0.0, 0.0), (0.0, 999603.0), (-1.0, -999830.0)])
     def test_n1_equals_test_mean_for_every_pool(self, records):
+        # A rank-weighted sum rounds on the scale of its largest term, not of
+        # its result: scores that cancel leave a mean far below that scale.
         pool = ResultPool.from_pairs(records)
-        mean = sum(t for _, t in records) / len(records)
-        assert _quiet_boon(pool, 1) == pytest.approx(mean, abs=1e-12, rel=1e-12)
+        tests = [t for _, t in records]
+        mean = math.fsum(tests) / len(tests)
+        scale = max(abs(t) for t in tests)
+        assert _quiet_boon(pool, 1) == pytest.approx(mean, rel=0, abs=1e-12 * scale)
 
     @given(small_pools(min_m=2))
     def test_permutation_invariance_is_bit_exact(self, records):

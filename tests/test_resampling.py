@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from bestofn import (
     BoonStatistic,
@@ -22,6 +23,7 @@ from bestofn import (
     compare_architectures,
     monte_carlo_ci_gaussian,
     smoothed_bootstrap_ci,
+    std_normal_expected_max,
 )
 
 from bestofn import BestOfNError, estimators, resampling
@@ -36,6 +38,16 @@ def mean_test_score(pool):
 
 def boon5(pool):
     return boon_nonparametric(pool, 5).value
+
+
+def simulated_pools(params, z):
+    """Validation and test scores of the pools that a ``(rows, m, 2)``
+    standard normal draw ``z`` gives under ``params``."""
+    vals = params.mu_val + params.sigma_val * z[:, :, 0]
+    tests = params.mu_test + params.sigma_test * (
+        params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
+    )
+    return vals, tests
 
 
 class TestResamplingConfig:
@@ -255,6 +267,57 @@ class TestMonteCarloCI:
         b = monte_carlo_ci_gaussian(params, 30, 5, EstimatorKind.NONPARAMETRIC, cfg, workers=4)
         assert a == b
 
+    def test_nonparametric_chunk_is_sorted_validations_plus_one_residual(self):
+        params = GaussianParams(mu_val=1.0, mu_test=2.0, sigma_val=0.5, sigma_test=1.5, rho=0.6)
+        m, n, seed = 9, 4, 13
+        rows = 16384 // m  # one chunk
+        rng = resampling._rng(seed, 0)
+        z = rng.standard_normal((rows, m))
+        g = rng.standard_normal(rows)
+        z.sort(axis=1)
+        w = np.diff((np.arange(m + 1) / m) ** n)
+        want = (
+            params.mu_test * w.sum()
+            + params.rho * params.sigma_test * (z @ w)
+            + params.sigma_test * math.sqrt(1.0 - params.rho**2) * math.sqrt(w @ w) * g
+        )
+        block = resampling._monte_carlo_block(params, m, n, EstimatorKind.NONPARAMETRIC)
+        np.testing.assert_array_equal(block(resampling._rng(seed, 0), rows), want)
+        cfg = ResamplingConfig(replicates=rows, seed=seed)
+        ci = monte_carlo_ci_gaussian(params, m, n, EstimatorKind.NONPARAMETRIC, cfg)
+        assert [ci.lo, ci.hi] == np.quantile(want, [(1 - 0.95) / 2, (1 + 0.95) / 2]).tolist()
+
+    def test_gaussian_chunk_is_the_simulated_pool(self):
+        params = GaussianParams(mu_val=1.0, mu_test=2.0, sigma_val=0.5, sigma_test=1.5, rho=0.6)
+        m, n, seed = 9, 4, 13
+        rows = 16384 // m
+        z = resampling._rng(seed, 0).standard_normal((rows, m, 2))
+        vals, tests = simulated_pools(params, z)
+        want = resampling._gaussian_boon(vals, tests, std_normal_expected_max(n))
+        block = resampling._monte_carlo_block(params, m, n, EstimatorKind.GAUSSIAN_PARAMETRIC)
+        np.testing.assert_array_equal(block(resampling._rng(seed, 0), rows), want)
+        cfg = ResamplingConfig(replicates=rows, seed=seed)
+        ci = monte_carlo_ci_gaussian(params, m, n, EstimatorKind.GAUSSIAN_PARAMETRIC, cfg)
+        assert [ci.lo, ci.hi] == np.quantile(want, [(1 - 0.95) / 2, (1 + 0.95) / 2]).tolist()
+
+    @pytest.mark.parametrize("params, tied", [
+        (GaussianParams(mu_val=0.0, mu_test=0.0, sigma_val=1.0, sigma_test=1.0, rho=0.8), False),
+        # validations round onto a few values near 1e6, so most pools hold ties
+        (GaussianParams(mu_val=1e6, mu_test=0.0, sigma_val=1e-10, sigma_test=1.0, rho=0.3), True),
+    ], ids=["rho-0.8", "rounding-tied"])
+    def test_replicates_are_distributed_as_simulated_pools(self, params, tied):
+        m, n, count = 10, 5, 20_000
+        block = resampling._monte_carlo_block(params, m, n, EstimatorKind.NONPARAMETRIC)
+        fast = resampling._chunked_replicates(count, m, 1, block, 1)
+        z = np.random.default_rng(2).standard_normal((count, m, 2))
+        vals, tests = simulated_pools(params, z)
+        sorted_vals = np.sort(vals, axis=1)
+        tied_share = (sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1).mean()
+        assert tied_share > 0.9 if tied else tied_share == 0.0
+        slow = [boon_nonparametric(ResultPool.from_arrays(v, t), n).value
+                for v, t in zip(vals, tests)]
+        assert scipy_stats.ks_2samp(fast, slow).pvalue > 0.01
+
 
 class TestBestOfMCurve:
     def test_m1_recovers_the_test_mean(self):
@@ -458,14 +521,14 @@ class TestCompareArchitectures:
         assert result.delta == pytest.approx(delta, abs=1e-9)
         assert result.ci.contains(delta)
 
-    def test_single_record_pools_give_zero_width(self):
-        pool_a = ResultPool.from_pairs([(1.0, 2.0)])
-        pool_b = ResultPool.from_pairs([(1.0, 4.5)])
-        result = compare_architectures(
-            pool_a, pool_b, 3, ResamplingConfig(replicates=500, seed=0)
-        )
-        assert result.delta == pytest.approx(2.5, abs=1e-12)
-        assert result.ci.lo == result.ci.hi == result.delta
+    def test_single_record_pools_are_refused(self):
+        one = ResultPool.from_pairs([(1.0, 2.0)])
+        two = ResultPool.from_pairs([(1.0, 4.5), (2.0, 3.0)])
+        cfg = ResamplingConfig(replicates=500, seed=0)
+        with pytest.raises(InsufficientDataError, match="pool A"):
+            compare_architectures(one, two, 3, cfg)
+        with pytest.raises(InsufficientDataError, match="pool B"):
+            compare_architectures(two, one, 3, cfg)
 
     def test_direction_mismatch_rejected(self):
         pool_a = helpers.bivariate_normal_pool(m=5, seed=1)
