@@ -300,7 +300,7 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> int:
             "ci": None,
         }
         if args.bootstrap is not None:
-            ci = bootstrap_ci(pool, BoonStatistic(n, kind), config, workers=args.workers)
+            ci = bootstrap_ci(pool, BoonStatistic(n, kind), config)
             entry["ci"] = _ci_dict(ci)
         estimates.append(entry)
 
@@ -331,7 +331,6 @@ def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> int:
         m_values=list(range(1, args.m_max + 1)),
         samples_per_m=args.samples_per_m,
         config=config,
-        workers=args.workers,
     )
 
     report = _base_report(args, argv)
@@ -381,7 +380,7 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
     pool_b = load_pool(file_b)
     config = _config_from_args(args)
     n = args.n
-    result = compare_architectures(pool_a, pool_b, n, config, workers=args.workers)
+    result = compare_architectures(pool_a, pool_b, n, config)
 
     report = _base_report(args, argv)
     report["pools"] = [_pool_fingerprint(file_a, pool_a), _pool_fingerprint(file_b, pool_b)]
@@ -503,8 +502,8 @@ def _add_sampling_flags(sub: argparse.ArgumentParser, bootstrap_default) -> None
     sub.add_argument("--seed", type=_seed, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
     sub.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker threads for replicate evaluation, at most one per "
-                          "CPU core is used (default: 1)")
+                     help="accepted for compatibility; has no effect, replicates are "
+                          "always evaluated in one thread (default: 1)")
 
 
 def _pool_file_from_args(args: argparse.Namespace, path: str) -> PoolFile:

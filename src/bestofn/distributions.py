@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDistributionError
+from .errors import InvalidDistributionError, _integer_arg
 
 __all__ = [
     "ContinuousDistribution",
@@ -224,10 +224,9 @@ def expected_max_continuous(dist: ContinuousDistribution, n: int) -> float:
     InvalidDistributionError
         If the cdf does not reach 0 and 1 at the support ends.
     ValueError
-        If n < 1.
+        If n is not a positive integer.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _integer_arg(n, "n")
     lo, hi = _finite_bounds(dist)
     if abs(dist.cdf(hi) - 1.0) > _CDF_TOL:
         raise InvalidDistributionError(
@@ -268,8 +267,7 @@ def std_normal_expected_max(n: int) -> float:
     Computed as n * integral of x * phi(x) * Phi(x)^(n-1) by the trapezoid
     rule on [-12, 12].
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _integer_arg(n, "n")
     weights, cdf = _std_normal_grid()
     return n * float(np.dot(weights, cdf ** (n - 1)))
 
@@ -280,8 +278,7 @@ def expected_max_discrete(dist: DiscreteDistribution, n: int) -> float:
     Exact summation: the maximum equals x_i with probability
     (P[X <= x_i])^n - (P[X < x_i])^n. No sampling involved.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _integer_arg(n, "n")
     ordered = sorted(dist.atoms)
     total = 0.0
     cum = 0.0

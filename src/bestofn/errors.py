@@ -1,11 +1,28 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for ordinary argument validation (negative
-sigma, n = 0, and so on); the classes here mark domain conditions a caller
-may want to handle separately.
+sigma, n = 0, and so on), with ``_integer_arg`` the one check for integer
+arguments; the classes here mark domain conditions a caller may want to
+handle separately.
 """
 
 from __future__ import annotations
+
+import operator
+
+
+def _integer_arg(value, name: str, low: int = 1, high: int | None = None) -> int:
+    """``value`` as an int in [low, high] (no upper bound when ``high`` is
+    None). Python and numpy integers pass; anything else, a float with an
+    integral value included, raises ValueError naming the argument."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low or (high is not None and number > high):
+        wanted = f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return number
 
 
 class BestOfNError(Exception):

@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import GaussianParams, _log_ndtr, std_normal_expected_max
-from .errors import DegeneratePoolError, InsufficientDataError, InvalidDataError
+from .errors import DegeneratePoolError, InsufficientDataError, InvalidDataError, _integer_arg
 
 __all__ = [
     "Direction",
@@ -262,8 +262,7 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     warning is emitted): estimating best-of-n from fewer than n runs relies
     on the empirical tail more than the data supports.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _integer_arg(n, "n")
     vals, tests, sign = _oriented_scores(pool)
     value = sign * _boon_weighted_average(vals, tests, n)
     extrapolative = pool.m < n
@@ -325,8 +324,7 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
     Lower variance than the non-parametric estimator when the Gaussian
     assumption holds; biased when it does not.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _integer_arg(n, "n")
     if pool.m < 3:
         raise InsufficientDataError(
             f"parametric estimation needs m >= 3 records, got m={pool.m}"
@@ -362,8 +360,7 @@ class BoonStatistic:
     kind: EstimatorKind = EstimatorKind.NONPARAMETRIC
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        _integer_arg(self.n, "n")
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
 
     def __call__(self, pool: ResultPool) -> float:

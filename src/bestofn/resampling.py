@@ -26,17 +26,13 @@ size) noise), and its sequence is the records in increasing key order. A
 point's numbers therefore depend on the seed, the run, the sample count
 and m, not on the other points requested. Which replicates share a stream
 depends on the seed, the key and the resample size only, and chunks are
-aggregated into indexed slots, so output is bit-identical for a given seed
-however chunks are scheduled, including under thread parallelism
-(``workers > 1``).
+concatenated in order, so output is bit-identical for a given seed.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -47,6 +43,7 @@ from .errors import (
     BestOfNError,
     InsufficientDataError,
     ResamplingDegenerateError,
+    _integer_arg,
 )
 from .estimators import (
     BoonStatistic,
@@ -82,7 +79,7 @@ _FAILURE_BUDGET = 0.01
 _MAX_ATTEMPTS_PER_REPLICATE = 100
 
 # Resampled records per replicate chunk. Part of the output contract:
-# chunking follows resample size only, never worker count.
+# chunking follows resample size only.
 _CHUNK_ELEMENTS = 1 << 14
 
 # Best test scores one curve scan holds (8 bytes each); further points take
@@ -105,14 +102,10 @@ class ResamplingConfig:
     bandwidth: float | str = "auto"
 
     def __post_init__(self):
-        if not 100 <= self.replicates <= MAX_REPLICATES:
-            raise ValueError(
-                f"replicates must lie in [100, {MAX_REPLICATES}], got {self.replicates}"
-            )
+        _integer_arg(self.replicates, "replicates", 100, MAX_REPLICATES)
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
+        _integer_arg(self.seed, "seed", 0, 2**64 - 1)
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError(f'bandwidth must be "auto" or a number, got {self.bandwidth!r}')
@@ -164,16 +157,6 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
 
 
-def _map_indexed(count: int, fn: Callable[[int], object], workers: int) -> list:
-    """Evaluate fn(0..count-1) into index-ordered slots, optionally threaded
-    on at most one thread per CPU core and per task."""
-    workers = min(workers, count, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
-
-
 def _percentile_interval(
     values: np.ndarray, level: float, method: CIMethod, replicates: int
 ) -> ConfidenceInterval:
@@ -188,7 +171,6 @@ def _chunked_replicates(
     size: int,
     seed: int,
     block: Callable[[np.random.Generator, int], np.ndarray],
-    workers: int,
     *,
     key: tuple[int, ...] = (),
 ) -> np.ndarray:
@@ -204,11 +186,11 @@ def _chunked_replicates(
     fail.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
-
-    def one_chunk(k: int) -> tuple[np.ndarray, int]:
+    parts = []
+    failures = 0
+    for k in range(-(-count // rows)):
         rng = _rng(seed, *key, k)
         values = block(rng, min(rows, count - k * rows))
-        failures = 0
         for i in np.flatnonzero(np.isnan(values.reshape(len(values), -1)).any(axis=1)):
             failures += 1
             for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
@@ -216,11 +198,8 @@ def _chunked_replicates(
                 if not np.isnan(values[i]).any():
                     break
                 failures += 1
-        return values, failures
-
-    parts = _map_indexed(-(-count // rows), one_chunk, workers)
-    values = parts[0][0] if len(parts) == 1 else np.concatenate([v for v, _ in parts])
-    failures = sum(f for _, f in parts)
+        parts.append(values)
+    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     failure_rate = failures / (count + failures)
     if np.isnan(values).any() or failure_rate > _FAILURE_BUDGET:
         raise ResamplingDegenerateError(failure_rate)
@@ -394,18 +373,15 @@ def _bootstrap_interval(
     bandwidths: tuple[float, ...],
     method: CIMethod,
     resample_size: int | None,
-    workers: int,
 ) -> ConfidenceInterval:
     if pool.m < 2:
         raise InsufficientDataError(f"bootstrap needs m >= 2 records, got m={pool.m}")
-    size = pool.m if resample_size is None else int(resample_size)
-    if size < 1:
-        raise ValueError(f"resample_size must be >= 1, got {size}")
+    size = pool.m if resample_size is None else _integer_arg(resample_size, "resample_size")
     if isinstance(statistic, BoonStatistic):
         block = _boon_block(pool, statistic, size, bandwidths)
     else:
         block = _statistic_block(pool, statistic, size, bandwidths)
-    values = _chunked_replicates(config.replicates, size, config.seed, block, workers)
+    values = _chunked_replicates(config.replicates, size, config.seed, block)
     return _percentile_interval(values, config.level, method, config.replicates)
 
 
@@ -428,11 +404,10 @@ def bootstrap_ci(
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
     once; any other callable is called on one resampled pool at a time.
-    Both see the same resamples under the same seed.
+    Both see the same resamples under the same seed. ``workers`` is
+    accepted for compatibility and has no effect.
     """
-    return _bootstrap_interval(
-        pool, statistic, config, (), CIMethod.BOOTSTRAP, resample_size, workers
-    )
+    return _bootstrap_interval(pool, statistic, config, (), CIMethod.BOOTSTRAP, resample_size)
 
 
 def smoothed_bootstrap_ci(
@@ -450,11 +425,12 @@ def smoothed_bootstrap_ci(
     few order statistics (like the best-validation test score) get a
     usable replicate distribution instead of a handful of repeated values.
     With bandwidth 0 the output is replicate-for-replicate identical to
-    :func:`bootstrap_ci` under the same seed.
+    :func:`bootstrap_ci` under the same seed. ``workers`` is accepted for
+    compatibility and has no effect.
     """
     bandwidths = _resolve_bandwidths(pool, config.bandwidth)
     return _bootstrap_interval(
-        pool, statistic, config, bandwidths, CIMethod.SMOOTHED_BOOTSTRAP, resample_size, workers
+        pool, statistic, config, bandwidths, CIMethod.SMOOTHED_BOOTSTRAP, resample_size
     )
 
 
@@ -486,16 +462,16 @@ def monte_carlo_ci_gaussian(
     which is what each replicate draws. Rows whose validations tie after
     rounding take the group-averaged weights, as the estimator does, and
     those weights' norm.
+
+    ``workers`` is accepted for compatibility and has no effect.
     """
     estimator_kind = EstimatorKind(estimator_kind)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if m < 1:
-        raise ValueError(f"m must be a positive integer, got {m}")
+    _integer_arg(n, "n")
+    _integer_arg(m, "m")
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
     block = _monte_carlo_block(params, m, n, estimator_kind)
-    values = _chunked_replicates(config.replicates, m, config.seed, block, workers)
+    values = _chunked_replicates(config.replicates, m, config.seed, block)
     return _percentile_interval(
         values, config.level, CIMethod.MONTE_CARLO_GAUSSIAN, config.replicates
     )
@@ -568,17 +544,14 @@ def best_of_m_curve(
     ``replace=False`` switches to without-replacement samples (requires
     m <= pool.m) for sensitivity analysis; the default matches the
     with-replacement reading used by the estimator cross-check.
+    ``workers`` is accepted for compatibility and has no effect.
     """
     m_values = list(m_values)
     if len(m_values) == 0:
         raise ValueError("m_values must not be empty")
-    if not 1 <= samples_per_m <= MAX_REPLICATES:
-        raise ValueError(
-            f"samples_per_m must lie in [1, {MAX_REPLICATES}], got {samples_per_m}"
-        )
+    _integer_arg(samples_per_m, "samples_per_m", 1, MAX_REPLICATES)
     for m in m_values:
-        if m < 1:
-            raise ValueError(f"pool sizes must be >= 1, got {m}")
+        _integer_arg(m, "m")
         if not replace and m > pool.m:
             raise ValueError(
                 f"without-replacement samples of size {m} exceed the pool (m={pool.m})"
@@ -645,7 +618,7 @@ def best_of_m_curve(
             block, size = with_replacement, 1
         else:
             block, size = without_replacement, pool.m
-        values = _chunked_replicates(count, size, config.seed, block, workers, key=(run,))
+        values = _chunked_replicates(count, size, config.seed, block, key=(run,))
         values = np.ascontiguousarray(values.T)
         values *= sign
         return values
@@ -684,14 +657,14 @@ def compare_architectures(
 
     Each replicate resamples both pools independently and recomputes the
     difference (pool_b minus pool_a). The improvement is called significant
-    when zero lies outside the interval.
+    when zero lies outside the interval. ``workers`` is accepted for
+    compatibility and has no effect.
     """
     if pool_a.direction is not pool_b.direction:
         raise ValueError(
             f"pools disagree on direction: {pool_a.direction.value} vs {pool_b.direction.value}"
         )
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _integer_arg(n, "n")
     for name, pool in (("A", pool_a), ("B", pool_b)):
         if pool.m < 2:
             raise InsufficientDataError(
@@ -714,7 +687,7 @@ def compare_architectures(
         (ranks_b,) = _draw(rng, (rank_b,), rows, m_b)
         return sign * (boon_b(ranks_b) - boon_a(ranks_a))
 
-    values = _chunked_replicates(config.replicates, m_a + m_b, config.seed, block, workers)
+    values = _chunked_replicates(config.replicates, m_a + m_b, config.seed, block)
     ci = _percentile_interval(values, config.level, CIMethod.BOOTSTRAP, config.replicates)
     significant = not ci.contains(0.0)
     return ComparisonResult(delta=delta, ci=ci, significant=significant)

@@ -442,7 +442,7 @@ for argv in (
     ["curve", {path!r}, "--m-max", "2", "--samples-per-m", "100", "--bootstrap", "100"],
 ):
     assert cli.main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
 assert not loaded, loaded
 """
     src = str(Path(cli.__file__).resolve().parents[1])

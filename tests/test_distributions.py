@@ -107,8 +107,9 @@ class TestExpectedMaxContinuous:
             expected_max_continuous(broken, 3)
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            expected_max_continuous(uniform(0, 1), 0)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match="n must"):
+                expected_max_continuous(uniform(0, 1), n)
 
 
 class TestExpectedMaxDiscrete:

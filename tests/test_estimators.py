@@ -89,8 +89,9 @@ class TestBoonNonparametric:
 
     def test_rejects_bad_n(self):
         pool = ResultPool.from_pairs([(1.0, 2.0)])
-        with pytest.raises(ValueError):
-            boon_nonparametric(pool, 0)
+        for n in (0, 2.5):
+            with pytest.raises(ValueError, match="n must"):
+                boon_nonparametric(pool, n)
 
     def test_empty_pool_rejected_at_construction(self):
         with pytest.raises(InvalidDataError):

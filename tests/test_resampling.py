@@ -66,10 +66,12 @@ class TestResamplingConfig:
             dict(bandwidth=-0.5),
             dict(bandwidth="wide"),
             dict(bandwidth=math.inf),
+            dict(replicates=200.5),
+            dict(seed=1.5),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ResamplingConfig(**kwargs)
 
 
@@ -148,28 +150,6 @@ class TestBootstrapCI:
         ci = bootstrap_ci(pool, picky, cfg)
         assert ci.lo <= ci.hi
         assert bootstrap_ci(pool, picky, cfg, workers=3) == ci
-
-
-    def test_thread_pool_is_capped_at_the_core_count(self, monkeypatch):
-        sizes = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(resampling, "ThreadPoolExecutor", RecordingExecutor)
-        monkeypatch.setattr(resampling.os, "cpu_count", lambda: 3)
-        assert resampling._map_indexed(5, lambda i: i * i, 10**6) == [0, 1, 4, 9, 16]
-        assert sizes == [3]
 
 
 class TestSmoothedBootstrapCI:
@@ -308,7 +288,7 @@ class TestMonteCarloCI:
     def test_replicates_are_distributed_as_simulated_pools(self, params, tied):
         m, n, count = 10, 5, 20_000
         block = resampling._monte_carlo_block(params, m, n, EstimatorKind.NONPARAMETRIC)
-        fast = resampling._chunked_replicates(count, m, 1, block, 1)
+        fast = resampling._chunked_replicates(count, m, 1, block)
         z = np.random.default_rng(2).standard_normal((count, m, 2))
         vals, tests = simulated_pools(params, z)
         sorted_vals = np.sort(vals, axis=1)
@@ -691,8 +671,8 @@ class TestEngine:
         pool = helpers.bivariate_normal_pool(m=30, seed=6)
         stat = BoonStatistic(5)
         block = resampling._boon_block(pool, stat, pool.m)
-        short = resampling._chunked_replicates(700, pool.m, 9, block, 1)
-        long = resampling._chunked_replicates(1500, pool.m, 9, block, 1)
+        short = resampling._chunked_replicates(700, pool.m, 9, block)
+        long = resampling._chunked_replicates(1500, pool.m, 9, block)
         np.testing.assert_array_equal(short, long[:700])
 
     def test_a_row_with_a_failed_point_is_redrawn_whole(self):
@@ -702,7 +682,7 @@ class TestEngine:
             out[out[:, 0] < 0.005, 1] = math.nan
             return out
 
-        values = resampling._chunked_replicates(5000, 1, 4, block, 1)
+        values = resampling._chunked_replicates(5000, 1, 4, block)
         first = block(np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,))), 5000)
         failed = np.isnan(first).any(axis=1)
         assert values.shape == (5000, 3) and failed.any() and not np.isnan(values).any()
