@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -30,6 +30,7 @@ from .errors import (
     InvalidDataError,
     PoolFileError,
     ResamplingDegenerateError,
+    _integer_arg,
 )
 from .estimators import (
     BoonStatistic,
@@ -62,7 +63,9 @@ DEFAULT_N = 5
 DEFAULT_REPLICATES = 10_000
 DEFAULT_LEVEL = 0.95
 DEFAULT_COLUMNS = ("validation", "test")
-# Bounds a curve's work: every sample draws m records of each kind.
+# Up to 2**21 // max(samples, replicates) points (209 at the defaults) a
+# curve is one scan of m-max records per sample. Each further scan redraws
+# every sample from record 1, so beyond that the work grows with m-max**2.
 MAX_CURVE_M = 100_000
 
 
@@ -151,7 +154,7 @@ def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]
 
 
 def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each JSON object with both fields."""
+    """Yield (line number, object) for each JSON object."""
     with open(pool_file.path, encoding="utf-8") as fh:
         for line_num, line in enumerate(fh, start=1):
             if not line.strip():
@@ -164,10 +167,6 @@ def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict
             if not isinstance(obj, dict):
                 bad_rows.append((line_num, "expected a JSON object"))
                 continue
-            missing = [c for c in (pool_file.val_column, pool_file.test_column) if c not in obj]
-            if missing:
-                bad_rows.append((line_num, f"missing field(s) {', '.join(missing)}"))
-                continue
             yield line_num, obj
 
 
@@ -179,16 +178,6 @@ def _pool_fingerprint(pool_file: PoolFile, pool: ResultPool) -> dict:
         "m": pool.m,
         "metric": pool.metric_name,
         "direction": pool.direction.value,
-    }
-
-
-def _ci_dict(ci) -> dict:
-    return {
-        "lo": ci.lo,
-        "hi": ci.hi,
-        "level": ci.level,
-        "method": ci.method.value,
-        "replicates": ci.replicates,
     }
 
 
@@ -233,11 +222,11 @@ def _cmd_summarize(args: argparse.Namespace, argv: list[str]) -> int:
     pool_file = _pool_file_from_args(args, args.input)
     pool = load_pool(pool_file)
     s = summarize(pool)
-    normality = None
-    # Unequal test scores, not a nonzero std: equal scores can round to one.
-    if pool.m >= 8 and s.range_test[0] < s.range_test[1]:
+    try:
         ad = anderson_darling_normality(pool.test_scores)
         normality = {"statistic": ad.statistic, "reject_at_5pct": ad.reject_at_5pct}
+    except InsufficientDataError:  # m < 8 or equal test scores
+        normality = None
 
     report = _base_report(args, argv)
     report["pools"] = [_pool_fingerprint(pool_file, pool)]
@@ -301,7 +290,7 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> int:
         }
         if args.bootstrap is not None:
             ci = bootstrap_ci(pool, BoonStatistic(n, kind), config)
-            entry["ci"] = _ci_dict(ci)
+            entry["ci"] = asdict(ci)
         estimates.append(entry)
 
     report = _base_report(args, argv)
@@ -388,7 +377,7 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
         "n": n,
         "delta": result.delta,
         "significant": result.significant,
-        "ci": _ci_dict(result.ci),
+        "ci": asdict(result.ci),
     }
     _write_report(report, args.output)
 
@@ -413,68 +402,37 @@ def _default_seed() -> int:
         raise ValueError(f"{SEED_ENV_VAR}: {exc}") from exc
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
-    return value
+def _flag(check):
+    """An argparse type that runs ``check`` on a flag's text. A ValueError
+    from the library's own argument checks becomes a usage error, which
+    argparse reports as ``argument --X: ...`` before any input is read."""
 
-
-def _seed(raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"seed must be an integer in [0, 2**64), got {raw!r}"
-        )
-    return value
-
-
-def _level(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"level must lie in (0, 1), got {raw!r}")
-    return value
-
-
-def _at_most(limit: int, noun: str):
-    def parse(raw: str) -> int:
-        value = _positive_int(raw)
-        if value > limit:
-            raise argparse.ArgumentTypeError(f"at most {limit} {noun}, got {raw!r}")
-        return value
+    def parse(raw: str):
+        try:
+            return check(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
 
 
-_replicate_count = _at_most(MAX_REPLICATES, "replicates")
+_seed = _flag(lambda raw: ResamplingConfig(seed=int(raw)).seed)
+_level = _flag(lambda raw: ResamplingConfig(level=float(raw)).level)
+_replicates = _flag(lambda raw: ResamplingConfig(replicates=int(raw)).replicates)
+_bandwidth = _flag(
+    lambda raw: ResamplingConfig(bandwidth=raw if raw == "auto" else float(raw)).bandwidth
+)
+_n = _flag(lambda raw: _integer_arg(int(raw), "n"))
+_workers = _flag(lambda raw: _integer_arg(int(raw), "workers"))
+_samples = _flag(lambda raw: _integer_arg(int(raw), "samples_per_m", 1, MAX_REPLICATES))
+_m_max = _flag(lambda raw: _integer_arg(int(raw), "m_max", 1, MAX_CURVE_M))
 
 
 def _parse_n_list(raw: str) -> list[int]:
-    values = [_positive_int(part) for part in raw.split(",") if part.strip() != ""]
+    values = [_n(part) for part in raw.split(",") if part.strip() != ""]
     if not values:
         raise argparse.ArgumentTypeError(f"n values must be positive integers, got {raw!r}")
     return values
-
-
-def _parse_bandwidth(raw: str):
-    if raw == "auto":
-        return "auto"
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f'bandwidth must be "auto" or a number, got {raw!r}') from exc
-    if value < 0 or not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"bandwidth must be non-negative, got {raw!r}")
-    return value
 
 
 def _add_input_flags(sub: argparse.ArgumentParser) -> None:
@@ -490,18 +448,18 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_sampling_flags(sub: argparse.ArgumentParser, bootstrap_default) -> None:
     if bootstrap_default is None:
-        sub.add_argument("--bootstrap", type=_replicate_count, default=None, nargs="?",
+        sub.add_argument("--bootstrap", type=_replicates, default=None, nargs="?",
                          const=DEFAULT_REPLICATES, metavar="B",
                          help="attach bootstrap CIs using B replicates (default B: 10000)")
     else:
-        sub.add_argument("--bootstrap", type=_replicate_count, default=bootstrap_default,
+        sub.add_argument("--bootstrap", type=_replicates, default=bootstrap_default,
                          metavar="B",
                          help=f"replicate count (default: {bootstrap_default})")
     sub.add_argument("--level", type=_level, default=DEFAULT_LEVEL,
                      help="confidence level (default: 0.95)")
     sub.add_argument("--seed", type=_seed, default=None,
                      help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    sub.add_argument("--workers", type=_positive_int, default=1,
+    sub.add_argument("--workers", type=_workers, default=1,
                      help="accepted for compatibility; has no effect, replicates are "
                           "always evaluated in one thread (default: 1)")
 
@@ -554,11 +512,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("curve", help="expected best-validation test score vs pool size")
     p.add_argument("input", help="pool file (CSV or JSONL)")
-    p.add_argument("--m-max", type=_at_most(MAX_CURVE_M, "records"), default=20,
+    p.add_argument("--m-max", type=_m_max, default=20,
                    help=f"largest pool size, at most {MAX_CURVE_M} (default: 20)")
-    p.add_argument("--samples-per-m", type=_replicate_count, default=10_000,
+    p.add_argument("--samples-per-m", type=_samples, default=10_000,
                    help="Monte Carlo samples per pool size (default: 10000)")
-    p.add_argument("--bandwidth", type=_parse_bandwidth, default="auto",
+    p.add_argument("--bandwidth", type=_bandwidth, default="auto",
                    help='band smoothing bandwidth: "auto" or a number (default: auto)')
     _add_input_flags(p)
     _add_sampling_flags(p, bootstrap_default=DEFAULT_REPLICATES)
@@ -567,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("compare", help="CI on the best-out-of-n difference of two pools")
     p.add_argument("input_a", help="baseline pool file")
     p.add_argument("input_b", help="candidate pool file")
-    p.add_argument("--n", type=_positive_int, default=DEFAULT_N,
+    p.add_argument("--n", type=_n, default=DEFAULT_N,
                    help="n for the compared estimates (default: 5)")
     _add_input_flags(p)
     _add_sampling_flags(p, bootstrap_default=DEFAULT_REPLICATES)

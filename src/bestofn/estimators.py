@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -258,26 +257,19 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     are non-negative and sum to one, so the value always lies between the
     pool's extreme test scores. n = 1 gives the plain test mean.
 
-    A pool smaller than n is allowed but flagged extrapolative (and a
-    warning is emitted): estimating best-of-n from fewer than n runs relies
-    on the empirical tail more than the data supports.
+    A pool smaller than n is allowed but flagged ``extrapolative`` (the
+    CLI's flags column and report field): estimating best-of-n from fewer
+    than n runs relies on the empirical tail more than the data supports.
     """
     _integer_arg(n, "n")
     vals, tests, sign = _oriented_scores(pool)
     value = sign * _boon_weighted_average(vals, tests, n)
-    extrapolative = pool.m < n
-    if extrapolative:
-        warnings.warn(
-            f"best-out-of-{n} estimated from only m={pool.m} runs; "
-            "treat the estimate as extrapolative",
-            stacklevel=2,
-        )
     return BoonEstimate(
         n=n,
         m=pool.m,
         value=value,
         estimator_kind=EstimatorKind.NONPARAMETRIC,
-        extrapolative=extrapolative,
+        extrapolative=pool.m < n,
     )
 
 

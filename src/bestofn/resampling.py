@@ -52,6 +52,7 @@ from .estimators import (
     _boon_weighted_average,
     _oriented_scores,
     _tie_groups,
+    boon_nonparametric,
 )
 
 __all__ = [
@@ -252,7 +253,7 @@ def _count_boon(
     tied = group_start.size < m
     power = (np.arange(size + 1) / size) ** n
 
-    def boon(ranks: np.ndarray) -> np.ndarray:
+    def boon_rows(ranks: np.ndarray) -> np.ndarray:
         rows = ranks.shape[0]
         flat = (ranks + m * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(flat, minlength=rows * m).reshape(rows, m)
@@ -263,6 +264,13 @@ def _count_boon(
             group_tests = test_sums / np.maximum(counts, 1)
         upper = np.cumsum(counts, axis=1)
         return ((power[upper] - power[upper - counts]) * group_tests).sum(axis=1)
+
+    # A count block holds m values per row, so resamples much smaller than
+    # the pool are counted a slice of rows at a time.
+    step = max(1, _CHUNK_ELEMENTS // m)
+
+    def boon(ranks: np.ndarray) -> np.ndarray:
+        return np.concatenate([boon_rows(ranks[i : i + step]) for i in range(0, len(ranks), step)])
 
     return rank, boon
 
@@ -670,24 +678,16 @@ def compare_architectures(
             raise InsufficientDataError(
                 f"compare needs m >= 2 records in pool {name}, got m={pool.m}"
             )
-    vals_a, tests_a, sign = _oriented_scores(pool_a)
-    vals_b, tests_b, _ = _oriented_scores(pool_b)
-    m_a, m_b = pool_a.m, pool_b.m
-
-    delta = sign * (
-        _boon_weighted_average(vals_b, tests_b, n)
-        - _boon_weighted_average(vals_a, tests_a, n)
-    )
-
-    rank_a, boon_a = _count_boon(vals_a, tests_a, m_a, n)
-    rank_b, boon_b = _count_boon(vals_b, tests_b, m_b, n)
+    delta = boon_nonparametric(pool_b, n).value - boon_nonparametric(pool_a, n).value
+    statistic = BoonStatistic(n)
+    block_a = _boon_block(pool_a, statistic, pool_a.m)
+    block_b = _boon_block(pool_b, statistic, pool_b.m)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        (ranks_a,) = _draw(rng, (rank_a,), rows, m_a)
-        (ranks_b,) = _draw(rng, (rank_b,), rows, m_b)
-        return sign * (boon_b(ranks_b) - boon_a(ranks_a))
+        boon_a = block_a(rng, rows)  # A's records are drawn before B's
+        return block_b(rng, rows) - boon_a
 
-    values = _chunked_replicates(config.replicates, m_a + m_b, config.seed, block)
+    values = _chunked_replicates(config.replicates, pool_a.m + pool_b.m, config.seed, block)
     ci = _percentile_interval(values, config.level, CIMethod.BOOTSTRAP, config.replicates)
     significant = not ci.contains(0.0)
     return ComparisonResult(delta=delta, ci=ci, significant=significant)

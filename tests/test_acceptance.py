@@ -10,7 +10,6 @@ comparison, and bit-exact reproducibility of the command-line tool.
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -62,16 +61,14 @@ def test_criterion_2_brute_force_equivalence(capsys):
     rng = np.random.default_rng(2024)
     worst = 0.0
     checked = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # m < n cases are intentionally included
-        for _ in range(200):
-            records = helpers.random_tied_records(rng, m_max=6)
-            pool = ResultPool.from_pairs(records)
-            for n in range(1, 5):
-                expected = oracles.enumerate_boon(records, n)
-                got = boon_nonparametric(pool, n).value
-                worst = max(worst, abs(got - expected))
-                checked += 1
+    for _ in range(200):
+        records = helpers.random_tied_records(rng, m_max=6)
+        pool = ResultPool.from_pairs(records)
+        for n in range(1, 5):
+            expected = oracles.enumerate_boon(records, n)
+            got = boon_nonparametric(pool, n).value
+            worst = max(worst, abs(got - expected))
+            checked += 1
     ok = worst <= 1e-10
     _verdict(
         capsys, 2, "brute-force equivalence", ok,

@@ -100,9 +100,10 @@ class TestSummarize:
 
     def test_jsonl_bad_line_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "pool.jsonl"
-        path.write_text('{"validation": 0.1, "test": 1.0}\nnot json\n')
-        assert run(["summarize", path]) == EXIT_DATA
-        assert "line 2" in capsys.readouterr().err
+        for bad in ("not json", '{"validation": 0.2}'):
+            path.write_text('{"validation": 0.1, "test": 1.0}\n' + bad + "\n")
+            assert run(["summarize", path]) == EXIT_DATA
+            assert "line 2" in capsys.readouterr().err
 
     def test_jsonl_boolean_score_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "pool.jsonl"
@@ -141,12 +142,13 @@ class TestBoon:
         assert values[2] == pytest.approx(220 / 9)
         assert report["estimator"] == "nonparametric"
 
-    def test_extrapolative_flagged(self, toy_csv, tmp_path):
+    def test_extrapolative_flagged(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "report.json"
-        with pytest.warns(UserWarning):
-            assert run(["boon", toy_csv, "--n", "5", "--output", out]) == EXIT_OK
+        assert run(["boon", toy_csv, "--n", "5", "--output", out]) == EXIT_OK
         (entry,) = read_report(out)["estimates"]
         assert entry["extrapolative"] is True
+        captured = capsys.readouterr()
+        assert "extrapolative" in captured.out and captured.err == ""
 
     def test_gaussian_estimator_on_degenerate_pool_guides_user(self, tmp_path, capsys):
         path = helpers.write_pool_csv(
@@ -403,6 +405,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("flag, value", [
         ("--level", "1.5"), ("--level", "nan"), ("--level", "0"),
         ("--seed", "-1"), ("--seed", str(2**64)), ("--seed", "seven"),
+        ("--bootstrap", "50"),
     ])
     def test_bad_level_or_seed_is_named_before_any_input_is_read(
         self, tmp_path, capsys, flag, value

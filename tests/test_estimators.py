@@ -59,20 +59,18 @@ class TestBoonNonparametric:
     def test_all_tied_validations_average_the_tests(self):
         pool = ResultPool.from_pairs([(1.0, 5.0), (1.0, 7.0), (1.0, 9.0)])
         for n in (1, 2, 3, 6):
-            assert _quiet_boon(pool, n) == pytest.approx(7.0, abs=1e-12)
+            assert _boon_value(pool, n) == pytest.approx(7.0, abs=1e-12)
 
     def test_single_record_pool(self):
         pool = ResultPool.from_pairs([(0.7, 42.0)])
         assert boon_nonparametric(pool, 1).value == 42.0
-        with pytest.warns(UserWarning, match="extrapolative"):
-            est = boon_nonparametric(pool, 7)
+        est = boon_nonparametric(pool, 7)
         assert est.value == 42.0
         assert est.extrapolative
 
     def test_extrapolative_flagged_when_m_below_n(self):
         pool = ResultPool.from_pairs([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)])
-        with pytest.warns(UserWarning):
-            est = boon_nonparametric(pool, 5)
+        est = boon_nonparametric(pool, 5)
         assert est.extrapolative
         assert not boon_nonparametric(pool, 3).extrapolative
 
@@ -83,9 +81,9 @@ class TestBoonNonparametric:
             pool = ResultPool.from_pairs(records)
             for n in range(1, 5):
                 expected = oracles.enumerate_boon(records, n)
-                with pytest.warns(UserWarning) if len(records) < n else _nullcontext():
-                    value = boon_nonparametric(pool, n).value
-                assert value == pytest.approx(expected, abs=1e-10)
+                est = boon_nonparametric(pool, n)
+                assert est.extrapolative == (len(records) < n)
+                assert est.value == pytest.approx(expected, abs=1e-10)
 
     def test_rejects_bad_n(self):
         pool = ResultPool.from_pairs([(1.0, 2.0)])
@@ -112,19 +110,19 @@ class TestBoonNonparametric:
         tests = [t for _, t in records]
         mean = math.fsum(tests) / len(tests)
         scale = max(abs(t) for t in tests)
-        assert _quiet_boon(pool, 1) == pytest.approx(mean, rel=0, abs=1e-12 * scale)
+        assert _boon_value(pool, 1) == pytest.approx(mean, rel=0, abs=1e-12 * scale)
 
     @given(small_pools(min_m=2))
     def test_permutation_invariance_is_bit_exact(self, records):
         n = 3
         pool = ResultPool.from_pairs(records)
         shuffled = ResultPool.from_pairs(list(reversed(records)))
-        assert _quiet_boon(pool, n) == _quiet_boon(shuffled, n)
+        assert _boon_value(pool, n) == _boon_value(shuffled, n)
 
     @given(small_pools(), st.integers(min_value=1, max_value=6))
     def test_value_is_convex_combination_of_tests(self, records, n):
         pool = ResultPool.from_pairs(records)
-        value = _quiet_boon(pool, n)
+        value = _boon_value(pool, n)
         tests = [t for _, t in records]
         assert min(tests) - 1e-9 <= value <= max(tests) + 1e-9
 
@@ -133,15 +131,15 @@ class TestBoonNonparametric:
         a, b = 2.5, -7.0
         pool = ResultPool.from_pairs(records)
         mapped = ResultPool.from_pairs([(v, a * t + b) for v, t in records])
-        got = _quiet_boon(mapped, n)
-        want = a * _quiet_boon(pool, n) + b
+        got = _boon_value(mapped, n)
+        want = a * _boon_value(pool, n) + b
         assert got == pytest.approx(want, rel=1e-10, abs=1e-8)
 
     @given(small_pools(min_m=2), st.integers(min_value=1, max_value=4))
     def test_direction_duality(self, records, n):
         pool_min = ResultPool.from_pairs(records, direction=Direction.MINIMIZE)
         negated = ResultPool.from_pairs([(-v, -t) for v, t in records])
-        assert _quiet_boon(pool_min, n) == -_quiet_boon(negated, n)
+        assert _boon_value(pool_min, n) == -_boon_value(negated, n)
 
     @pytest.mark.parametrize("direction", list(Direction))
     @pytest.mark.parametrize("decimals", [None, 2])
@@ -164,20 +162,8 @@ class TestBoonNonparametric:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
-class _nullcontext:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _quiet_boon(pool, n):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return boon_nonparametric(pool, n).value
+def _boon_value(pool, n):
+    return boon_nonparametric(pool, n).value
 
 
 def _pair_pools(m, rng):

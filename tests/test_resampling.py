@@ -1,5 +1,5 @@
 import math
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,7 +431,6 @@ class TestBestOfMCurve:
         monkeypatch.setattr(resampling, "_CURVE_VALUES", samples)
         assert best_of_m_curve(pool, range(1, 21), samples, cfg, replace=replace) == full
 
-    @pytest.mark.filterwarnings("ignore:best-out-of")
     @pytest.mark.parametrize("replace", [True, False])
     @pytest.mark.parametrize("direction", [Direction.MAXIMIZE, Direction.MINIMIZE])
     def test_first_of_tied_records_is_unbiased(self, direction, replace):
@@ -587,27 +586,25 @@ class TestEngine:
     def test_rows_match_the_estimators_on_the_same_index_blocks(self, direction, kind):
         rng = np.random.default_rng(808)
         checked = 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # n > m is intentionally included
-            # equal 0.1 validations have a mean that rounds away from 0.1
-            inexact = [(0.1, 4.0), (0.1, 5.0), (0.1, 6.0), (0.7, 5.0)]
-            for records in [helpers.random_tied_records(rng, m_max=8) for _ in range(30)] + [
-                inexact
-            ]:
-                pool = ResultPool.from_pairs(records, direction)
-                for n in (1, 2, 5, 20):
-                    for size in {pool.m, 3, 11}:
-                        stat = BoonStatistic(n, kind)
-                        if kind is EstimatorKind.GAUSSIAN_PARAMETRIC and size < 3:
-                            continue
-                        block = resampling._boon_block(pool, stat, size)
-                        got = block(np.random.default_rng(n), 25)
-                        idx = np.random.default_rng(n).integers(0, pool.m, size=(25, size))
-                        want = _row_oracle(pool, idx, stat)
-                        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-                        scale = np.abs(pool.test_scores).max()
-                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
-                        checked += 1
+        # equal 0.1 validations have a mean that rounds away from 0.1
+        inexact = [(0.1, 4.0), (0.1, 5.0), (0.1, 6.0), (0.7, 5.0)]
+        for records in [helpers.random_tied_records(rng, m_max=8) for _ in range(30)] + [
+            inexact
+        ]:
+            pool = ResultPool.from_pairs(records, direction)
+            for n in (1, 2, 5, 20):
+                for size in {pool.m, 3, 11}:
+                    stat = BoonStatistic(n, kind)
+                    if kind is EstimatorKind.GAUSSIAN_PARAMETRIC and size < 3:
+                        continue
+                    block = resampling._boon_block(pool, stat, size)
+                    got = block(np.random.default_rng(n), 25)
+                    idx = np.random.default_rng(n).integers(0, pool.m, size=(25, size))
+                    want = _row_oracle(pool, idx, stat)
+                    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+                    scale = np.abs(pool.test_scores).max()
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+                    checked += 1
         assert checked > 250
 
     @pytest.mark.parametrize("kind", list(EstimatorKind))
@@ -674,6 +671,23 @@ class TestEngine:
         short = resampling._chunked_replicates(700, pool.m, 9, block)
         long = resampling._chunked_replicates(1500, pool.m, 9, block)
         np.testing.assert_array_equal(short, long[:700])
+
+    def test_small_resamples_of_a_large_pool_use_bounded_memory(self):
+        # 1,638 ten-record resamples per chunk: one (rows, pool.m) count
+        # block would take about 260 MB here.
+        pool = helpers.bivariate_normal_pool(m=20_000, rho=0.5, seed=3)
+        stat = BoonStatistic(5)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(pool, stat, ResamplingConfig(replicates=2000, seed=1), resample_size=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        # the kernel's row slices come back in row order
+        got = resampling._boon_block(pool, stat, 10)(np.random.default_rng(2), 40)
+        idx = np.random.default_rng(2).integers(0, pool.m, size=(40, 10))
+        np.testing.assert_allclose(got, _row_oracle(pool, idx, stat), rtol=1e-12)
 
     def test_a_row_with_a_failed_point_is_redrawn_whole(self):
         # a (rows, points) block whose second point fails in about 0.5% of rows
