@@ -383,7 +383,7 @@ def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> int:
 
     verdict = "significant" if result.significant else "not significant"
     print(f"best-out-of-{n} difference (B - A): {_fmt(result.delta)}")
-    print(f"{int(config.level * 100)}% CI: [{_fmt(result.ci.lo)}, {_fmt(result.ci.hi)}] "
+    print(f"{100 * config.level:g}% CI: [{_fmt(result.ci.lo)}, {_fmt(result.ci.hi)}] "
           f"({verdict}: zero {'outside' if result.significant else 'inside'} the interval)")
     return EXIT_OK
 

@@ -147,6 +147,14 @@ class ResultPool:
         return cls(validation, test, direction, metric_name)
 
 
+class _CheckedPool(ResultPool):
+    """A pool over arrays already meeting ``ResultPool``'s invariants, used as
+    given: no copy, no check. Build it by ``from_arrays``: perfbench counts pools there."""
+
+    def __post_init__(self):
+        pass
+
+
 @dataclass(frozen=True)
 class BoonEstimate:
     """One best-out-of-n estimate, tagged with what produced it.
@@ -243,11 +251,11 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     order = _pair_order(vals, tests)
     sv = vals[order]
     st = tests[order]
-    group_start, group_end = _tie_groups(sv)
-    upper = (group_end / m) ** n
-    lower = (group_start / m) ** n
-    group_mean_test = np.add.reduceat(st, group_start) / (group_end - group_start)
-    return float(np.dot(upper - lower, group_mean_test))
+    # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
+    bounds = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1], [True])))
+    power = (bounds / m) ** n
+    group_mean_test = np.add.reduceat(st, bounds[:-1]) / (bounds[1:] - bounds[:-1])
+    return float(np.dot(power[1:] - power[:-1], group_mean_test))
 
 
 def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:

@@ -49,6 +49,7 @@ from .estimators import (
     BoonStatistic,
     EstimatorKind,
     ResultPool,
+    _CheckedPool,
     _boon_weighted_average,
     _oriented_scores,
     _tie_groups,
@@ -359,16 +360,21 @@ def _statistic_block(
     size: int,
     bandwidths: tuple[float, ...],
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Draw-and-evaluate block for any pool statistic: one pool per row."""
+    """Draw-and-evaluate block for any pool statistic: one pool per row, over
+    read-only views of the chunk's draws. A row with a non-finite score (an
+    overflowed smoothed draw) is a failed evaluation."""
     columns = (pool.validation_scores, pool.test_scores)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
         v, t = _draw(rng, columns, rows, size, bandwidths)
+        finite = np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)
+        v.flags.writeable = t.flags.writeable = False
         return np.array([
             _evaluate(
-                statistic, ResultPool.from_arrays(v[r], t[r], pool.direction, pool.metric_name)
+                statistic, _CheckedPool.from_arrays(v[r], t[r], pool.direction, pool.metric_name)
             )
-            for r in range(rows)
+            if ok else math.nan
+            for r, ok in enumerate(finite.tolist())
         ])
 
     return block

@@ -274,6 +274,14 @@ class TestCompare:
         assert comparison["significant"] is False
         assert "not significant" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("level, shown", [("0.95", "95% CI"), ("0.29", "29% CI"),
+                                              ("0.975", "97.5% CI")])
+    def test_printed_level_is_the_given_one(self, toy_csv, tmp_path, capsys, level, shown):
+        out = tmp_path / "cmp.json"
+        assert run(["compare", toy_csv, toy_csv, "--bootstrap", "200", "--level", level,
+                    "--output", out]) == EXIT_OK
+        assert f"\n{shown}: [" in capsys.readouterr().out
+
     def test_shifted_file_recovers_delta(self, toy_csv, tmp_path):
         shifted = helpers.write_pool_csv(
             tmp_path / "shifted.csv", [(0.1 + 1.0, 11.0), (1.2, 21.0), (1.3, 31.0)]

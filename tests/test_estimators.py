@@ -41,6 +41,42 @@ def small_pools(min_m=1, max_m=6):
     return st.lists(record, min_size=min_m, max_size=max_m)
 
 
+# float.hex of Boo(1), Boo(5) and Boo(20) on the pools of _golden_pool,
+# computed by the previous tie-group implementation (group starts and ends
+# taken separately, two power calls); any change to the arithmetic shows.
+_GOLDEN_BOON = {
+    "single record": {
+        "maximize": ["0x1.2000000000000p+1"] * 3,
+        "minimize": ["0x1.2000000000000p+1"] * 3,
+    },
+    "all tied": {
+        "maximize": ["0x1.5555555555555p+0"] * 3,
+        "minimize": ["0x1.5555555555555p+0"] * 3,
+    },
+    "tied 50-record resample": {
+        "maximize": ["0x1.1657816578165p+1", "0x1.8226fc66f5f2cp+1", "0x1.ba3dfb29ca117p+1"],
+        "minimize": ["0x1.1657816578167p+1", "0x1.7f3cbb19a387ap+0", "0x1.816260c43092ep-2"],
+    },
+    "2000 records, 2-decimal validations": {
+        "maximize": ["0x1.406c803887d23p+2", "0x1.42bc028ba1f5ap+2", "0x1.478bb659da067p+2"],
+        "minimize": ["0x1.406c803887d25p+2", "0x1.3e0038b80443bp+2", "0x1.398f24680f0d8p+2"],
+    },
+}
+
+
+def _golden_pool(name):
+    """Pools built from integers by exact division, with no random draw."""
+    i = np.arange(2000)
+    v50, t50 = (i[:50] * 13 % 50) / 7, (i[:50] * 29 % 53) / 11
+    resample = i[:50] ** 2 * 7 % 50  # 22 distinct records
+    return {
+        "single record": ([0.5], [2.25]),
+        "all tied": (np.full(9, 1.5), (i[:9] * 5 % 9) / 3),
+        "tied 50-record resample": (v50[resample], t50[resample]),
+        "2000 records, 2-decimal validations": ((i * 7919 % 1000) / 100, (i * 104729 % 10007) / 997),
+    }[name]
+
+
 class TestBoonNonparametric:
     def test_n1_equals_test_mean(self):
         pool = helpers.bivariate_normal_pool(m=37, rho=0.4, seed=2)
@@ -160,6 +196,14 @@ class TestBoonNonparametric:
         pool = ResultPool.from_pairs(list(zip(scores, scores)))
         values = [boon_nonparametric(pool, n).value for n in range(1, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("name", list(_GOLDEN_BOON))
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_values_are_pinned_to_the_bit(self, name, direction):
+        v, t = _golden_pool(name)
+        pool = ResultPool.from_arrays(v, t, direction)
+        got = [float.hex(boon_nonparametric(pool, n).value) for n in (1, 5, 20)]
+        assert got == _GOLDEN_BOON[name][direction.value]
 
 
 def _boon_value(pool, n):

@@ -151,6 +151,31 @@ class TestBootstrapCI:
         assert ci.lo <= ci.hi
         assert bootstrap_ci(pool, picky, cfg, workers=3) == ci
 
+    @pytest.mark.parametrize("bandwidth", [0.0, "auto"])
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_statistic_gets_read_only_pools_that_stay_unchanged(self, bandwidth, size):
+        pool = helpers.bivariate_normal_pool(m=30, seed=6)
+        width = pool.m if size is None else size
+        kept = []
+
+        def inspect(resample):
+            for scores in (resample.validation_scores, resample.test_scores):
+                assert scores.shape == (width,) and scores.dtype == np.float64
+                assert scores.flags.c_contiguous and not scores.flags.writeable
+            assert isinstance(resample, ResultPool) and resample.direction is pool.direction
+            assert len(resample.records) == width
+            if not kept:
+                kept.append((resample, resample.validation_scores.copy(),
+                             resample.test_scores.copy()))
+            return boon5(resample)
+
+        # two chunks or more: 2340 resamples of 7 records or 546 of 30 each
+        cfg = ResamplingConfig(replicates=2500, seed=4, bandwidth=bandwidth)
+        smoothed_bootstrap_ci(pool, inspect, cfg, resample_size=size)
+        first, v, t = kept[0]
+        np.testing.assert_array_equal(first.validation_scores, v)
+        np.testing.assert_array_equal(first.test_scores, t)
+
 
 class TestSmoothedBootstrapCI:
     def test_zero_bandwidth_equals_vanilla(self):
@@ -190,6 +215,15 @@ class TestSmoothedBootstrapCI:
         w1 = smoothed_bootstrap_ci(pool1, mean_test_score, cfg).width
         w10 = smoothed_bootstrap_ci(pool10, mean_test_score, cfg).width
         assert w10 == pytest.approx(10.0 * w1, rel=1e-9)
+
+    # The overflowing noise additions warn in the draw itself.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("statistic", [boon5, BoonStatistic(5)])
+    def test_overflowing_draws_are_failed_replicates(self, statistic):
+        pool = ResultPool.from_arrays([1e308, -1e308, 5e307, 0.0], [1.0, 2.0, 3.0, 4.0])
+        cfg = ResamplingConfig(replicates=200, seed=0, bandwidth=1e308)
+        with pytest.raises(ResamplingDegenerateError):
+            smoothed_bootstrap_ci(pool, statistic, cfg)
 
 
 class TestMonteCarloCI:
