@@ -248,9 +248,15 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     a canonical order and the result is bit-identical under record shuffles.
     """
     m = vals.size
-    order = _pair_order(vals, tests)
-    sv = vals[order]
-    st = tests[order]
+    # Above the lexsort size a sort costs far more than this O(m) check, so
+    # records that arrive in order (a bootstrap's rows) skip it.
+    if m > _LEXSORT_MAX_SIZE and (
+        (vals[:-1] < vals[1:]) | ((vals[:-1] == vals[1:]) & (tests[:-1] <= tests[1:]))
+    ).all():
+        sv, st = vals, tests
+    else:
+        order = _pair_order(vals, tests)
+        sv, st = vals[order], tests[order]
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
     bounds = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1], [True])))
     power = (bounds / m) ** n

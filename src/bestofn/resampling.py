@@ -26,7 +26,9 @@ size) noise), and its sequence is the records in increasing key order. A
 point's numbers therefore depend on the seed, the run, the sample count
 and m, not on the other points requested. Which replicates share a stream
 depends on the seed, the key and the resample size only, and chunks are
-concatenated in order, so output is bit-identical for a given seed.
+concatenated in order, so output is bit-identical for a given seed. A
+callable statistic gets an unsmoothed resample's records in the pool's
+worst-to-best (validation, test) order, a smoothed one's in draw order.
 """
 
 from __future__ import annotations
@@ -226,8 +228,18 @@ def _draw(
     out = [c[idx] for c in columns]
     if any(bandwidths):
         noise = rng.standard_normal((rows, size, len(columns)))
-        out = [c + h * noise[:, :, j] for j, (c, h) in enumerate(zip(out, bandwidths))]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows fail later
+            out = [c + h * noise[:, :, j] for j, (c, h) in enumerate(zip(out, bandwidths))]
     return out
+
+
+def _pool_order(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pool's worst-to-best (validation, test) order, lexsort's own
+    permutation, and each record's position in it (maximize convention)."""
+    order = np.lexsort((tests, vals))
+    rank = np.empty(order.size, dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    return order, rank
 
 
 def _count_boon(
@@ -246,9 +258,7 @@ def _count_boon(
     m = vals.size
     # lexsort's own permutation, not _pair_order's: the grouped sums below
     # depend on which of two equal pairs comes first. Once per run, it is cheap.
-    order = np.lexsort((tests, vals))
-    rank = np.empty(m, dtype=np.intp)
-    rank[order] = np.arange(m)
+    order, rank = _pool_order(vals, tests)
     sorted_tests = tests[order]
     group_start, _ = _tie_groups(vals[order])
     tied = group_start.size < m
@@ -341,16 +351,24 @@ def _boon_block(
             )
         e_n = std_normal_expected_max(n)
 
-        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * _gaussian_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), e_n)
+        def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return _gaussian_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), e_n)
     elif any(bandwidths):
-        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
+        def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
     else:
         rank, boon = _count_boon(vals, tests, size, n)
 
-        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * boon(_draw(rng, (rank,), rows, size)[0])
+        def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return boon(_draw(rng, (rank,), rows, size)[0])
+
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        # A row that overflows comes out non-finite: a failed evaluation.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = sign * evaluate(rng, rows)
+        values[~np.isfinite(values)] = np.nan
+        return values
+
     return block
 
 
@@ -361,20 +379,37 @@ def _statistic_block(
     bandwidths: tuple[float, ...],
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Draw-and-evaluate block for any pool statistic: one pool per row, over
-    read-only views of the chunk's draws. A row with a non-finite score (an
-    overflowed smoothed draw) is a failed evaluation."""
+    read-only views of the chunk's draws, in the pool's worst-to-best
+    (validation, test) order unless smoothed. A smoothed row with a
+    non-finite score (an overflowed draw) is a failed evaluation; an
+    unsmoothed row holds the pool's own finite scores."""
     columns = (pool.validation_scores, pool.test_scores)
+    if any(bandwidths):
+        # Noise is drawn for the draw's positions, so rows keep draw order.
+        def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
+            v, t = _draw(rng, columns, rows, size, bandwidths)
+            return v, t, (np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)).tolist()
+    else:
+        order, rank = _pool_order(*_oriented_scores(pool)[:2])
+        # Positions sort two to three times as fast as 16-bit integers.
+        rank = rank.astype(np.int16 if pool.m <= 2**15 else np.intp)
+        columns = tuple(c[order] for c in columns)
+
+        def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
+            pos = _draw(rng, (rank,), rows, size)[0]
+            pos.sort(axis=1)
+            pos = pos.astype(np.intp)
+            return columns[0][pos], columns[1][pos], [True] * rows
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        v, t = _draw(rng, columns, rows, size, bandwidths)
-        finite = np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)
+        v, t, finite = draw(rng, rows)
         v.flags.writeable = t.flags.writeable = False
         return np.array([
             _evaluate(
                 statistic, _CheckedPool.from_arrays(v[r], t[r], pool.direction, pool.metric_name)
             )
             if ok else math.nan
-            for r, ok in enumerate(finite.tolist())
+            for r, ok in enumerate(finite)
         ])
 
     return block
@@ -417,9 +452,10 @@ def bootstrap_ci(
     :class:`ResamplingDegenerateError` if more than 1% of evaluations fail.
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
-    once; any other callable is called on one resampled pool at a time.
-    Both see the same resamples under the same seed. ``workers`` is
-    accepted for compatibility and has no effect.
+    once; any other callable is called on one resampled pool at a time,
+    its records in worst-to-best (validation, test) order. Both see the
+    same resamples under the same seed. ``workers`` is accepted for
+    compatibility and has no effect.
     """
     return _bootstrap_interval(pool, statistic, config, (), CIMethod.BOOTSTRAP, resample_size)
 

@@ -54,3 +54,43 @@ def sample_std(values):
     m = len(values)
     mean = sum(values) / m
     return math.sqrt(sum((x - mean) ** 2 for x in values) / (m - 1))
+
+
+def bootstrap_boon_mean(records, n, s, direction="maximize"):
+    """Exact mean of the non-parametric Boo(n) over with-replacement
+    resamples of s records (Hutson & Ernst 2000).
+
+    With the validation tie groups ranked worst first and G_g the number of
+    pool records in groups 1..g, a resample's count S_g of those records is
+    Binomial(s, G_g / m). Group g weighs (S_g/s)^n - (S_{g-1}/s)^n, which is
+    zero when the resample misses the group, and given the group counts the
+    resample's mean test score in a drawn group averages to the group's pool
+    mean t_g. So the mean is sum_g t_g * (E[(S_g/s)^n] - E[(S_{g-1}/s)^n]).
+    """
+    sign = -1.0 if direction == "minimize" else 1.0
+    m = len(records)
+    groups = {}
+    for v, t in records:
+        groups.setdefault(sign * v, []).append(t)
+
+    def power_mean(p):
+        """E[(S/s)^n] for S ~ Binomial(s, p), the pmf taken in log space."""
+        if p == 1.0:
+            return 1.0
+        total = 0.0
+        for k in range(1, s + 1):
+            log_pmf = (
+                math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1)
+                + k * math.log(p) + (s - k) * math.log1p(-p)
+            )
+            total += math.exp(log_pmf) * (k / s) ** n
+        return total
+
+    mean, below, previous = 0.0, 0, 0.0
+    for key in sorted(groups):
+        tests = groups[key]
+        below += len(tests)
+        current = power_mean(below / m)
+        mean += sum(tests) / len(tests) * (current - previous)
+        previous = current
+    return mean

@@ -235,6 +235,39 @@ class TestPairOrder:
             got = estimators._pair_order(v, t)
             assert np.array_equal(v[got], v[want]) and np.array_equal(t[got], t[want]), name
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_large_pool_in_order_skips_the_sort_and_keeps_its_value(self, direction, monkeypatch):
+        calls = []
+        pair_order = estimators._pair_order
+
+        def counted(vals, tests):
+            calls.append(vals.size)
+            return pair_order(vals, tests)
+
+        monkeypatch.setattr(estimators, "_pair_order", counted)
+        rng = np.random.default_rng(23)
+        m = estimators._LEXSORT_MAX_SIZE + 650
+        pools = _pair_pools(m, rng)
+        v = rng.normal(size=m).round(1)
+        v[:40] = [-0.0, 0.0] * 20  # a -0.0/0.0 validation tie with distinct tests
+        pools["signed_zero_tie"] = (v, rng.normal(size=m))
+        sign = -1.0 if direction is Direction.MINIMIZE else 1.0
+        for name, (v, t) in pools.items():
+            order = np.lexsort((sign * t, sign * v))  # worst to best
+            v, t = v[order], t[order]
+            calls.clear()
+            want = [_boon_value(ResultPool.from_arrays(v, t, direction), n) for n in (1, 5, 20)]
+            assert not calls, name
+            for shuffle in (rng.permutation(m), np.arange(m)[::-1]):
+                shuffled = ResultPool.from_arrays(v[shuffle], t[shuffle], direction)
+                assert [_boon_value(shuffled, n) for n in (1, 5, 20)] == want, name
+            # one swapped pair of tied validations is out of order again
+            for i in np.flatnonzero((v[1:] == v[:-1]) & (t[1:] != t[:-1]))[:1]:
+                v[[i, i + 1]], t[[i, i + 1]] = v[[i + 1, i]], t[[i + 1, i]]
+                calls.clear()
+                assert _boon_value(ResultPool.from_arrays(v, t, direction), 5) == want[1], name
+                assert calls == [m], name
+
     def test_more_groups_than_sixteen_bits_number(self):
         rng = np.random.default_rng(3)
         v = rng.permutation(np.concatenate((np.arange(66_000.0), np.arange(4_000.0))))

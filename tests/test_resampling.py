@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -176,6 +177,122 @@ class TestBootstrapCI:
         np.testing.assert_array_equal(first.validation_scores, v)
         np.testing.assert_array_equal(first.test_scores, t)
 
+    # float.hex of bootstrap_ci(pool, boon5) endpoints on _pinned_pool (300
+    # replicates, seed 21), computed when each callable resample came in draw
+    # order and every Boo(n) sorted its records: the order a callable now
+    # gets must leave every permutation-invariant number as it was.
+    _PINNED = {
+        ("maximize", None, "bootstrap"): ("-0x1.22e01dbcfea9ep-3", "0x1.25ccb3bd1bcbbp-5"),
+        ("maximize", None, "smoothed"): ("-0x1.180987dadac83p-3", "0x1.77fd362b2404dp-5"),
+        ("maximize", 7, "bootstrap"): ("-0x1.1b6311f1d0427p+0", "0x1.16017a043426fp+0"),
+        ("maximize", 7, "smoothed"): ("-0x1.3f3ff14635cd8p+0", "0x1.1824ae183904fp+0"),
+        ("minimize", None, "bootstrap"): ("-0x1.8553bf1ca6281p-4", "0x1.7789966cbe31bp-4"),
+        ("minimize", None, "smoothed"): ("-0x1.9a79f50e40230p-4", "0x1.60174efb16b97p-4"),
+        ("minimize", 7, "bootstrap"): ("-0x1.348df55c05f5cp+0", "0x1.5b37a32eeea35p+0"),
+        ("minimize", 7, "smoothed"): ("-0x1.3fbdd46090be3p+0", "0x1.5ea4b96aeb5c2p+0"),
+    }
+
+    @staticmethod
+    def _pinned_pool(direction, m=1200):
+        """m records with runs of equal pairs and 1-decimal validations."""
+        rng = np.random.default_rng(11)
+        idx = rng.integers(0, m, m)
+        v, t = rng.normal(size=m).round(1)[idx], rng.normal(size=m).round(2)[idx]
+        return ResultPool.from_arrays(v, t, direction)
+
+    @pytest.mark.parametrize("key", list(_PINNED))
+    def test_large_tied_pool_intervals_are_pinned_to_the_bit(self, key):
+        direction, size, method = key
+        run = bootstrap_ci if method == "bootstrap" else smoothed_bootstrap_ci
+        cfg = ResamplingConfig(replicates=300, seed=21)
+        ci = run(self._pinned_pool(direction), boon5, cfg, resample_size=size)
+        assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED[key]
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_a_callable_gets_each_unsmoothed_resample_worst_to_best(self, direction, size):
+        rng = np.random.default_rng(12)
+        v, t = rng.integers(0, 5, 40).astype(float), rng.normal(size=40).round(1)
+        pool = ResultPool.from_arrays(v, t, direction)
+        width = pool.m if size is None else size
+        seen = []
+
+        def record(resample):
+            seen.append((resample.validation_scores.copy(), resample.test_scores.copy()))
+            return 0.0
+
+        bootstrap_ci(pool, record, ResamplingConfig(replicates=100, seed=5), resample_size=size)
+        # one chunk holds all 100 resamples: rebuild its index draw
+        idx = resampling._rng(5, 0).integers(0, pool.m, size=(100, width))
+        sign = 1.0 if direction == "maximize" else -1.0
+        assert len(seen) == 100
+        for row, (sv, st) in zip(idx, seen):
+            assert sorted(zip(sv, st)) == sorted(zip(v[row], t[row]))
+            # ascending (validation, test) pairs for maximize, descending for minimize
+            assert (np.diff(sign * sv) >= 0).all()
+            np.testing.assert_array_equal(np.lexsort((sign * st, sign * sv)), np.arange(width))
+
+    @pytest.mark.parametrize("m", [2**15, 2**15 + 1])
+    def test_pool_order_holds_at_the_widest_sixteen_bit_position(self, m):
+        # Positions sort as 16-bit integers up to 2**15 records; the best
+        # record's position is the largest one and must not wrap around.
+        rng = np.random.default_rng(m)
+        v, t = rng.permutation(m).astype(float), rng.normal(size=m)
+        seen = []
+
+        def record(resample):
+            if len(seen) < 8:
+                seen.append(resample.validation_scores.copy())
+            return 0.0
+
+        bootstrap_ci(ResultPool.from_arrays(v, t), record, ResamplingConfig(replicates=100, seed=5))
+        # each chunk holds one full-size resample
+        rows = [resampling._rng(5, k).integers(0, m, size=(1, m))[0] for k in range(8)]
+        assert any((idx == v.argmax()).any() for idx in rows)
+        for idx, got in zip(rows, seen, strict=True):
+            np.testing.assert_array_equal(got, np.sort(v[idx]))
+
+    def test_a_callable_gets_each_smoothed_resample_in_draw_order(self):
+        pool = helpers.bivariate_normal_pool(m=40, seed=2, direction="minimize")
+        seen = []
+
+        def record(resample):
+            seen.append((resample.validation_scores.copy(), resample.test_scores.copy()))
+            return 0.0
+
+        cfg = ResamplingConfig(replicates=100, seed=5, bandwidth=0.1)
+        smoothed_bootstrap_ci(pool, record, cfg)
+        rng = resampling._rng(5, 0)
+        idx = rng.integers(0, pool.m, size=(100, pool.m))
+        noise = rng.standard_normal((100, pool.m, 2))
+        np.testing.assert_array_equal(
+            [v for v, _ in seen], pool.validation_scores[idx] + 0.1 * noise[:, :, 0]
+        )
+        np.testing.assert_array_equal(
+            [t for _, t in seen], pool.test_scores[idx] + 0.1 * noise[:, :, 1]
+        )
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    def test_large_pool_boon_skips_its_sort_on_unsmoothed_resamples(self, direction, monkeypatch):
+        # Counts, not timings: a Boo(n) resample handed over in pool order
+        # must not reach the record sort, a smoothed one must. The engine
+        # takes the pool's own order without _pair_order.
+        calls = []
+        pair_order = estimators._pair_order
+
+        def counted(vals, tests):
+            calls.append(vals.size)
+            return pair_order(vals, tests)
+
+        monkeypatch.setattr(estimators, "_pair_order", counted)
+        pool = self._pinned_pool(direction, m=2000)
+        cfg = ResamplingConfig(replicates=100, seed=3)
+        bootstrap_ci(pool, boon5, cfg)
+        assert not calls
+        calls.clear()
+        smoothed_bootstrap_ci(pool, boon5, cfg)
+        assert len(calls) >= 100
+
 
 class TestSmoothedBootstrapCI:
     def test_zero_bandwidth_equals_vanilla(self):
@@ -216,8 +333,6 @@ class TestSmoothedBootstrapCI:
         w10 = smoothed_bootstrap_ci(pool10, mean_test_score, cfg).width
         assert w10 == pytest.approx(10.0 * w1, rel=1e-9)
 
-    # The overflowing noise additions warn in the draw itself.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("statistic", [boon5, BoonStatistic(5)])
     def test_overflowing_draws_are_failed_replicates(self, statistic):
         pool = ResultPool.from_arrays([1e308, -1e308, 5e307, 0.0], [1.0, 2.0, 3.0, 4.0])
@@ -675,6 +790,50 @@ class TestEngine:
         lo, hi = np.quantile(want, [0.025, 0.975])
         assert ci.lo == pytest.approx(lo, rel=1e-12)
         assert ci.hi == pytest.approx(hi, rel=1e-12)
+
+    def test_bootstrap_mean_oracle_agrees_with_enumerated_resamples(self):
+        records = [(0.0, 1.0), (1.0, 3.0), (1.0, 5.0), (2.0, -1.0)]
+        for direction in ("maximize", "minimize"):
+            for s in (1, 3, 4):
+                resamples = itertools.product(records, repeat=s)
+                want = np.mean([
+                    boon_nonparametric(ResultPool.from_pairs(r, direction), 3).value
+                    for r in resamples
+                ])
+                got = oracles.bootstrap_boon_mean(records, 3, s, direction)
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("pool_kind", ["untied", "tied", "large tied"])
+    @pytest.mark.parametrize("path", ["count kernel", "callable"])
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_replicate_mean_matches_the_exact_bootstrap_mean(
+        self, direction, pool_kind, path, size
+    ):
+        rng = np.random.default_rng(len(pool_kind))
+        m = 1000 if pool_kind == "large tied" else 40
+        v, t = rng.normal(size=m), rng.normal(size=m)
+        if pool_kind != "untied":
+            v = rng.integers(0, 12, m) / 4.0
+        pool = ResultPool.from_arrays(v, t + 0.8 * v, direction)
+        s = pool.m if size is None else size
+        if path == "count kernel":
+            block = resampling._boon_block(pool, BoonStatistic(5), s)
+        else:
+            block = resampling._statistic_block(pool, boon5, s, ())
+        replicates = 500 if m == 1000 and size is None else 2000
+        values = resampling._chunked_replicates(replicates, s, 13, block)
+        want = oracles.bootstrap_boon_mean(
+            list(zip(pool.validation_scores, pool.test_scores)), 5, s, direction
+        )
+        # bound fixed before running: 4 replicate standard errors
+        assert abs(values.mean() - want) <= 4 * values.std(ddof=1) / math.sqrt(replicates)
+
+    def test_overflowing_kernel_rows_are_failed_replicates(self):
+        # a resample holding both 1e308 tests sums them to inf
+        pool = ResultPool.from_arrays([0.0, 0.0, 1.0], [1e308, 1e308, 0.0])
+        with pytest.raises(ResamplingDegenerateError):
+            bootstrap_ci(pool, BoonStatistic(5), ResamplingConfig(replicates=100, seed=0))
 
     def test_all_tied_validations_make_every_n_the_test_mean(self):
         params = GaussianParams(mu_val=63.5, mu_test=0.0, sigma_val=1e-300, sigma_test=1.0, rho=0.0)
