@@ -102,6 +102,9 @@ def _parse_score(raw, line_num: int, column: str, bad_rows: list) -> float | Non
     except (TypeError, ValueError):
         bad_rows.append((line_num, f"non-numeric {column!r} value {raw!r}"))
         return None
+    except OverflowError:  # a JSON integer beyond the float range
+        bad_rows.append((line_num, f"{column!r} value beyond the float range"))
+        return None
     if not math.isfinite(value):
         bad_rows.append((line_num, f"non-finite {column!r} value {raw!r}"))
         return None
@@ -131,43 +134,61 @@ def load_pool(pool_file: PoolFile) -> ResultPool:
     return ResultPool.from_arrays(vals, tests, pool_file.direction, pool_file.test_column)
 
 
+def _read_text(pool_file: PoolFile) -> str:
+    """The whole file decoded as UTF-8; bytes that are not UTF-8 are a data
+    error naming their line."""
+    data = Path(pool_file.path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Line breaks as open() counts them; the appended byte starts or
+        # ends the bad byte's line.
+        line = len((data[: exc.start] + b".").splitlines())
+        raise PoolFileError(
+            f"malformed rows in {pool_file.path}", [(line, f"not UTF-8 text ({exc.reason})")]
+        ) from None
+
+
 def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
     """Yield (line number, row) for each well-formed CSV row."""
-    # utf-8-sig drops a leading byte-order mark, which would otherwise
-    # become part of the first column name.
-    with open(pool_file.path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in (pool_file.val_column, pool_file.test_column):
-            if column not in header:
-                raise PoolFileError(
-                    f"column {column!r} not found in {pool_file.path} "
-                    f"(header: {', '.join(header) or 'empty'})"
-                )
-        for row in reader:
-            line = reader.line_num
-            if None in row:  # DictReader files fields beyond the header under None
-                bad_rows.append((line, f"{len(header) + len(row[None])} fields, "
-                                       f"header has {len(header)}"))
-            else:
-                yield line, row
+    # A leading byte-order mark would otherwise become part of the first
+    # column name.
+    text = _read_text(pool_file).removeprefix("\ufeff")
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    header = reader.fieldnames or []
+    for column in (pool_file.val_column, pool_file.test_column):
+        if column not in header:
+            raise PoolFileError(
+                f"column {column!r} not found in {pool_file.path} "
+                f"(header: {', '.join(header) or 'empty'})"
+            )
+    for row in reader:
+        line = reader.line_num
+        if None in row:  # DictReader files fields beyond the header under None
+            bad_rows.append((line, f"{len(header) + len(row[None])} fields, "
+                                   f"header has {len(header)}"))
+        else:
+            yield line, row
 
 
 def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each JSON object."""
-    with open(pool_file.path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                bad_rows.append((line_num, f"invalid JSON ({exc.msg})"))
-                continue
-            if not isinstance(obj, dict):
-                bad_rows.append((line_num, "expected a JSON object"))
-                continue
-            yield line_num, obj
+    lines = io.StringIO(_read_text(pool_file), newline=None)
+    for line_num, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        # Besides JSONDecodeError: a plain ValueError for an integer past
+        # Python's digit limit, RecursionError for deep nesting.
+        except (ValueError, RecursionError) as exc:
+            reason = getattr(exc, "msg", "a number or nesting beyond the parser's limits")
+            bad_rows.append((line_num, f"invalid JSON ({reason})"))
+            continue
+        if not isinstance(obj, dict):
+            bad_rows.append((line_num, "expected a JSON object"))
+            continue
+        yield line_num, obj
 
 
 def _pool_fingerprint(pool_file: PoolFile, pool: ResultPool) -> dict:

@@ -29,6 +29,8 @@ depends on the seed, the key and the resample size only, and chunks are
 concatenated in order, so output is bit-identical for a given seed. A
 callable statistic gets an unsmoothed resample's records in the pool's
 worst-to-best (validation, test) order, a smoothed one's in draw order.
+A failed replicate is a NaN or infinite value, and a run prints no
+floating-point warnings.
 """
 
 from __future__ import annotations
@@ -162,12 +164,11 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _percentile_interval(
-    values: np.ndarray, level: float, method: CIMethod, replicates: int
+    values: np.ndarray, config: ResamplingConfig, method: CIMethod
 ) -> ConfidenceInterval:
+    level = config.level
     lo, hi = np.quantile(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return ConfidenceInterval(
-        lo=float(lo), hi=float(hi), level=level, method=method, replicates=replicates
-    )
+    return ConfidenceInterval(float(lo), float(hi), level, method, config.replicates)
 
 
 def _chunked_replicates(
@@ -182,30 +183,33 @@ def _chunked_replicates(
     split off (seed, *key, k) (see the module docstring for the layout).
 
     ``block(rng, rows)`` draws and evaluates ``rows`` replicates of
-    ``size`` records each, as ``rows`` values or a ``(rows, points)`` array,
-    with NaN marking a failed evaluation. Each row holding a failure is
-    redrawn one at a time from its chunk's stream, up to
-    ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the run aborts with
-    :class:`ResamplingDegenerateError` when more than 1% of all evaluations
-    fail.
+    ``size`` records each, as ``rows`` values or a ``(rows, points)`` array.
+    A failed replicate is a NaN or infinite value, and a run prints no
+    floating-point warnings. Each row holding a failure is redrawn one at a
+    time from its chunk's stream, up to ``_MAX_ATTEMPTS_PER_REPLICATE``
+    attempts, and the run aborts with :class:`ResamplingDegenerateError`
+    when more than 1% of all evaluations fail.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
     parts = []
     failures = 0
     for k in range(-(-count // rows)):
         rng = _rng(seed, *key, k)
-        values = block(rng, min(rows, count - k * rows))
-        for i in np.flatnonzero(np.isnan(values.reshape(len(values), -1)).any(axis=1)):
-            failures += 1
-            for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
-                values[i] = block(rng, 1)[0]
-                if not np.isnan(values[i]).any():
-                    break
+        # Around user callables too, on purpose: a non-finite result fails its
+        # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
+        with np.errstate(all="ignore"):
+            values = block(rng, min(rows, count - k * rows))
+            for i in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1)):
                 failures += 1
+                for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
+                    values[i] = block(rng, 1)[0]
+                    if np.isfinite(values[i]).all():
+                        break
+                    failures += 1
         parts.append(values)
     values = parts[0] if len(parts) == 1 else np.concatenate(parts)
     failure_rate = failures / (count + failures)
-    if np.isnan(values).any() or failure_rate > _FAILURE_BUDGET:
+    if not np.isfinite(values).all() or failure_rate > _FAILURE_BUDGET:
         raise ResamplingDegenerateError(failure_rate)
     return values
 
@@ -228,8 +232,7 @@ def _draw(
     out = [c[idx] for c in columns]
     if any(bandwidths):
         noise = rng.standard_normal((rows, size, len(columns)))
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowed rows fail later
-            out = [c + h * noise[:, :, j] for j, (c, h) in enumerate(zip(out, bandwidths))]
+        out = [c + h * noise[:, :, j] for j, (c, h) in enumerate(zip(out, bandwidths))]
     return out
 
 
@@ -315,12 +318,12 @@ def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_n: float) -> np.ndarra
 
 
 def _evaluate(statistic: Callable[[ResultPool], float], pool: ResultPool) -> float:
-    """The statistic's value on one resample, NaN if it fails there."""
+    """The statistic's value on one resample, NaN if it raises; the engine fails a NaN
+    or infinite value and keeps the statistic's floating-point warnings off."""
     try:
-        value = float(statistic(pool))
+        return float(statistic(pool))
     except (BestOfNError, ValueError, ZeroDivisionError, FloatingPointError):
         return math.nan
-    return value if math.isfinite(value) else math.nan
 
 
 def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float, float]:
@@ -352,24 +355,17 @@ def _boon_block(
         e_n = std_normal_expected_max(n)
 
         def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return _gaussian_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), e_n)
+            return sign * _gaussian_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), e_n)
     elif any(bandwidths):
         def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
+            return sign * _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
     else:
         rank, boon = _count_boon(vals, tests, size, n)
 
         def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return boon(_draw(rng, (rank,), rows, size)[0])
+            return sign * boon(_draw(rng, (rank,), rows, size)[0])
 
-    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        # A row that overflows comes out non-finite: a failed evaluation.
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = sign * evaluate(rng, rows)
-        values[~np.isfinite(values)] = np.nan
-        return values
-
-    return block
+    return evaluate
 
 
 def _statistic_block(
@@ -431,7 +427,7 @@ def _bootstrap_interval(
     else:
         block = _statistic_block(pool, statistic, size, bandwidths)
     values = _chunked_replicates(config.replicates, size, config.seed, block)
-    return _percentile_interval(values, config.level, method, config.replicates)
+    return _percentile_interval(values, config, method)
 
 
 def bootstrap_ci(
@@ -447,9 +443,10 @@ def bootstrap_ci(
     Draws ``config.replicates`` with-replacement resamples (of the pool's
     own size unless ``resample_size`` narrows them), evaluates the
     statistic on each, and takes the (1-level)/2 and (1+level)/2 quantiles
-    of the replicate values. A statistic may fail on the odd degenerate
-    resample; such replicates are redrawn, and the run aborts with
-    :class:`ResamplingDegenerateError` if more than 1% of evaluations fail.
+    of the replicate values. A replicate whose statistic raises or gives a
+    NaN or infinite value has failed and is redrawn; the run aborts with
+    :class:`ResamplingDegenerateError` if more than 1% of evaluations fail,
+    and prints no floating-point warnings, the statistic's own included.
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
     once; any other callable is called on one resampled pool at a time,
@@ -522,9 +519,7 @@ def monte_carlo_ci_gaussian(
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
     block = _monte_carlo_block(params, m, n, estimator_kind)
     values = _chunked_replicates(config.replicates, m, config.seed, block)
-    return _percentile_interval(
-        values, config.level, CIMethod.MONTE_CARLO_GAUSSIAN, config.replicates
-    )
+    return _percentile_interval(values, config, CIMethod.MONTE_CARLO_GAUSSIAN)
 
 
 def _monte_carlo_block(
@@ -617,7 +612,7 @@ def best_of_m_curve(
         def with_replacement(rng: np.random.Generator, rows: int) -> np.ndarray:
             out = np.empty((len(ms), rows))
             out_row = dict(zip(ms, out))
-            best_v, best_t = np.full(rows, -np.inf), np.empty(rows)
+            best_v, best_t = np.full(rows, -np.inf), np.full(rows, np.nan)
             for j in range(1, ms[-1] + 1):
                 idx = rng.integers(0, pool.m, size=rows)
                 v, t = vals[idx], tests[idx]
@@ -686,7 +681,7 @@ def best_of_m_curve(
         cis = [None] * len(group)
         if with_ci:
             cis = [
-                _percentile_interval(b, config.level, CIMethod.SMOOTHED_BOOTSTRAP, config.replicates)
+                _percentile_interval(b, config, CIMethod.SMOOTHED_BOOTSTRAP)
                 for b in best_tests(group, config.replicates, 1, bandwidths)
             ]
         for m, (mean, mc_se), ci in zip(group, estimates, cis):
@@ -730,6 +725,6 @@ def compare_architectures(
         return block_b(rng, rows) - boon_a
 
     values = _chunked_replicates(config.replicates, pool_a.m + pool_b.m, config.seed, block)
-    ci = _percentile_interval(values, config.level, CIMethod.BOOTSTRAP, config.replicates)
+    ci = _percentile_interval(values, config, CIMethod.BOOTSTRAP)
     significant = not ci.contains(0.0)
     return ComparisonResult(delta=delta, ci=ci, significant=significant)

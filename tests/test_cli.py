@@ -125,6 +125,46 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert "line 3" in err and "3 fields" in err
 
+    @pytest.mark.parametrize(
+        "name, data, line",
+        [
+            ("bad.csv", b"validation,test\r\n0.1,1\r\n0.2,\xff3\r\n", 3),
+            ("bad.jsonl", b'{"validation": 0.1, "test": 1}\r{"validation": 0.2, "test": "\xff"}',
+             2),
+        ],
+        ids=["csv", "jsonl"],
+    )
+    def test_bytes_that_are_not_utf8_are_an_error_naming_the_line(
+        self, name, data, line, tmp_path, capsys
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{name}: line {line}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize(
+        "value, reasons",
+        [
+            ("9" * 400, ["beyond the float range"]),
+            # Python 3.11 and later refuse an integer past 4,300 digits in
+            # json.loads; earlier versions parse it and float() overflows.
+            ("9" * 5000, ["invalid JSON", "beyond the float range"]),
+            ("[" * 100_000, ["invalid JSON"]),
+        ],
+        ids=["400 digits", "5000 digits", "deep nesting"],
+    )
+    def test_jsonl_value_a_float_cannot_hold_is_an_error_naming_the_line(
+        self, value, reasons, tmp_path, capsys
+    ):
+        path = tmp_path / "pool.jsonl"
+        path.write_text(
+            '{"validation": 0.1, "test": 1.0}\n{"validation": 0.2, "test": ' + value + "}\n"
+        )
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 2" in err and any(reason in err for reason in reasons)
+
     def test_unwritable_output_is_reported_as_a_write_error(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "report.json"
         assert run(["summarize", toy_csv, "--output", out]) == EXIT_DATA
@@ -256,6 +296,15 @@ class TestCurve:
         (point,) = read_report(out)["curve"]
         mean = float(pool.test_scores.mean())
         assert abs(point["expected_best_test"] - mean) <= 3 * point["mc_se"]
+
+    def test_overflowing_band_is_an_estimator_error(self, tmp_path, capsys):
+        path = helpers.write_pool_csv(
+            tmp_path / "p.csv", [(-1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)]
+        )
+        rc = run(["curve", path, "--m-max", "2", "--samples-per-m", "200",
+                  "--bootstrap", "200", "--bandwidth", "1e308", "--seed", "0"])
+        assert rc == EXIT_ESTIMATOR
+        assert "statistic failed" in capsys.readouterr().err
 
     def test_rejects_bad_m_max(self, tmp_path, capsys):
         # refused by the parser: the missing input file is never opened

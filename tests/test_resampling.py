@@ -896,6 +896,60 @@ class TestEngine:
         np.testing.assert_array_equal(values[~failed], first[~failed])
         assert (values[failed] != first[failed]).all()
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_an_infinite_point_fails_its_row_as_nan_does(self, bad):
+        def block(rng, rows, mark=bad):
+            out = rng.random((rows, 3))
+            out[out[:, 0] < 0.005, 1] = mark
+            return out
+
+        nan_marked = resampling._chunked_replicates(5000, 1, 4, lambda r, n: block(r, n, math.nan))
+        np.testing.assert_array_equal(resampling._chunked_replicates(5000, 1, 4, block), nan_marked)
+        with pytest.raises(ResamplingDegenerateError):
+            resampling._chunked_replicates(200, 1, 4, lambda r, n: np.full(n, bad))
+
+
+# Scores whose draws, sums or simulated pools overflow the float range in far
+# more than 1% of replicates. Each routine fails those replicates and so
+# raises ResamplingDegenerateError; pytest's warnings-as-errors turns any
+# numpy warning that escapes into a different error.
+_OVERFLOW_POOL = ResultPool.from_arrays(np.arange(10.0), np.arange(10) * 1e307)
+_OVERFLOW_SMOOTHED = ResultPool.from_arrays([1e308, -1e308, 5e307, 0.0], [1.0, 2.0, 3.0, 4.0])
+_OVERFLOW_CURVE = ResultPool.from_arrays([-1e308, -1e308, 0.0], [1.0, 2.0, 3.0])
+# two copies of the 1e308 record in one resample sum its tie group to inf
+_OVERFLOW_TIED = ResultPool.from_arrays([0.0, 0.0, 1.0], [1e308, 0.0, 0.0])
+_OVERFLOW_PARAMS = GaussianParams(0.0, 1e308, 1.0, 1e308, 0.5)
+_CFG = ResamplingConfig(replicates=200, seed=0)
+_WIDE = ResamplingConfig(replicates=200, seed=0, bandwidth=1e308)
+_OVERFLOW_CASES = {
+    "bootstrap callable": lambda: bootstrap_ci(
+        _OVERFLOW_POOL, lambda p: float(np.sum(p.test_scores * 10)), _CFG
+    ),
+    "bootstrap BoonStatistic": lambda: bootstrap_ci(_OVERFLOW_TIED, BoonStatistic(5), _CFG),
+    "smoothed callable": lambda: smoothed_bootstrap_ci(_OVERFLOW_SMOOTHED, boon5, _WIDE),
+    "smoothed BoonStatistic": lambda: smoothed_bootstrap_ci(
+        _OVERFLOW_SMOOTHED, BoonStatistic(5), _WIDE
+    ),
+    "compare": lambda: compare_architectures(_OVERFLOW_TIED, _OVERFLOW_POOL, 5, _CFG),
+    "monte carlo non-parametric": lambda: monte_carlo_ci_gaussian(
+        _OVERFLOW_PARAMS, 20, 5, EstimatorKind.NONPARAMETRIC, _CFG
+    ),
+    "monte carlo Gaussian": lambda: monte_carlo_ci_gaussian(
+        _OVERFLOW_PARAMS, 20, 5, EstimatorKind.GAUSSIAN_PARAMETRIC, _CFG
+    ),
+    "curve band with replacement": lambda: best_of_m_curve(_OVERFLOW_CURVE, [1, 2], 200, _WIDE),
+    "curve band without replacement": lambda: best_of_m_curve(
+        _OVERFLOW_CURVE, [1, 2], 200, _WIDE, replace=False
+    ),
+}
+
+
+class TestOverflowingInputs:
+    @pytest.mark.parametrize("case", list(_OVERFLOW_CASES))
+    def test_every_entry_point_fails_overflowed_replicates(self, case):
+        with pytest.raises(ResamplingDegenerateError):
+            _OVERFLOW_CASES[case]()
+
 
 class TestDegenerateGaussianResamples:
     def test_mostly_degenerate_pool_is_refused(self):
