@@ -91,6 +91,8 @@ class _OutputError(Exception):
 
 
 def _parse_score(raw, line_num: int, column: str, bad_rows: list) -> float | None:
+    if type(raw) is float and math.isfinite(raw):  # the common JSON case
+        return raw
     if raw is None or (isinstance(raw, str) and raw.strip() == ""):
         bad_rows.append((line_num, f"missing {column!r} value"))
         return None
@@ -121,9 +123,10 @@ def load_pool(pool_file: PoolFile) -> ResultPool:
     tests: list[float] = []
     bad_rows: list[tuple[int, str]] = []
     read = _read_csv if pool_file.format == "csv" else _read_jsonl
-    columns = (pool_file.val_column, pool_file.test_column)
+    val_column, test_column = pool_file.val_column, pool_file.test_column
     for line, row in read(pool_file, bad_rows):
-        v, t = (_parse_score(row.get(c), line, c, bad_rows) for c in columns)
+        v = _parse_score(row.get(val_column), line, val_column, bad_rows)
+        t = _parse_score(row.get(test_column), line, test_column, bad_rows)
         if v is not None and t is not None:
             vals.append(v)
             tests.append(t)
@@ -135,11 +138,11 @@ def load_pool(pool_file: PoolFile) -> ResultPool:
 
 
 def _read_text(pool_file: PoolFile) -> str:
-    """The whole file decoded as UTF-8; bytes that are not UTF-8 are a data
-    error naming their line."""
+    """The whole file decoded as UTF-8, less a leading byte-order mark; bytes
+    that are not UTF-8 are a data error naming their line."""
     data = Path(pool_file.path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         # Line breaks as open() counts them; the appended byte starts or
         # ends the bad byte's line.
@@ -151,10 +154,7 @@ def _read_text(pool_file: PoolFile) -> str:
 
 def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
     """Yield (line number, row) for each well-formed CSV row."""
-    # A leading byte-order mark would otherwise become part of the first
-    # column name.
-    text = _read_text(pool_file).removeprefix("\ufeff")
-    reader = csv.DictReader(io.StringIO(text, newline=""))
+    reader = csv.DictReader(io.StringIO(_read_text(pool_file), newline=""))
     header = reader.fieldnames or []
     for column in (pool_file.val_column, pool_file.test_column):
         if column not in header:
@@ -171,6 +171,23 @@ def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]
             yield line, row
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_json_space = json.decoder.WHITESPACE.match
+
+
+def _json_loads(line: str):
+    """``json.loads(line)`` through a decoder bound once, skipping its
+    per-call checks; a line that does not parse cleanly goes to
+    ``json.loads`` itself, so every error message stays its own."""
+    try:
+        obj, end = _raw_decode(line, _json_space(line, 0).end())
+        if _json_space(line, end).end() == len(line):
+            return obj
+    except (ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
 def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each JSON object."""
     lines = io.StringIO(_read_text(pool_file), newline=None)
@@ -178,7 +195,7 @@ def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _json_loads(line)
         # Besides JSONDecodeError: a plain ValueError for an integer past
         # Python's digit limit, RecursionError for deep nesting.
         except (ValueError, RecursionError) as exc:

@@ -287,6 +287,26 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     )
 
 
+def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """``np.quantile(values, qs)`` on finite data, bit for bit: the default
+    "linear" method (Hyndman & Fan 1996, type 7) step by step, partitioning
+    at numpy's own kth list, whose choice among tied -0.0 and 0.0 shows in
+    the result. numpy builds that list with ``np.unique``, which imports
+    ``numpy.ma``, a 10-15 ms cost on a command's first quantile."""
+    a = np.array(values, dtype=float)
+    last = a.size - 1
+    virtual = [last * q for q in qs]
+    lo = [-1 if v >= last else math.floor(v) for v in virtual]
+    hi = [-1 if i == -1 else i + 1 for i in lo]
+    a.partition(sorted({0, -1, *lo, *hi}))
+    out = []
+    for v, i, j in zip(virtual, lo, hi):
+        gamma, x, y = v - i, float(a[i]), float(a[j])
+        diff = y - x
+        out.append(y - diff * (1 - gamma) if gamma >= 0.5 else x + diff * gamma)
+    return out
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
@@ -388,7 +408,9 @@ def summarize(pool: ResultPool) -> PoolSummary:
     m = pool.m
     mean_test = float(tests.mean())
     std_test = float(tests.std(ddof=1)) if m >= 2 else None
-    iqr_test = float(np.quantile(tests, 0.75) - np.quantile(tests, 0.25)) if m >= 2 else None
+    iqr_test = None
+    if m >= 2:
+        iqr_test = _linear_quantiles(tests, [0.75])[0] - _linear_quantiles(tests, [0.25])[0]
     range_test = (float(tests.min()), float(tests.max()))
 
     spearman = pearson = None

@@ -55,6 +55,7 @@ from .estimators import (
     ResultPool,
     _CheckedPool,
     _boon_weighted_average,
+    _linear_quantiles,
     _oriented_scores,
     _tie_groups,
     boon_nonparametric,
@@ -167,8 +168,8 @@ def _percentile_interval(
     values: np.ndarray, config: ResamplingConfig, method: CIMethod
 ) -> ConfidenceInterval:
     level = config.level
-    lo, hi = np.quantile(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return ConfidenceInterval(float(lo), float(hi), level, method, config.replicates)
+    lo, hi = _linear_quantiles(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    return ConfidenceInterval(lo, hi, level, method, config.replicates)
 
 
 def _chunked_replicates(
@@ -508,7 +509,7 @@ def monte_carlo_ci_gaussian(
     sigma_t * sqrt(1 - rho**2) * ||w|| * g with one g ~ N(0, 1) per pool,
     which is what each replicate draws. Rows whose validations tie after
     rounding take the group-averaged weights, as the estimator does, and
-    those weights' norm.
+    those weights' norm; rows whose validations overflow are failed replicates.
 
     ``workers`` is accepted for compatibility and has no effect.
     """
@@ -554,7 +555,11 @@ def _monte_carlo_block(
         z.sort(axis=1)
         out = params.mu_test * w_sum + slope * (z @ w) + residual * w_norm * g
         vals = params.mu_val + params.sigma_val * z
-        for r in np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1)):
+        # vals rise with the sorted z, so a row overflows at an end or not at
+        # all; its equal infinities are no tie, and the row fails.
+        finite = np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
+        out[~finite] = np.nan
+        for r in np.flatnonzero(finite & (vals[:, 1:] == vals[:, :-1]).any(axis=1)):
             start, end = _tie_groups(vals[r])
             wr = np.repeat((power[end] - power[start]) / (end - start), end - start)
             out[r] = (

@@ -118,6 +118,42 @@ class TestSummarize:
         assert run(["summarize", path]) == EXIT_OK
         assert "m=2" in capsys.readouterr().out
 
+    def test_jsonl_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(
+            '{"validation": 0.1, "test": 1}\n{"validation": 0.2, "test": 3}\n'.encode("utf-8-sig")
+        )
+        assert run(["summarize", path]) == EXIT_OK
+        assert "m=2" in capsys.readouterr().out
+
+    def test_jsonl_line_errors_keep_their_messages(self, tmp_path, capsys):
+        lines = [
+            '{"validation": 0.1, "test": 1.0}\n',
+            '{"validation": 0.2, "test": 2.0} {"test": 3}\n',
+            '{"validation": NaN, "test": 3.0}\n',
+            "[1, 2]\n",
+            '{"validation": 0.5, "test": Infinity}\n',
+            '\ufeff{"validation": 0.6, "test": 6.0}\n',  # a byte-order mark mid-file
+            '{"validation": "0.5", "test": 7.0}\r\n',
+            " \t \r\n",
+            "\n",
+            '{"validation": 0.8, "test": 8.0}\r\n',
+        ]
+        path = tmp_path / "mixed.jsonl"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        assert run(["summarize", path]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: malformed rows in {path}: line 2: invalid JSON (Extra data); "
+            "line 3: non-finite 'validation' value nan; line 4: expected a JSON object; "
+            "line 5: non-finite 'test' value inf; "
+            "line 6: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))\n"
+        )
+        path.write_text("".join(lines[i] for i in (0, 6, 7, 8, 9)), encoding="utf-8", newline="")
+        pool = cli.load_pool(cli.PoolFile(str(path), "jsonl", "validation", "test",
+                                          cli.Direction.MAXIMIZE))
+        assert pool.validation_scores.tolist() == [0.1, 0.5, 0.8]
+        assert pool.test_scores.tolist() == [1.0, 7.0, 8.0]
+
     def test_csv_row_with_extra_fields_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "extra.csv"
         path.write_text("validation,test\n0.1,10\n0.2,20,99\n")
@@ -487,26 +523,41 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         assert report["schema_version"] == 1
 
 
-def test_commands_run_without_importing_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def modules_after_every_command(tmp_path_factory):
+    """The modules a fresh interpreter holds after running each command once."""
     rows = [(0.1 * i, float(i % 7)) for i in range(12)]
-    path = helpers.write_pool_csv(tmp_path / "pool.csv", rows)
+    path = helpers.write_pool_csv(tmp_path_factory.mktemp("pool") / "pool.csv", rows)
     script = f"""
-import sys
-import bestofn
-from bestofn import cli, resampling
+import contextlib, io, json, sys
+from bestofn import cli
 for argv in (
-    ["summarize", {path!r}],
-    ["boon", {path!r}, "--bootstrap", "100"],
-    ["boon", {path!r}, "--estimator", "gaussian", "--bootstrap", "100"],
-    ["compare", {path!r}, {path!r}, "--bootstrap", "100"],
-    ["curve", {path!r}, "--m-max", "2", "--samples-per-m", "100", "--bootstrap", "100"],
+    ["summarize", {str(path)!r}],
+    ["boon", {str(path)!r}, "--bootstrap", "100"],
+    ["boon", {str(path)!r}, "--estimator", "gaussian", "--bootstrap", "100"],
+    ["compare", {str(path)!r}, {str(path)!r}, "--bootstrap", "100"],
+    ["curve", {str(path)!r}, "--m-max", "2", "--samples-per-m", "100", "--bootstrap", "100"],
 ):
-    assert cli.main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))
-assert not loaded, loaded
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
 """
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_commands_run_without_importing_scipy(modules_after_every_command):
+    loaded = [m for m in modules_after_every_command
+              if m.split(".")[0] in ("scipy", "concurrent")]
+    assert not loaded, loaded
+
+
+def test_commands_run_without_importing_numpy_ma(modules_after_every_command):
+    # np.quantile would import it (10-15 ms) through np.unique.
+    loaded = [m for m in modules_after_every_command
+              if m == "numpy.ma" or m.startswith("numpy.ma.")]
+    assert not loaded, loaded

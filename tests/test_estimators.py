@@ -453,6 +453,43 @@ class TestSummarize:
             assert s.spearman_val_test is None and s.pearson_val_test is None, pairs
 
 
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLinearQuantiles:
+    """``estimators._linear_quantiles`` against ``np.quantile``, bit for bit."""
+
+    DATA = {
+        "normal": lambda rng, n: rng.normal(size=n),
+        "signed zeros": lambda rng, n: rng.choice([-0.0, 0.0], size=n),
+        "tied": lambda rng, n: rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=n),
+    }
+    LEVELS = [0.0, 1e-9, 0.025, 0.25, 0.5, 0.75, 0.975, 1 - 1e-9, 1.0]
+
+    @pytest.mark.parametrize("data", list(DATA))
+    @pytest.mark.parametrize("n", [1, 2, 3, 101, 10_000])
+    def test_matches_numpy_quantile_to_the_bit(self, n, data):
+        rng = np.random.default_rng([n, list(self.DATA).index(data)])
+        for _ in range(10):
+            x = self.DATA[data](rng, n)
+            kept = x.copy()
+            levels = self.LEVELS + rng.random(4).tolist()
+            for q in levels:
+                assert hexes(estimators._linear_quantiles(x, [q])) == hexes([np.quantile(x, q)])
+            pair = rng.choice(levels, 2).tolist()
+            assert hexes(estimators._linear_quantiles(x, pair)) == hexes(np.quantile(x, pair))
+            assert hexes(x) == hexes(kept)
+
+    @pytest.mark.parametrize("data", list(DATA))
+    def test_summarize_iqr_is_numpy_quantiles(self, data):
+        rng = np.random.default_rng(list(self.DATA).index(data))
+        for n in (2, 3, 101, 10_000):
+            t = self.DATA[data](rng, n)
+            iqr = summarize(ResultPool.from_arrays(np.zeros(n), t)).iqr_test
+            assert hexes([iqr]) == hexes([np.quantile(t, 0.75) - np.quantile(t, 0.25)])
+
+
 class TestAndersonDarling:
     @pytest.mark.parametrize("m,seed", [(8, 0), (50, 1), (1000, 2)])
     def test_statistic_matches_reference_implementation(self, m, seed):

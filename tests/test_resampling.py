@@ -416,6 +416,32 @@ class TestMonteCarloCI:
         ci = monte_carlo_ci_gaussian(params, m, n, EstimatorKind.NONPARAMETRIC, cfg)
         assert [ci.lo, ci.hi] == np.quantile(want, [(1 - 0.95) / 2, (1 + 0.95) / 2]).tolist()
 
+    @pytest.mark.parametrize("sigma_val", [1.0, 1e300])
+    def test_validation_scale_leaves_the_interval_alone(self, sigma_val):
+        # Validations only rank the records; at 1e308 they overflow, and
+        # those replicates fail (see _OVERFLOW_CASES).
+        params = GaussianParams(0.0, 1.0, sigma_val, 1.0, 0.5)
+        cfg = ResamplingConfig(replicates=2000, seed=0)
+        ci = monte_carlo_ci_gaussian(params, 20, 5, EstimatorKind.NONPARAMETRIC, cfg)
+        assert (ci.lo.hex(), ci.hi.hex()) == ("0x1.ac1922efc7178p-1", "0x1.20a2584894751p+1")
+
+    def test_overflowing_validation_rows_are_nan_and_the_others_unchanged(self):
+        # Equal infinities are no tie: such a row fails instead of taking
+        # tie-averaged weights.
+        m, n, rows = 20, 5, 16384 // 20
+        blocks = [
+            resampling._monte_carlo_block(GaussianParams(0.0, 1.0, s, 1.0, 0.5), m, n,
+                                          EstimatorKind.NONPARAMETRIC)
+            for s in (1.0, 1e308)
+        ]
+        with np.errstate(over="ignore"):
+            base, huge = (block(resampling._rng(0, 0), rows) for block in blocks)
+            z = resampling._rng(0, 0).standard_normal((rows, m))
+            over = ~np.isfinite(1e308 * z).all(axis=1)
+        assert 0 < over.sum() < rows
+        np.testing.assert_array_equal(np.isnan(huge), over)
+        np.testing.assert_array_equal(huge[~over], base[~over])
+
     def test_gaussian_chunk_is_the_simulated_pool(self):
         params = GaussianParams(mu_val=1.0, mu_test=2.0, sigma_val=0.5, sigma_test=1.5, rho=0.6)
         m, n, seed = 9, 4, 13
@@ -933,6 +959,9 @@ _OVERFLOW_CASES = {
     "compare": lambda: compare_architectures(_OVERFLOW_TIED, _OVERFLOW_POOL, 5, _CFG),
     "monte carlo non-parametric": lambda: monte_carlo_ci_gaussian(
         _OVERFLOW_PARAMS, 20, 5, EstimatorKind.NONPARAMETRIC, _CFG
+    ),
+    "monte carlo non-parametric validations": lambda: monte_carlo_ci_gaussian(
+        GaussianParams(0.0, 1.0, 1e308, 1.0, 0.5), 20, 5, EstimatorKind.NONPARAMETRIC, _CFG
     ),
     "monte carlo Gaussian": lambda: monte_carlo_ci_gaussian(
         _OVERFLOW_PARAMS, 20, 5, EstimatorKind.GAUSSIAN_PARAMETRIC, _CFG
