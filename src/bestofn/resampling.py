@@ -11,10 +11,18 @@ chunk, and chunk k takes every draw from its own stream, split off
 (seed, *key, k) by numpy SeedSequence spawn keys: first the chunk's whole
 block of draws, then, in row order, a fresh draw for each row whose
 statistic failed. Bootstrap, compare and Monte Carlo runs have an empty
-key. A Monte Carlo run simulates pools of m records: a Gaussian-kind
-chunk draws a (rows, m, 2) standard normal block, a non-parametric one a
-(rows, m) block of standardised validations and then one test residual
-per row. A curve makes two runs, keyed (0,) for its samples and (1,) for its
+key. Boo(n) bootstraps of one estimator at several n (the list of a
+``boon --n`` command) share one run: each chunk's block has a column per
+n, so every n reads the same draws. The n are taken in groups of
+max(1, 2**21 // max(replicates, resample size + 1)), each group one run of
+the same streams, so a run holds at most max(replicates, 2**21) replicate
+values. Each n's interval is bit-identical to its own run's unless a row
+fails at one n of its group and not at another: the row is redrawn whole,
+and only scores near the top of the float range can cause that. A Monte
+Carlo run simulates pools of m records: a Gaussian-kind chunk draws a
+(rows, m, 2) standard normal block, a non-parametric one a (rows, m) block
+of standardised validations and then one test residual per row. A curve
+makes two runs, keyed (0,) for its samples and (1,) for its
 smoothed band, and each sample is one nested sequence of records read by
 every point: point m takes the first best-validation record among the
 first m. A with-replacement sample counts as one record, so a chunk holds
@@ -89,8 +97,9 @@ _MAX_ATTEMPTS_PER_REPLICATE = 100
 # chunking follows resample size only.
 _CHUNK_ELEMENTS = 1 << 14
 
-# Best test scores one curve scan holds (8 bytes each); further points take
-# further scans of the same streams.
+# Best test scores one curve scan holds (8 bytes each), and replicate values
+# one Boo(n) run over several n holds; further points or n take further runs
+# of the same streams.
 _CURVE_VALUES = 1 << 21
 
 
@@ -192,7 +201,7 @@ def _chunked_replicates(
     when more than 1% of all evaluations fail.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
-    parts = []
+    out = None
     failures = 0
     for k in range(-(-count // rows)):
         rng = _rng(seed, *key, k)
@@ -207,12 +216,16 @@ def _chunked_replicates(
                     if np.isfinite(values[i]).all():
                         break
                     failures += 1
-        parts.append(values)
-    values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        # A one-chunk run is its chunk; a longer one fills one array, so a
+        # run never holds its values twice.
+        if out is None:
+            out = values if len(values) == count else np.empty((count, *values.shape[1:]))
+        if out is not values:
+            out[k * rows : k * rows + len(values)] = values
     failure_rate = failures / (count + failures)
-    if not np.isfinite(values).all() or failure_rate > _FAILURE_BUDGET:
+    if not np.isfinite(out).all() or failure_rate > _FAILURE_BUDGET:
         raise ResamplingDegenerateError(failure_rate)
-    return values
+    return out
 
 
 def _draw(
@@ -247,17 +260,19 @@ def _pool_order(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _count_boon(
-    vals: np.ndarray, tests: np.ndarray, size: int, n: int
+    vals: np.ndarray, tests: np.ndarray, size: int, ns: Sequence[int]
 ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Non-parametric Boo(n) of resamples of ``size`` records (maximize
-    convention), without sorting any resample: returns each record's
-    position in the sorted pool and a kernel taking rows of those positions.
+    """Non-parametric Boo(n) at each n of ``ns`` of resamples of ``size``
+    records (maximize convention), without sorting any resample: returns
+    each record's position in the sorted pool and a kernel taking rows of
+    those positions to a ``(rows, len(ns))`` block.
 
     A resample is a count vector over the (validation, test)-sorted pool.
     With S_g the cumulative count up to validation tie group g and s the
     resample size, group g weighs (S_g/s)^n - (S_{g-1}/s)^n times its
     count-weighted mean test score: the rank-weight formula applied to
-    counts.
+    counts. The counts, group means and cumulative counts are built once
+    and read by every n.
     """
     m = vals.size
     # lexsort's own permutation, not _pair_order's: the grouped sums below
@@ -266,7 +281,8 @@ def _count_boon(
     sorted_tests = tests[order]
     group_start, _ = _tie_groups(vals[order])
     tied = group_start.size < m
-    power = (np.arange(size + 1) / size) ** n
+    fractions = np.arange(size + 1) / size
+    powers = [fractions**n for n in ns]
 
     def boon_rows(ranks: np.ndarray) -> np.ndarray:
         rows = ranks.shape[0]
@@ -278,7 +294,11 @@ def _count_boon(
             counts = np.add.reduceat(counts, group_start, axis=1)
             group_tests = test_sums / np.maximum(counts, 1)
         upper = np.cumsum(counts, axis=1)
-        return ((power[upper] - power[upper - counts]) * group_tests).sum(axis=1)
+        lower = upper - counts
+        out = np.empty((rows, len(powers)))
+        for j, power in enumerate(powers):
+            out[:, j] = ((power[upper] - power[lower]) * group_tests).sum(axis=1)
+        return out
 
     # A count block holds m values per row, so resamples much smaller than
     # the pool are counted a slice of rows at a time.
@@ -303,17 +323,19 @@ def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_n: float) -> np.ndarray:
-    """Parametric Boo(n) of each row of (vals, tests), mu_test + rho *
-    sigma_test * E_n with sample estimates; NaN for a row without
-    validation or test spread."""
+def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_ns: Sequence[float]) -> np.ndarray:
+    """Parametric Boo(n) of each row of (vals, tests) at each E_n of
+    ``e_ns``, mu_test + rho * sigma_test * E_n with sample estimates, as a
+    ``(rows, len(e_ns))`` block; NaN for a row without validation or test
+    spread. The moments are computed once and read by every E_n."""
     vc = vals - vals.mean(axis=1, keepdims=True)
     tc = tests - tests.mean(axis=1, keepdims=True)
     syy = (tc * tc).sum(axis=1)
     degenerate = (np.ptp(vals, axis=1) == 0.0) | (np.ptp(tests, axis=1) == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = (vc * tc).sum(axis=1) / np.sqrt((vc * vc).sum(axis=1) * syy)
-    out = tests.mean(axis=1) + rho * np.sqrt(syy / (vals.shape[1] - 1)) * e_n
+    spread = rho * np.sqrt(syy / (vals.shape[1] - 1))
+    out = tests.mean(axis=1)[:, None] + spread[:, None] * np.asarray(e_ns)
     out[degenerate] = np.nan
     return out
 
@@ -338,30 +360,37 @@ def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float
 
 
 def _boon_block(
-    pool: ResultPool, statistic: BoonStatistic, size: int, bandwidths: tuple[float, ...] = ()
+    pool: ResultPool,
+    kind: EstimatorKind,
+    ns: Sequence[int],
+    size: int,
+    bandwidths: tuple[float, ...] = (),
 ) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Draw-and-evaluate block for a Boo(n) statistic, vectorised over the
-    chunk's rows: unsmoothed non-parametric rows by counts, smoothed ones
-    by sorting, Gaussian rows by their moments."""
+    """Draw-and-evaluate block for Boo(n) of one estimator kind at every n
+    of ``ns``, vectorised over the chunk's rows: a ``(rows, len(ns))``
+    block whose columns all read the same resamples. Unsmoothed
+    non-parametric rows go by counts, smoothed ones by sorting, Gaussian
+    rows by their moments."""
     vals, tests, sign = _oriented_scores(pool)
-    n = statistic.n
     # Noise scaled by sign on oriented scores is exactly the oriented image
     # of noise added to the pool's own scores, as the generic path does.
     bandwidths = tuple(sign * h for h in bandwidths)
-    if statistic.kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
+    if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
         if size < 3:
             raise InsufficientDataError(
                 f"parametric estimation needs resamples of >= 3 records, got {size}"
             )
-        e_n = std_normal_expected_max(n)
+        e_ns = [std_normal_expected_max(n) for n in ns]
 
         def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * _gaussian_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), e_n)
+            v, t = _draw(rng, (vals, tests), rows, size, bandwidths)
+            return sign * _gaussian_boon(v, t, e_ns)
     elif any(bandwidths):
         def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * _sorted_boon(*_draw(rng, (vals, tests), rows, size, bandwidths), n)
+            v, t = _draw(rng, (vals, tests), rows, size, bandwidths)
+            return sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1)
     else:
-        rank, boon = _count_boon(vals, tests, size, n)
+        rank, boon = _count_boon(vals, tests, size, ns)
 
         def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
             return sign * boon(_draw(rng, (rank,), rows, size)[0])
@@ -412,23 +441,47 @@ def _statistic_block(
     return block
 
 
-def _bootstrap_interval(
+def _bootstrap_intervals(
     pool: ResultPool,
-    statistic: Callable[[ResultPool], float],
+    statistics: Sequence[Callable[[ResultPool], float]],
     config: ResamplingConfig,
-    bandwidths: tuple[float, ...],
-    method: CIMethod,
-    resample_size: int | None,
-) -> ConfidenceInterval:
+    bandwidths: tuple[float, ...] = (),
+    method: CIMethod = CIMethod.BOOTSTRAP,
+    resample_size: int | None = None,
+) -> list[ConfidenceInterval]:
+    """One percentile interval per statistic, each from the same resamples:
+    either :class:`BoonStatistic` values of one kind or one statistic of any
+    other kind.
+
+    Boo(n) statistics share each run (see the module docstring) in groups
+    of ``max(1, _CURVE_VALUES // max(replicates, size + 1))`` n, so a run
+    keeps at most ``max(replicates, _CURVE_VALUES)`` replicate values and
+    the count kernel at most ``max(size + 1, _CURVE_VALUES)`` power-table
+    entries.
+    """
     if pool.m < 2:
         raise InsufficientDataError(f"bootstrap needs m >= 2 records, got m={pool.m}")
     size = pool.m if resample_size is None else _integer_arg(resample_size, "resample_size")
-    if isinstance(statistic, BoonStatistic):
-        block = _boon_block(pool, statistic, size, bandwidths)
+    first = statistics[0]
+    if isinstance(first, BoonStatistic):
+        ns = [s.n for s in statistics]
+        per_run = max(1, _CURVE_VALUES // max(config.replicates, size + 1))
+        blocks = [
+            _boon_block(pool, first.kind, ns[g : g + per_run], size, bandwidths)
+            for g in range(0, len(ns), per_run)
+        ]
     else:
-        block = _statistic_block(pool, statistic, size, bandwidths)
-    values = _chunked_replicates(config.replicates, size, config.seed, block)
-    return _percentile_interval(values, config, method)
+        blocks = [_statistic_block(pool, first, size, bandwidths)]
+
+    def run(block: Callable[[np.random.Generator, int], np.ndarray]) -> list:
+        # A function scope, so one run's values are freed before the next is drawn.
+        values = _chunked_replicates(config.replicates, size, config.seed, block)
+        return [
+            _percentile_interval(column, config, method)
+            for column in values.reshape(config.replicates, -1).T
+        ]
+
+    return [ci for block in blocks for ci in run(block)]
 
 
 def bootstrap_ci(
@@ -455,7 +508,7 @@ def bootstrap_ci(
     same resamples under the same seed. ``workers`` is accepted for
     compatibility and has no effect.
     """
-    return _bootstrap_interval(pool, statistic, config, (), CIMethod.BOOTSTRAP, resample_size)
+    return _bootstrap_intervals(pool, [statistic], config, resample_size=resample_size)[0]
 
 
 def smoothed_bootstrap_ci(
@@ -477,9 +530,9 @@ def smoothed_bootstrap_ci(
     compatibility and has no effect.
     """
     bandwidths = _resolve_bandwidths(pool, config.bandwidth)
-    return _bootstrap_interval(
-        pool, statistic, config, bandwidths, CIMethod.SMOOTHED_BOOTSTRAP, resample_size
-    )
+    return _bootstrap_intervals(
+        pool, [statistic], config, bandwidths, CIMethod.SMOOTHED_BOOTSTRAP, resample_size
+    )[0]
 
 
 def monte_carlo_ci_gaussian(
@@ -539,7 +592,7 @@ def _monte_carlo_block(
             tests = params.mu_test + params.sigma_test * (
                 params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
             )
-            return _gaussian_boon(vals, tests, e_n)
+            return _gaussian_boon(vals, tests, [e_n])[:, 0]
 
         return block
 
@@ -721,15 +774,14 @@ def compare_architectures(
                 f"compare needs m >= 2 records in pool {name}, got m={pool.m}"
             )
     delta = boon_nonparametric(pool_b, n).value - boon_nonparametric(pool_a, n).value
-    statistic = BoonStatistic(n)
-    block_a = _boon_block(pool_a, statistic, pool_a.m)
-    block_b = _boon_block(pool_b, statistic, pool_b.m)
+    block_a = _boon_block(pool_a, EstimatorKind.NONPARAMETRIC, [n], pool_a.m)
+    block_b = _boon_block(pool_b, EstimatorKind.NONPARAMETRIC, [n], pool_b.m)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
         boon_a = block_a(rng, rows)  # A's records are drawn before B's
         return block_b(rng, rows) - boon_a
 
     values = _chunked_replicates(config.replicates, pool_a.m + pool_b.m, config.seed, block)
-    ci = _percentile_interval(values, config, CIMethod.BOOTSTRAP)
+    ci = _percentile_interval(values[:, 0], config, CIMethod.BOOTSTRAP)
     significant = not ci.contains(0.0)
     return ComparisonResult(delta=delta, ci=ci, significant=significant)

@@ -112,6 +112,22 @@ class TestSummarize:
         err = capsys.readouterr().err
         assert "line 2" in err and "True" in err
 
+    def test_oversized_csv_field_is_an_error_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("validation,test\n0.1,1\n0.2," + "9" * 200_000 + "\n0.3,2\n")
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line 3: field larger than field limit" in err
+
+    @pytest.mark.parametrize("header", ["validation,test,test", "validation,validation,test"])
+    def test_duplicated_score_column_is_refused(self, tmp_path, capsys, header):
+        path = tmp_path / "dup.csv"
+        path.write_text(header + "\n0.1,1,9.4\n0.2,3,9.4\n")
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        column = "test" if header.endswith("test,test") else "validation"
+        assert f"column {column!r} appears 2 times" in err
+
     def test_csv_byte_order_mark_is_skipped(self, tmp_path, capsys):
         path = tmp_path / "bom.csv"
         path.write_bytes("validation,test\n0.1,1\n0.2,3\n".encode("utf-8-sig"))
@@ -250,13 +266,37 @@ class TestBoon:
     def test_every_n_sees_the_same_resamples(self, tmp_path):
         pool = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=4)
         rows = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))
+        tied = [(round(v, 1), t) for v, t in rows]  # 40 validations in 24 groups
+        cases = [(rows, "max"), (tied, "min")]
+        for k, (records, direction) in enumerate(cases):
+            path = helpers.write_pool_csv(tmp_path / f"pool-{k}.csv", records)
+            for estimator in ("nonparametric", "gaussian"):
+                def cis(ns):
+                    out = tmp_path / f"boon-{k}-{estimator}-{ns}.json"
+                    argv = ["boon", path, "--n", ns, "--bootstrap", "500", "--estimator",
+                            estimator, "--direction", direction, "--output", out]
+                    assert run(argv) == EXIT_OK
+                    return [(e["n"], e["ci"]) for e in read_report(out)["estimates"]]
+
+                together = cis("20,1,5,5")
+                assert [n for n, _ in together] == [20, 1, 5, 5]
+                for n, ci in together:
+                    assert [(n, ci)] == cis(str(n))
+
+    def test_one_resample_run_serves_every_n(self, tmp_path, monkeypatch):
+        pool = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=4)
+        rows = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))
         path = helpers.write_pool_csv(tmp_path / "pool.csv", rows)
-        reports = {}
-        for ns in ("1,5,20", "5"):
-            out = tmp_path / f"boon-{ns}.json"
-            assert run(["boon", path, "--n", ns, "--bootstrap", "500", "--output", out]) == EXIT_OK
-            reports[ns] = {e["n"]: e["ci"] for e in read_report(out)["estimates"]}
-        assert reports["1,5,20"][5] == reports["5"][5]
+        streams = []
+        rng = resampling._rng
+        monkeypatch.setattr(resampling, "_rng", lambda *key: streams.append(key) or rng(*key))
+        opened = {}
+        for ns in ("5", "1,5,20"):
+            streams.clear()
+            assert run(["boon", path, "--n", ns, "--bootstrap", "500"]) == EXIT_OK
+            opened[ns] = list(streams)
+        # 409 replicates per chunk: two chunk streams for 500 replicates
+        assert opened["1,5,20"] == opened["5"] == [(0, 0), (0, 1)]
 
     def test_gaussian_ci_on_mostly_degenerate_resamples_fails(self, tmp_path, capsys):
         # a third of the resamples have a single validation value

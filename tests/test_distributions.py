@@ -56,6 +56,20 @@ class TestStdNormalExpectedMax:
                 expected_max_continuous(standard_normal(), n), abs=1e-11
             )
 
+    @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
+    def test_very_large_n_matches_adaptive_quadrature(self, n):
+        # Phi(x) rounds to 1 above x ~ 8.3, where Phi(x)**(n - 1) must still
+        # vanish; the oracle takes the power in log space.
+        from scipy.integrate import quad
+        from scipy.special import log_ndtr
+
+        def integrand(x):
+            return n * x * math.exp(-0.5 * x * x + (n - 1) * log_ndtr(x)) / math.sqrt(2 * math.pi)
+
+        mode = math.sqrt(2 * math.log(n))
+        want, _ = quad(integrand, -12, 12, epsabs=1e-13, epsrel=1e-13, limit=200, points=[mode])
+        assert std_normal_expected_max(n) == pytest.approx(want, abs=1e-12)
+
 
 def test_log_ndtr_matches_scipy_in_both_tails():
     from scipy.special import log_ndtr

@@ -448,7 +448,7 @@ class TestMonteCarloCI:
         rows = 16384 // m
         z = resampling._rng(seed, 0).standard_normal((rows, m, 2))
         vals, tests = simulated_pools(params, z)
-        want = resampling._gaussian_boon(vals, tests, std_normal_expected_max(n))
+        want = resampling._gaussian_boon(vals, tests, [std_normal_expected_max(n)])[:, 0]
         block = resampling._monte_carlo_block(params, m, n, EstimatorKind.GAUSSIAN_PARAMETRIC)
         np.testing.assert_array_equal(block(resampling._rng(seed, 0), rows), want)
         cfg = ResamplingConfig(replicates=rows, seed=seed)
@@ -772,8 +772,8 @@ class TestEngine:
                     stat = BoonStatistic(n, kind)
                     if kind is EstimatorKind.GAUSSIAN_PARAMETRIC and size < 3:
                         continue
-                    block = resampling._boon_block(pool, stat, size)
-                    got = block(np.random.default_rng(n), 25)
+                    block = resampling._boon_block(pool, kind, [n], size)
+                    got = block(np.random.default_rng(n), 25)[:, 0]
                     idx = np.random.default_rng(n).integers(0, pool.m, size=(25, size))
                     want = _row_oracle(pool, idx, stat)
                     np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
@@ -844,7 +844,7 @@ class TestEngine:
         pool = ResultPool.from_arrays(v, t + 0.8 * v, direction)
         s = pool.m if size is None else size
         if path == "count kernel":
-            block = resampling._boon_block(pool, BoonStatistic(5), s)
+            block = resampling._boon_block(pool, EstimatorKind.NONPARAMETRIC, [5], s)
         else:
             block = resampling._statistic_block(pool, boon5, s, ())
         replicates = 500 if m == 1000 and size is None else 2000
@@ -885,11 +885,47 @@ class TestEngine:
     def test_chunk_layout_ignores_the_replicate_count(self):
         # replicate r of a longer run equals replicate r of a shorter one
         pool = helpers.bivariate_normal_pool(m=30, seed=6)
-        stat = BoonStatistic(5)
-        block = resampling._boon_block(pool, stat, pool.m)
+        block = resampling._boon_block(pool, EstimatorKind.NONPARAMETRIC, [5], pool.m)
         short = resampling._chunked_replicates(700, pool.m, 9, block)
         long = resampling._chunked_replicates(1500, pool.m, 9, block)
         np.testing.assert_array_equal(short, long[:700])
+
+    def test_many_n_at_a_large_replicate_count_stay_in_the_run_budget(self):
+        # 30 n at 200,000 replicates: one block would hold 6e6 values (48 MB);
+        # runs of 2**21 // 200,000 = 10 n hold 2e6 (16 MB).
+        pool = helpers.bivariate_normal_pool(m=20, rho=0.5, seed=3)
+        config = ResamplingConfig(replicates=200_000, seed=1)
+        statistics = [BoonStatistic(n) for n in range(1, 31)]
+        tracemalloc.start()
+        try:
+            cis = resampling._bootstrap_intervals(pool, statistics, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(cis) == 30
+        # the budget plus a quarter for one chunk's and one quantile's temporaries
+        assert peak < 1.25 * 8 * resampling._CURVE_VALUES
+
+    @pytest.mark.parametrize(
+        "m,replicates,runs",
+        [(40, 100, 3), (40, 500, 13), (600, 100, 25)],  # 10, 2 and 1 n per run
+    )
+    def test_n_list_is_split_to_the_run_budget(self, monkeypatch, m, replicates, runs):
+        # a group holds budget // max(replicates, size + 1) n
+        monkeypatch.setattr(resampling, "_CURVE_VALUES", 1000)
+        pool = helpers.bivariate_normal_pool(m=m, rho=0.5, seed=3)
+        config = ResamplingConfig(replicates=replicates, seed=2)
+        statistics = [BoonStatistic(n) for n in range(1, 26)]
+        first_chunks = []
+        rng = resampling._rng
+        monkeypatch.setattr(
+            resampling, "_rng", lambda *key: first_chunks.append(key == (2, 0)) or rng(*key)
+        )
+        cis = resampling._bootstrap_intervals(pool, statistics, config)
+        assert sum(first_chunks) == runs
+        monkeypatch.setattr(resampling, "_rng", rng)
+        for n, ci in zip((1, 13, 25), cis[::12]):
+            assert ci == bootstrap_ci(pool, BoonStatistic(n), config)
 
     def test_small_resamples_of_a_large_pool_use_bounded_memory(self):
         # 1,638 ten-record resamples per chunk: one (rows, pool.m) count
@@ -904,7 +940,8 @@ class TestEngine:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         # the kernel's row slices come back in row order
-        got = resampling._boon_block(pool, stat, 10)(np.random.default_rng(2), 40)
+        block = resampling._boon_block(pool, stat.kind, [stat.n], 10)
+        got = block(np.random.default_rng(2), 40)[:, 0]
         idx = np.random.default_rng(2).integers(0, pool.m, size=(40, 10))
         np.testing.assert_allclose(got, _row_oracle(pool, idx, stat), rtol=1e-12)
 
