@@ -30,6 +30,7 @@ from .errors import (
     InvalidDataError,
     PoolFileError,
     ResamplingDegenerateError,
+    _MAX_N,
     _integer_arg,
 )
 from .estimators import (
@@ -475,7 +476,7 @@ _replicates = _flag(lambda raw: ResamplingConfig(replicates=int(raw)).replicates
 _bandwidth = _flag(
     lambda raw: ResamplingConfig(bandwidth=raw if raw == "auto" else float(raw)).bandwidth
 )
-_n = _flag(lambda raw: _integer_arg(int(raw), "n"))
+_n = _flag(lambda raw: _integer_arg(int(raw), "n", 1, _MAX_N))
 _workers = _flag(lambda raw: _integer_arg(int(raw), "workers"))
 _samples = _flag(lambda raw: _integer_arg(int(raw), "samples_per_m", 1, MAX_REPLICATES))
 _m_max = _flag(lambda raw: _integer_arg(int(raw), "m_max", 1, MAX_CURVE_M))

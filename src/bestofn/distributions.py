@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidDistributionError, _integer_arg
+from .errors import _MAX_N, InvalidDistributionError, _integer_arg
 
 __all__ = [
     "ContinuousDistribution",
@@ -226,7 +226,7 @@ def expected_max_continuous(dist: ContinuousDistribution, n: int) -> float:
     ValueError
         If n is not a positive integer.
     """
-    _integer_arg(n, "n")
+    _integer_arg(n, "n", 1, _MAX_N)
     lo, hi = _finite_bounds(dist)
     if abs(dist.cdf(hi) - 1.0) > _CDF_TOL:
         raise InvalidDistributionError(
@@ -247,10 +247,10 @@ def expected_max_continuous(dist: ContinuousDistribution, n: int) -> float:
 
 
 @lru_cache(maxsize=1)
-def _std_normal_grid() -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid weights h * x * phi(x) and log Phi(x) on the E_n grid."""
+def _std_normal_grid(offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid weights h * x * phi(x) and log Phi(x) on the E_n grid, ``offset`` steps up."""
     half = round(_GAUSSIAN_SUPPORT_SIGMAS / _EN_GRID_STEP)
-    x = np.arange(-half, half + 1) * _EN_GRID_STEP
+    x = np.arange(offset - half, offset + half + 1) * _EN_GRID_STEP
     weights = (_EN_GRID_STEP * _INV_SQRT_2PI) * x * np.exp(-0.5 * x * x)
     log_cdf = _log_ndtr(x)
     weights.flags.writeable = False
@@ -265,12 +265,13 @@ def std_normal_expected_max(n: int) -> float:
     This is the constant coefficient in all Gaussian best-out-of-n
     formulas, so values are memoized per n. E.g. n=5 -> 1.163, n=10 -> 1.539.
     Computed as n * integral of x * phi(x) * Phi(x)^(n-1) by the trapezoid
-    rule on [-12, 12], with Phi(x)^(n-1) as exp((n-1) * log Phi(x)): Phi(x)
-    itself rounds to 1 above x ~ 8.3, where its power must still vanish
-    for very large n.
+    rule on [-12, 12], moved up from n ~ 1e14 on to end 4 past sqrt(2 ln n), near which
+    the maximum's mass lies; Phi(x)^(n-1) is exp((n-1) * log Phi(x)): Phi(x) rounds to 1
+    above x ~ 8.3, where its power must still vanish for very large n.
     """
-    _integer_arg(n, "n")
-    weights, log_cdf = _std_normal_grid()
+    _integer_arg(n, "n", 1, _MAX_N)
+    shift = math.sqrt(2.0 * math.log(n)) + 4.0 - _GAUSSIAN_SUPPORT_SIGMAS
+    weights, log_cdf = _std_normal_grid(max(0, math.ceil(shift / _EN_GRID_STEP)))
     return n * float(np.dot(weights, np.exp((n - 1) * log_cdf)))
 
 
@@ -280,7 +281,7 @@ def expected_max_discrete(dist: DiscreteDistribution, n: int) -> float:
     Exact summation: the maximum equals x_i with probability
     (P[X <= x_i])^n - (P[X < x_i])^n. No sampling involved.
     """
-    _integer_arg(n, "n")
+    _integer_arg(n, "n", 1, _MAX_N)
     ordered = sorted(dist.atoms)
     total = 0.0
     cum = 0.0

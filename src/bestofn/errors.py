@@ -9,6 +9,9 @@ handle separately.
 from __future__ import annotations
 
 import operator
+import sys
+
+_MAX_N = int(sys.float_info.max)  # the largest n taken: (j/m)**n stays a float power
 
 
 def _integer_arg(value, name: str, low: int = 1, high: int | None = None) -> int:
@@ -20,7 +23,8 @@ def _integer_arg(value, name: str, low: int = 1, high: int | None = None) -> int
     except TypeError:
         number = None
     if number is None or number < low or (high is not None and number > high):
-        wanted = f"an integer >= {low}" if high is None else f"an integer in [{low}, {high}]"
+        top = high if high is None or high.bit_length() <= 64 else float(high)  # _MAX_N, exactly
+        wanted = f"an integer >= {low}" if high is None else f"an integer in [{low}, {top}]"
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
     return number
 

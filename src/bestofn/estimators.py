@@ -19,12 +19,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .distributions import GaussianParams, _log_ndtr, std_normal_expected_max
-from .errors import DegeneratePoolError, InsufficientDataError, InvalidDataError, _integer_arg
+from .errors import _MAX_N, DegeneratePoolError, InsufficientDataError, InvalidDataError
+from .errors import _integer_arg
 
 __all__ = [
     "Direction",
@@ -54,6 +56,7 @@ _AD_CRITICAL_5PCT = 0.752
 # 51 µs at m=500, 65-78 against 77-90 µs at m=800, 91-92 against 74-76 µs at
 # m=900 and 115-120 against 78-82 µs at m=1000.
 _LEXSORT_MAX_SIZE = 850
+_last_shape = None  # the (m, n) of the last _boon_weighted_average call
 
 
 class Direction(str, enum.Enum):
@@ -148,11 +151,18 @@ class ResultPool:
 
 
 class _CheckedPool(ResultPool):
-    """A pool over arrays already meeting ``ResultPool``'s invariants, used as
-    given: no copy, no check. Build it by ``from_arrays``: perfbench counts pools there."""
+    """A plain ``ResultPool`` over arrays meeting its invariants, used as given: no copy, no
+    check (its copies are checked). Build it by ``from_arrays``: perfbench counts pools there."""
 
-    def __post_init__(self):
-        pass
+    def __new__(cls, validation, test, direction, metric_name):
+        pool = object.__new__(ResultPool)  # not a cls instance, so __init__ is skipped
+        vars(pool).update(validation_scores=validation, test_scores=test, direction=direction,
+                          metric_name=metric_name, _ordered=cls is _OrderedPool)
+        return pool
+
+
+class _OrderedPool(_CheckedPool):
+    """A bootstrap's unsmoothed resample, in worst-to-best order: Boo(n) skips its sort."""
 
 
 @dataclass(frozen=True)
@@ -241,26 +251,38 @@ def _pair_order(vals: np.ndarray, tests: np.ndarray) -> np.ndarray:
     return by_test[np.argsort(group[by_test], kind="stable")]
 
 
-def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
+@lru_cache(maxsize=1)
+def _rank_powers(m: int, n: int) -> np.ndarray:
+    """The read-only table (j/m)**n, j = 0..m, of Boo(n)'s rank weights, for the last (m, n)."""
+    power = (np.arange(m + 1) / m) ** n
+    power.flags.writeable = False
+    return power
+
+
+def _boon_weighted_average(
+    vals: np.ndarray, tests: np.ndarray, n: int, ordered: bool = False
+) -> float:
     """Rank-weighted test average over validation order (maximize convention).
 
-    Sorting is by (validation, test) so tied-validation groups are summed in
-    a canonical order and the result is bit-identical under record shuffles.
+    Sorting is by (validation, test) so tied-validation groups are summed in a canonical order
+    and the result is bit-identical under record shuffles; ``ordered`` records are used as given.
     """
+    global _last_shape
     m = vals.size
-    # Above the lexsort size a sort costs far more than this O(m) check, so
-    # records that arrive in order (a bootstrap's rows) skip it.
-    if m > _LEXSORT_MAX_SIZE and (
+    # Above the lexsort size a sort costs far more than this O(m) order check.
+    if not ordered and not (m > _LEXSORT_MAX_SIZE and (
         (vals[:-1] < vals[1:]) | ((vals[:-1] == vals[1:]) & (tests[:-1] <= tests[1:]))
-    ).all():
-        sv, st = vals, tests
-    else:
+    ).all()):
         order = _pair_order(vals, tests)
-        sv, st = vals[order], tests[order]
+        vals, tests = vals[order], tests[order]
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
-    bounds = np.flatnonzero(np.concatenate(([True], sv[1:] != sv[:-1], [True])))
-    power = (bounds / m) ** n
-    group_mean_test = np.add.reduceat(st, bounds[:-1]) / (bounds[1:] - bounds[:-1])
+    new_group = np.ones(m + 1, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=new_group[1:m])
+    bounds = new_group.nonzero()[0]
+    # A repeated (m, n), as in a bootstrap, reads the table; a new one powers only its bounds.
+    power = _rank_powers(m, n)[bounds] if _last_shape == (m, n) else (bounds / m) ** n
+    _last_shape = (m, n)
+    group_mean_test = np.add.reduceat(tests, bounds[:-1]) / (bounds[1:] - bounds[:-1])
     return float(np.dot(power[1:] - power[:-1], group_mean_test))
 
 
@@ -275,9 +297,9 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     CLI's flags column and report field): estimating best-of-n from fewer
     than n runs relies on the empirical tail more than the data supports.
     """
-    _integer_arg(n, "n")
+    _integer_arg(n, "n", 1, _MAX_N)
     vals, tests, sign = _oriented_scores(pool)
-    value = sign * _boon_weighted_average(vals, tests, n)
+    value = sign * _boon_weighted_average(vals, tests, n, getattr(pool, "_ordered", False))
     return BoonEstimate(
         n=n,
         m=pool.m,
@@ -350,7 +372,7 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
     Lower variance than the non-parametric estimator when the Gaussian
     assumption holds; biased when it does not.
     """
-    _integer_arg(n, "n")
+    _integer_arg(n, "n", 1, _MAX_N)
     if pool.m < 3:
         raise InsufficientDataError(
             f"parametric estimation needs m >= 3 records, got m={pool.m}"
@@ -386,7 +408,7 @@ class BoonStatistic:
     kind: EstimatorKind = EstimatorKind.NONPARAMETRIC
 
     def __post_init__(self):
-        _integer_arg(self.n, "n")
+        _integer_arg(self.n, "n", 1, _MAX_N)
         object.__setattr__(self, "kind", EstimatorKind(self.kind))
 
     def __call__(self, pool: ResultPool) -> float:

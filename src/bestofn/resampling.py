@@ -52,6 +52,7 @@ import numpy as np
 
 from .distributions import GaussianParams, std_normal_expected_max
 from .errors import (
+    _MAX_N,
     BestOfNError,
     InsufficientDataError,
     ResamplingDegenerateError,
@@ -62,9 +63,11 @@ from .estimators import (
     EstimatorKind,
     ResultPool,
     _CheckedPool,
+    _OrderedPool,
     _boon_weighted_average,
     _linear_quantiles,
     _oriented_scores,
+    _rank_powers,
     _tie_groups,
     boon_nonparametric,
 )
@@ -281,8 +284,7 @@ def _count_boon(
     sorted_tests = tests[order]
     group_start, _ = _tie_groups(vals[order])
     tied = group_start.size < m
-    fractions = np.arange(size + 1) / size
-    powers = [fractions**n for n in ns]
+    powers = [_rank_powers(size, n) for n in ns]
 
     def boon_rows(ranks: np.ndarray) -> np.ndarray:
         rows = ranks.shape[0]
@@ -317,7 +319,7 @@ def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
     m = vals.shape[1]
     order = np.argsort(vals, axis=1)
     sorted_vals = np.take_along_axis(vals, order, axis=1)
-    out = np.take_along_axis(tests, order, axis=1) @ np.diff((np.arange(m + 1) / m) ** n)
+    out = np.take_along_axis(tests, order, axis=1) @ np.diff(_rank_powers(m, n))
     for r in np.flatnonzero((sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1)):
         out[r] = _boon_weighted_average(vals[r], tests[r], n)
     return out
@@ -411,11 +413,13 @@ def _statistic_block(
     unsmoothed row holds the pool's own finite scores."""
     columns = (pool.validation_scores, pool.test_scores)
     if any(bandwidths):
+        row = _CheckedPool
         # Noise is drawn for the draw's positions, so rows keep draw order.
         def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
             v, t = _draw(rng, columns, rows, size, bandwidths)
             return v, t, (np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)).tolist()
     else:
+        row = _OrderedPool
         order, rank = _pool_order(*_oriented_scores(pool)[:2])
         # Positions sort two to three times as fast as 16-bit integers.
         rank = rank.astype(np.int16 if pool.m <= 2**15 else np.intp)
@@ -431,9 +435,7 @@ def _statistic_block(
         v, t, finite = draw(rng, rows)
         v.flags.writeable = t.flags.writeable = False
         return np.array([
-            _evaluate(
-                statistic, _CheckedPool.from_arrays(v[r], t[r], pool.direction, pool.metric_name)
-            )
+            _evaluate(statistic, row.from_arrays(v[r], t[r], pool.direction, pool.metric_name))
             if ok else math.nan
             for r, ok in enumerate(finite)
         ])
@@ -567,7 +569,7 @@ def monte_carlo_ci_gaussian(
     ``workers`` is accepted for compatibility and has no effect.
     """
     estimator_kind = EstimatorKind(estimator_kind)
-    _integer_arg(n, "n")
+    _integer_arg(n, "n", 1, _MAX_N)
     _integer_arg(m, "m")
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
@@ -596,7 +598,7 @@ def _monte_carlo_block(
 
         return block
 
-    power = (np.arange(m + 1) / m) ** n
+    power = _rank_powers(m, n)
     w = np.diff(power)
     w_sum, w_norm = w.sum(), math.sqrt(w @ w)
     slope = params.rho * params.sigma_test
@@ -767,7 +769,7 @@ def compare_architectures(
         raise ValueError(
             f"pools disagree on direction: {pool_a.direction.value} vs {pool_b.direction.value}"
         )
-    _integer_arg(n, "n")
+    _integer_arg(n, "n", 1, _MAX_N)
     for name, pool in (("A", pool_a), ("B", pool_b)):
         if pool.m < 2:
             raise InsufficientDataError(

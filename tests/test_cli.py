@@ -11,6 +11,7 @@ import pytest
 
 from bestofn import cli, resampling
 from bestofn.cli import EXIT_DATA, EXIT_ESTIMATOR, EXIT_OK, EXIT_USAGE, main
+from bestofn.errors import _MAX_N
 
 import helpers
 
@@ -507,6 +508,30 @@ class TestUsageErrors:
     def test_compare_takes_exactly_one_positive_n(self, toy_csv, capsys, value):
         assert run(["compare", toy_csv, toy_csv, "--n", value]) == EXIT_USAGE
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["boon", "{pool}"], ["boon", "{pool}", "--n", "5,{n}"], ["compare", "{pool}", "{pool}"],
+    ])
+    def test_n_beyond_the_float_range_is_named_before_any_input_is_read(
+        self, tmp_path, capsys, argv
+    ):
+        missing, n = tmp_path / "missing.csv", str(_MAX_N + 1)
+        argv = [a.format(pool=missing, n=n) for a in argv]
+        assert run(argv if "--n" in argv else argv + ["--n", n]) == EXIT_USAGE
+        assert "argument --n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["nonparametric", "gaussian"])
+    def test_largest_n_runs(self, tmp_path, estimator):
+        pool = helpers.bivariate_normal_pool(m=20, rho=0.5, seed=6)
+        path = helpers.write_pool_csv(
+            tmp_path / "pool.csv", zip(pool.validation_scores, pool.test_scores)
+        )
+        out = str(tmp_path / "boon.json")
+        argv = ["boon", path, "--n", str(_MAX_N), "--estimator", estimator,
+                "--bootstrap", "200", "--output", out]
+        assert run(argv) == EXIT_OK
+        (entry,) = read_report(out)["estimates"]
+        assert entry["n"] == _MAX_N and entry["ci"]["lo"] <= entry["value"] <= entry["ci"]["hi"]
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_workers_below_one_rejected(self, toy_csv, capsys, value):

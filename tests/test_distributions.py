@@ -17,7 +17,7 @@ from bestofn.distributions import (
     std_normal_expected_max,
     uniform,
 )
-from bestofn.errors import InvalidDistributionError
+from bestofn.errors import _MAX_N, InvalidDistributionError
 
 import oracles
 
@@ -69,6 +69,30 @@ class TestStdNormalExpectedMax:
         mode = math.sqrt(2 * math.log(n))
         want, _ = quad(integrand, -12, 12, epsabs=1e-13, epsrel=1e-13, limit=200, points=[mode])
         assert std_normal_expected_max(n) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n",
+        [10**30, 10**40, 10**100, 10**300, _MAX_N],
+        ids=["1e30", "1e40", "1e100", "1e300", "max"],
+    )
+    def test_beyond_the_fixed_window_matches_adaptive_quadrature(self, n):
+        # The maximum's mass lies near sqrt(2 ln n), past x = 12 from
+        # n ~ 1e29 on. The oracle integrates in log space around it, with
+        # log Phi(x) from erfc above 0: scipy's ndtr flushes the upper tail
+        # to 0 past x ~ 37.6, which the largest n still reads.
+        from scipy.integrate import quad
+        from scipy.special import log_ndtr
+
+        log_n = math.log(n)
+
+        def integrand(x):
+            log_cdf = math.log1p(-0.5 * math.erfc(x / math.sqrt(2))) if x > 0 else log_ndtr(x)
+            return x * math.exp(log_n - 0.5 * x * x + (n - 1) * log_cdf) / math.sqrt(2 * math.pi)
+
+        mode = math.sqrt(2 * log_n)
+        want, _ = quad(integrand, mode - 12, mode + 12, epsabs=0, epsrel=1e-12, limit=200,
+                       points=[mode])
+        assert std_normal_expected_max(n) == pytest.approx(want, rel=1e-9)
 
 
 def test_log_ndtr_matches_scipy_in_both_tails():

@@ -11,20 +11,30 @@ from bestofn import (
     BoonStatistic,
     DegeneratePoolError,
     Direction,
+    DiscreteDistribution,
     EstimatorKind,
+    GaussianParams,
     InsufficientDataError,
     InvalidDataError,
+    ResamplingConfig,
     ResultPool,
     anderson_darling_normality,
     best_single_model,
     boon_nonparametric,
     boon_parametric_gaussian,
+    compare_architectures,
+    expected_max_continuous,
+    expected_max_discrete,
     fit_gaussian_params,
     gaussian_boon_valtest,
+    monte_carlo_ci_gaussian,
+    standard_normal,
+    std_normal_expected_max,
     summarize,
 )
 
 from bestofn import estimators
+from bestofn.errors import _MAX_N
 
 import helpers
 import oracles
@@ -126,6 +136,17 @@ class TestBoonNonparametric:
         for n in (0, 2.5):
             with pytest.raises(ValueError, match="n must"):
                 boon_nonparametric(pool, n)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_largest_n_weighs_the_best_record_alone(self, direction):
+        # n past the float range made (j/m)**n raise OverflowError; the
+        # largest integer a float holds is the largest n taken.
+        pool = helpers.bivariate_normal_pool(m=20, rho=0.5, seed=3, direction=direction)
+        sign = 1.0 if direction is Direction.MAXIMIZE else -1.0
+        best = pool.test_scores[(sign * pool.validation_scores).argmax()]
+        assert boon_nonparametric(pool, _MAX_N).value == best
+        with pytest.raises(ValueError, match="n must be an integer in .1, 1.797"):
+            boon_nonparametric(pool, _MAX_N + 1)
 
     def test_empty_pool_rejected_at_construction(self):
         with pytest.raises(InvalidDataError):
@@ -275,6 +296,38 @@ class TestPairOrder:
         want = np.lexsort((t, v))
         got = estimators._pair_order(v, t)
         assert np.array_equal(v[got], v[want]) and np.array_equal(t[got], t[want])
+
+
+class TestRankPowers:
+    def test_table_gathers_are_the_rank_weight_powers_to_the_bit(self):
+        rng = np.random.default_rng(31)
+        for m in range(1, 3001):
+            new_group = np.concatenate(([True], rng.random(m - 1) < rng.random(), [True]))
+            bounds = np.flatnonzero(new_group)
+            for n in (1, 2, 5, 20, 97, 10**6):
+                got = estimators._rank_powers(m, n)[bounds]
+                assert got.tobytes() == ((bounds / m) ** n).tobytes(), (m, n)
+
+    def test_table_is_read_only_and_only_the_last_is_kept(self):
+        for m, n in [(50, 5), (7, 1), (5000, 20), (50, 5)]:
+            table = estimators._rank_powers(m, n)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+            assert estimators._rank_powers.cache_info().currsize <= 1
+
+    def test_a_table_is_built_only_for_a_repeated_shape(self):
+        # Two n taken in turn power only their group bounds, as a single
+        # call does; the same (m, n) twice in a row reads one table.
+        pool = helpers.bivariate_normal_pool(m=50, rho=0.5, seed=2)
+        boon_nonparametric(pool, 3)
+        estimators._rank_powers.cache_clear()
+        for _ in range(5):
+            boon_nonparametric(pool, 1), boon_nonparametric(pool, 5)
+        assert estimators._rank_powers.cache_info().misses == 0
+        for _ in range(5):
+            boon_nonparametric(pool, 5)
+        assert estimators._rank_powers.cache_info()[:2] == (4, 1)  # hits, misses
 
 
 class TestBoonParametricGaussian:
@@ -549,3 +602,29 @@ class TestBestSingleModel:
         )
         # best validation is the lowest; tie breaks toward the lower test
         assert best_single_model(pool) == 3.0
+
+
+_POOL = helpers.bivariate_normal_pool(m=20, rho=0.5, seed=4)
+_N_CHECKS = {
+    "boon_nonparametric": lambda n: boon_nonparametric(_POOL, n),
+    "boon_parametric_gaussian": lambda n: boon_parametric_gaussian(_POOL, n),
+    "BoonStatistic": lambda n: BoonStatistic(n),
+    "compare_architectures": lambda n: compare_architectures(
+        _POOL, _POOL, n, ResamplingConfig(replicates=100)
+    ),
+    "monte_carlo_ci_gaussian": lambda n: monte_carlo_ci_gaussian(
+        GaussianParams(0.0, 0.0, 1.0, 1.0, 0.5), 20, n, EstimatorKind.NONPARAMETRIC,
+        ResamplingConfig(replicates=100),
+    ),
+    "std_normal_expected_max": lambda n: std_normal_expected_max(n),
+    "expected_max_continuous": lambda n: expected_max_continuous(standard_normal(), n),
+    "expected_max_discrete": lambda n: expected_max_discrete(
+        DiscreteDistribution(((0.0, 0.5), (1.0, 0.5))), n
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_N_CHECKS))
+def test_every_n_check_stops_at_the_largest_integer_a_float_holds(name):
+    with pytest.raises(ValueError, match="n must be an integer in"):
+        _N_CHECKS[name](_MAX_N + 1)

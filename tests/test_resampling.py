@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from bestofn import (
     EstimatorKind,
     GaussianParams,
     InsufficientDataError,
+    InvalidDataError,
     ResamplingConfig,
     ResamplingDegenerateError,
     ResultPool,
@@ -252,6 +254,45 @@ class TestBootstrapCI:
         for idx, got in zip(rows, seen, strict=True):
             np.testing.assert_array_equal(got, np.sort(v[idx]))
 
+    @pytest.mark.parametrize("run", [bootstrap_ci, smoothed_bootstrap_ci])
+    def test_a_changed_copy_of_a_resample_is_a_plain_checked_pool(self, run):
+        # A copy with another direction or other scores, made by
+        # dataclasses.replace or through the resample's own constructors,
+        # must be checked and must not inherit the resample's order mark.
+        pool = helpers.bivariate_normal_pool(m=30, seed=8)
+        seen = []
+
+        def flipped(resample):
+            v, t = resample.validation_scores[::-1], resample.test_scores[::-1]
+            plain = ResultPool.from_arrays(v, t, "minimize")
+            copies = [
+                dataclasses.replace(resample, direction="minimize"),
+                resample.from_arrays(v, t, "minimize"),
+                resample.from_pairs(zip(v, t), "minimize"),
+            ]
+            seen.extend((type(copy), boon5(copy), boon5(plain)) for copy in copies)
+            with pytest.raises(InvalidDataError):
+                dataclasses.replace(resample, test_scores=np.full(pool.m, np.nan))
+            return 0.0
+
+        run(pool, flipped, ResamplingConfig(replicates=100, seed=1))
+        assert len(seen) == 300
+        assert all(kind is ResultPool and a == b for kind, a, b in seen)
+
+    def test_a_pickled_resample_keeps_its_value(self):
+        import pickle
+
+        pool = helpers.bivariate_normal_pool(m=30, seed=8, direction="minimize")
+        seen = []
+
+        def round_trip(resample):
+            copy = pickle.loads(pickle.dumps(resample))
+            seen.append(copy == resample and boon5(copy) == boon5(resample))
+            return 0.0
+
+        bootstrap_ci(pool, round_trip, ResamplingConfig(replicates=100, seed=1))
+        assert seen == [True] * 100
+
     def test_a_callable_gets_each_smoothed_resample_in_draw_order(self):
         pool = helpers.bivariate_normal_pool(m=40, seed=2, direction="minimize")
         seen = []
@@ -273,10 +314,13 @@ class TestBootstrapCI:
         )
 
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
-    def test_large_pool_boon_skips_its_sort_on_unsmoothed_resamples(self, direction, monkeypatch):
+    @pytest.mark.parametrize("m", [50, 2000])
+    def test_large_pool_boon_skips_its_sort_on_unsmoothed_resamples(
+        self, m, direction, monkeypatch
+    ):
         # Counts, not timings: a Boo(n) resample handed over in pool order
-        # must not reach the record sort, a smoothed one must. The engine
-        # takes the pool's own order without _pair_order.
+        # must not reach the record sort at any size, a smoothed one must,
+        # and so must a pool built out of order by its user.
         calls = []
         pair_order = estimators._pair_order
 
@@ -285,13 +329,20 @@ class TestBootstrapCI:
             return pair_order(vals, tests)
 
         monkeypatch.setattr(estimators, "_pair_order", counted)
-        pool = self._pinned_pool(direction, m=2000)
+        pool = self._pinned_pool(direction, m=m)
         cfg = ResamplingConfig(replicates=100, seed=3)
         bootstrap_ci(pool, boon5, cfg)
         assert not calls
-        calls.clear()
         smoothed_bootstrap_ci(pool, boon5, cfg)
         assert len(calls) >= 100
+        calls.clear()
+        sign = 1.0 if direction == "maximize" else -1.0
+        v, t = pool.validation_scores, pool.test_scores
+        order = np.lexsort((sign * t, sign * v))
+        assert (order != np.arange(m)).any()
+        in_order = ResultPool.from_arrays(v[order], t[order], direction)
+        assert boon5(pool) == boon5(in_order)
+        assert calls[0] == m
 
 
 class TestSmoothedBootstrapCI:
