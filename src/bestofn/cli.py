@@ -21,7 +21,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterator
 
 from . import __version__
 from .errors import (
@@ -125,13 +124,7 @@ def load_pool(pool_file: PoolFile) -> ResultPool:
     tests: list[float] = []
     bad_rows: list[tuple[int, str]] = []
     read = _read_csv if pool_file.format == "csv" else _read_jsonl
-    val_column, test_column = pool_file.val_column, pool_file.test_column
-    for line, row in read(pool_file, bad_rows):
-        v = _parse_score(row.get(val_column), line, val_column, bad_rows)
-        t = _parse_score(row.get(test_column), line, test_column, bad_rows)
-        if v is not None and t is not None:
-            vals.append(v)
-            tests.append(t)
+    read(pool_file, vals, tests, bad_rows)
     if bad_rows:
         raise PoolFileError(f"malformed rows in {pool_file.path}", bad_rows)
     if not vals:
@@ -154,10 +147,19 @@ def _read_text(pool_file: PoolFile) -> str:
         ) from None
 
 
-def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, row) for each well-formed CSV row. A header
-    naming a score column twice is refused: DictReader would silently keep
-    the last one."""
+def _add_scores(raw_v, raw_t, line: int, pool_file: PoolFile, vals: list, tests: list,
+                bad_rows: list) -> None:
+    """Append one row's scores, or file what is wrong with them."""
+    v = _parse_score(raw_v, line, pool_file.val_column, bad_rows)
+    t = _parse_score(raw_t, line, pool_file.test_column, bad_rows)
+    if v is not None and t is not None:
+        vals.append(v)
+        tests.append(t)
+
+
+def _read_csv(pool_file: PoolFile, vals: list, tests: list, bad_rows: list) -> None:
+    """Read each well-formed CSV row's scores. A header naming a score
+    column twice is refused: DictReader would silently keep the last one."""
     reader = csv.DictReader(io.StringIO(_read_text(pool_file), newline=""))
     try:
         header = reader.fieldnames or []
@@ -178,7 +180,8 @@ def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]
                 bad_rows.append((line, f"{len(header) + len(row[None])} fields, "
                                        f"header has {len(header)}"))
             else:
-                yield line, row
+                _add_scores(row.get(pool_file.val_column), row.get(pool_file.test_column),
+                            line, pool_file, vals, tests, bad_rows)
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         # DictReader's own line_num only moves after a row is read whole.
         raise PoolFileError(
@@ -186,41 +189,47 @@ def _read_csv(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]
         ) from None
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_json = json.JSONDecoder().scan_once
 _json_space = json.decoder.WHITESPACE.match
 
 
-def _json_loads(line: str):
-    """``json.loads(line)`` through a decoder bound once, skipping its
-    per-call checks; a line that does not parse cleanly goes to
-    ``json.loads`` itself, so every error message stays its own."""
-    try:
-        obj, end = _raw_decode(line, _json_space(line, 0).end())
-        if _json_space(line, end).end() == len(line):
-            return obj
-    except (ValueError, RecursionError):
-        pass
-    return json.loads(line)
-
-
-def _read_jsonl(pool_file: PoolFile, bad_rows: list) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) for each JSON object."""
-    lines = io.StringIO(_read_text(pool_file), newline=None)
-    for line_num, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+def _read_jsonl(pool_file: PoolFile, vals: list, tests: list, bad_rows: list) -> None:
+    """Read the scores of each JSON object, one per line. Lines end at a
+    line feed, a carriage return or the two together only, as a text file's
+    lines do (not at U+2028 or a form feed). Each line is decoded once, by a
+    scanner bound once; a line that does not parse cleanly from its first
+    character (leading whitespace included) goes to ``json.loads`` itself,
+    so every error message stays its own, and only scores that are not
+    finite floats go through ``_parse_score``."""
+    val_column, test_column = pool_file.val_column, pool_file.test_column
+    isfinite = math.isfinite
+    for line_num, line in enumerate(io.StringIO(_read_text(pool_file), newline=None), start=1):
         try:
-            obj = _json_loads(line)
-        # Besides JSONDecodeError: a plain ValueError for an integer past
-        # Python's digit limit, RecursionError for deep nesting.
-        except (ValueError, RecursionError) as exc:
-            reason = getattr(exc, "msg", "a number or nesting beyond the parser's limits")
-            bad_rows.append((line_num, f"invalid JSON ({reason})"))
-            continue
+            obj, end = _scan_json(line, 0)
+            clean = line[end:] == "\n" or _json_space(line, end).end() == len(line)
+        # StopIteration: no value where one starts. Besides JSONDecodeError: a
+        # plain ValueError for an integer past Python's digit limit,
+        # RecursionError for deep nesting.
+        except (StopIteration, ValueError, RecursionError):
+            clean = False
+        if not clean:
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                reason = getattr(exc, "msg", "a number or nesting beyond the parser's limits")
+                bad_rows.append((line_num, f"invalid JSON ({reason})"))
+                continue
         if not isinstance(obj, dict):
             bad_rows.append((line_num, "expected a JSON object"))
             continue
-        yield line_num, obj
+        v, t = obj.get(val_column), obj.get(test_column)
+        if type(v) is float and type(t) is float and isfinite(v) and isfinite(t):
+            vals.append(v)
+            tests.append(t)
+        else:
+            _add_scores(v, t, line_num, pool_file, vals, tests, bad_rows)
 
 
 def _pool_fingerprint(pool_file: PoolFile, pool: ResultPool) -> dict:
@@ -355,12 +364,13 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> int:
     _write_report(report, args.output)
 
     print(f"pool: {pool_file.path} (m={pool.m}, direction={pool.direction.value})")
-    print(f"{'n':>4}  {'estimator':<20} {'value':>12}  {'ci_lo':>12}  {'ci_hi':>12}  flags")
+    width = max(4, *(len(str(n)) for n in args.n))
+    print(f"{'n':>{width}}  {'estimator':<20} {'value':>12}  {'ci_lo':>12}  {'ci_hi':>12}  flags")
     for e in estimates:
         lo = e["ci"]["lo"] if e["ci"] else None
         hi = e["ci"]["hi"] if e["ci"] else None
         flags = "extrapolative" if e["extrapolative"] else ""
-        print(f"{e['n']:>4}  {e['estimator']:<20} {_fmt(e['value']):>12}  "
+        print(f"{e['n']:>{width}}  {e['estimator']:<20} {_fmt(e['value']):>12}  "
               f"{_fmt(lo):>12}  {_fmt(hi):>12}  {flags}")
     return EXIT_OK
 
@@ -522,6 +532,10 @@ def _pool_file_from_args(args: argparse.Namespace, path: str) -> PoolFile:
     columns = [c.strip() for c in args.columns.split(",")]
     if len(columns) != 2 or not all(columns):
         raise ValueError(f"--columns expects two comma-separated names, got {args.columns!r}")
+    if columns[0] == columns[1]:
+        # One column for both would pick runs on the very scores it reports.
+        raise ValueError(f"--columns names {columns[0]!r} twice; the validation and test "
+                         "columns must differ")
     return PoolFile(
         path=path,
         format=_detect_format(path, args.format),

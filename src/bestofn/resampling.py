@@ -34,7 +34,10 @@ size) noise), and its sequence is the records in increasing key order. A
 point's numbers therefore depend on the seed, the run, the sample count
 and m, not on the other points requested. Which replicates share a stream
 depends on the seed, the key and the resample size only, and chunks are
-concatenated in order, so output is bit-identical for a given seed. A
+concatenated in order, so output is bit-identical for a given seed.
+Chunks of fewer than 8 replicates are drawn one after another and
+evaluated together (see ``_chunked_replicates``); a row's value never
+depends on the rows evaluated with it, so this changes no number. A
 callable statistic gets an unsmoothed resample's records in the pool's
 worst-to-best (validation, test) order, a smoothed one's in draw order.
 A failed replicate is a NaN or infinite value, and a run prints no
@@ -99,6 +102,11 @@ _MAX_ATTEMPTS_PER_REPLICATE = 100
 # Resampled records per replicate chunk. Part of the output contract:
 # chunking follows resample size only.
 _CHUNK_ELEMENTS = 1 << 14
+
+# Chunks of fewer replicates than this are evaluated together, up to this
+# many drawn records a batch; the numbers do not depend on either.
+_BATCH_ROWS = 8
+_BATCH_ELEMENTS = 1 << 16
 
 # Best test scores one curve scan holds (8 bytes each), and replicate values
 # one Boo(n) run over several n holds; further points or n take further runs
@@ -184,47 +192,82 @@ def _percentile_interval(
     return ConfidenceInterval(lo, hi, level, method, config.replicates)
 
 
+class _Block(NamedTuple):
+    """A replicate block in two halves. ``draw(rng, rows)`` takes all of one
+    chunk's draws from its stream, as arrays with one row per replicate;
+    ``evaluate(*drawn)`` computes the values of those rows, or of the rows
+    of several chunks' draws stacked in order, as values or a ``(rows,
+    points)`` array. A row's value depends on its own draws only, bit for
+    bit. An evaluation that cannot promise that (a BLAS matrix product sums
+    a row in an order that depends on the rows beside it), or that gains
+    nothing from more rows (one call per row), stays in ``draw``, which then
+    returns the values alone and keeps the default ``evaluate``."""
+
+    draw: Callable[..., Sequence[np.ndarray]]
+    evaluate: Callable[..., np.ndarray] = lambda values: values
+
+    def __call__(self, rng: np.random.Generator, rows: int) -> np.ndarray:
+        """The values of one chunk's ``rows`` replicates."""
+        return self.evaluate(*self.draw(rng, rows))
+
+
+def _stacked(drawn: list[Sequence[np.ndarray]]) -> Sequence[np.ndarray]:
+    """The draws of a batch's chunks: one chunk's as drawn, without a copy,
+    several chunks' arrays stacked row-wise."""
+    return drawn[0] if len(drawn) == 1 else [np.concatenate(a) for a in zip(*drawn)]
+
+
 def _chunked_replicates(
     count: int,
     size: int,
     seed: int,
-    block: Callable[[np.random.Generator, int], np.ndarray],
+    block: _Block,
     *,
     key: tuple[int, ...] = (),
 ) -> np.ndarray:
     """``count`` replicate values, drawn chunk by chunk from the streams
     split off (seed, *key, k) (see the module docstring for the layout).
 
-    ``block(rng, rows)`` draws and evaluates ``rows`` replicates of
-    ``size`` records each, as ``rows`` values or a ``(rows, points)`` array.
-    A failed replicate is a NaN or infinite value, and a run prints no
+    Each replicate resamples ``size`` records. Chunks holding fewer than
+    ``_BATCH_ROWS`` replicates are drawn one after another, each from its
+    own stream, until the batch holds ``_BATCH_ROWS`` replicates or the
+    next chunk would take it past ``_BATCH_ELEMENTS`` drawn records, and
+    the batch is evaluated in one call; a larger chunk is its own batch.
+    The numbers are those of evaluating each chunk alone. A failed
+    replicate is a NaN or infinite value, and a run prints no
     floating-point warnings. Each row holding a failure is redrawn one at a
-    time from its chunk's stream, up to ``_MAX_ATTEMPTS_PER_REPLICATE``
-    attempts, and the run aborts with :class:`ResamplingDegenerateError`
-    when more than 1% of all evaluations fail.
+    time from its own chunk's stream, which has drawn nothing since the
+    chunk's block, up to ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the
+    run aborts with :class:`ResamplingDegenerateError` when more than 1% of
+    all evaluations fail.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
+    chunks = -(-count // rows)
+    per_batch = max(1, min(-(-_BATCH_ROWS // rows), _BATCH_ELEMENTS // (rows * size)))
     out = None
     failures = 0
-    for k in range(-(-count // rows)):
-        rng = _rng(seed, *key, k)
+    for first in range(0, chunks, per_batch):
+        rngs = [_rng(seed, *key, k) for k in range(first, min(first + per_batch, chunks))]
         # Around user callables too, on purpose: a non-finite result fails its
         # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
         with np.errstate(all="ignore"):
-            values = block(rng, min(rows, count - k * rows))
+            # No name holds the draws, so they are freed before the next batch's.
+            values = block.evaluate(*_stacked([
+                block.draw(rng, min(rows, count - k * rows)) for k, rng in enumerate(rngs, first)
+            ]))
             for i in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1)):
                 failures += 1
                 for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
-                    values[i] = block(rng, 1)[0]
+                    values[i] = block(rngs[i // rows], 1)[0]
                     if np.isfinite(values[i]).all():
                         break
                     failures += 1
-        # A one-chunk run is its chunk; a longer one fills one array, so a
+        # A one-batch run is its batch; a longer one fills one array, so a
         # run never holds its values twice.
         if out is None:
             out = values if len(values) == count else np.empty((count, *values.shape[1:]))
         if out is not values:
-            out[k * rows : k * rows + len(values)] = values
+            out[first * rows : first * rows + len(values)] = values
     failure_rate = failures / (count + failures)
     if not np.isfinite(out).all() or failure_rate > _FAILURE_BUDGET:
         raise ResamplingDegenerateError(failure_rate)
@@ -367,12 +410,12 @@ def _boon_block(
     ns: Sequence[int],
     size: int,
     bandwidths: tuple[float, ...] = (),
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Draw-and-evaluate block for Boo(n) of one estimator kind at every n
-    of ``ns``, vectorised over the chunk's rows: a ``(rows, len(ns))``
-    block whose columns all read the same resamples. Unsmoothed
-    non-parametric rows go by counts, smoothed ones by sorting, Gaussian
-    rows by their moments."""
+) -> _Block:
+    """Block for Boo(n) of one estimator kind at every n of ``ns``,
+    vectorised over rows: a ``(rows, len(ns))`` block whose columns all
+    read the same resamples. Unsmoothed non-parametric rows go by counts,
+    Gaussian rows by their moments, and smoothed non-parametric ones by
+    sorting, evaluated as drawn."""
     vals, tests, sign = _oriented_scores(pool)
     # Noise scaled by sign on oriented scores is exactly the oriented image
     # of noise added to the pool's own scores, as the generic path does.
@@ -383,21 +426,18 @@ def _boon_block(
                 f"parametric estimation needs resamples of >= 3 records, got {size}"
             )
         e_ns = [std_normal_expected_max(n) for n in ns]
-
-        def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
+        return _Block(
+            lambda rng, rows: _draw(rng, (vals, tests), rows, size, bandwidths),
+            lambda v, t: sign * _gaussian_boon(v, t, e_ns),
+        )
+    if any(bandwidths):
+        def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
             v, t = _draw(rng, (vals, tests), rows, size, bandwidths)
-            return sign * _gaussian_boon(v, t, e_ns)
-    elif any(bandwidths):
-        def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            v, t = _draw(rng, (vals, tests), rows, size, bandwidths)
-            return sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1)
-    else:
-        rank, boon = _count_boon(vals, tests, size, ns)
+            return (sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1),)
 
-        def evaluate(rng: np.random.Generator, rows: int) -> np.ndarray:
-            return sign * boon(_draw(rng, (rank,), rows, size)[0])
-
-    return evaluate
+        return _Block(draw)
+    rank, boon = _count_boon(vals, tests, size, ns)
+    return _Block(lambda rng, rows: _draw(rng, (rank,), rows, size), lambda r: sign * boon(r))
 
 
 def _statistic_block(
@@ -405,9 +445,9 @@ def _statistic_block(
     statistic: Callable[[ResultPool], float],
     size: int,
     bandwidths: tuple[float, ...],
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Draw-and-evaluate block for any pool statistic: one pool per row, over
-    read-only views of the chunk's draws, in the pool's worst-to-best
+) -> _Block:
+    """Block for any pool statistic, evaluated as drawn: one pool per row,
+    over read-only views of the chunk's draws, in the pool's worst-to-best
     (validation, test) order unless smoothed. A smoothed row with a
     non-finite score (an overflowed draw) is a failed evaluation; an
     unsmoothed row holds the pool's own finite scores."""
@@ -431,16 +471,16 @@ def _statistic_block(
             pos = pos.astype(np.intp)
             return columns[0][pos], columns[1][pos], [True] * rows
 
-    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+    def block(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
         v, t, finite = draw(rng, rows)
         v.flags.writeable = t.flags.writeable = False
-        return np.array([
+        return (np.array([
             _evaluate(statistic, row.from_arrays(v[r], t[r], pool.direction, pool.metric_name))
             if ok else math.nan
             for r, ok in enumerate(finite)
-        ])
+        ]),)
 
-    return block
+    return _Block(block)
 
 
 def _bootstrap_intervals(
@@ -475,7 +515,7 @@ def _bootstrap_intervals(
     else:
         blocks = [_statistic_block(pool, first, size, bandwidths)]
 
-    def run(block: Callable[[np.random.Generator, int], np.ndarray]) -> list:
+    def run(block: _Block) -> list:
         # A function scope, so one run's values are freed before the next is drawn.
         values = _chunked_replicates(config.replicates, size, config.seed, block)
         return [
@@ -580,23 +620,22 @@ def monte_carlo_ci_gaussian(
 
 def _monte_carlo_block(
     params: GaussianParams, m: int, n: int, kind: EstimatorKind
-) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Draw-and-evaluate block for Boo(n) of pools of m records simulated
-    from ``params``: Gaussian rows from a ``(rows, m, 2)`` standard normal
-    draw, non-parametric rows from sorted validations plus one test
-    residual (see :func:`monte_carlo_ci_gaussian`)."""
+) -> _Block:
+    """Block for Boo(n) of pools of m records simulated from ``params``:
+    Gaussian rows from a ``(rows, m, 2)`` standard normal draw, and
+    non-parametric rows, evaluated as drawn, from sorted validations plus
+    one test residual (see :func:`monte_carlo_ci_gaussian`)."""
     if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
         e_n = std_normal_expected_max(n)
 
-        def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            z = rng.standard_normal((rows, m, 2))
+        def evaluate(z: np.ndarray) -> np.ndarray:
             vals = params.mu_val + params.sigma_val * z[:, :, 0]
             tests = params.mu_test + params.sigma_test * (
                 params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
             )
             return _gaussian_boon(vals, tests, [e_n])[:, 0]
 
-        return block
+        return _Block(lambda rng, rows: (rng.standard_normal((rows, m, 2)),), evaluate)
 
     power = _rank_powers(m, n)
     w = np.diff(power)
@@ -604,7 +643,7 @@ def _monte_carlo_block(
     slope = params.rho * params.sigma_test
     residual = params.sigma_test * math.sqrt(1.0 - params.rho**2)
 
-    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+    def block(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
         z = rng.standard_normal((rows, m))
         g = rng.standard_normal(rows)
         z.sort(axis=1)
@@ -620,9 +659,9 @@ def _monte_carlo_block(
             out[r] = (
                 params.mu_test * wr.sum() + slope * (z[r] @ wr) + residual * math.sqrt(wr @ wr) * g[r]
             )
-        return out
+        return (out,)
 
-    return block
+    return _Block(block)
 
 
 def best_of_m_curve(
@@ -723,7 +762,10 @@ def best_of_m_curve(
             block, size = with_replacement, 1
         else:
             block, size = without_replacement, pool.m
-        values = _chunked_replicates(count, size, config.seed, block, key=(run,))
+        # Each sample's records are read as they are drawn.
+        values = _chunked_replicates(
+            count, size, config.seed, _Block(lambda rng, rows: (block(rng, rows),)), key=(run,)
+        )
         values = np.ascontiguousarray(values.T)
         values *= sign
         return values
@@ -776,13 +818,12 @@ def compare_architectures(
                 f"compare needs m >= 2 records in pool {name}, got m={pool.m}"
             )
     delta = boon_nonparametric(pool_b, n).value - boon_nonparametric(pool_a, n).value
-    block_a = _boon_block(pool_a, EstimatorKind.NONPARAMETRIC, [n], pool_a.m)
-    block_b = _boon_block(pool_b, EstimatorKind.NONPARAMETRIC, [n], pool_b.m)
-
-    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        boon_a = block_a(rng, rows)  # A's records are drawn before B's
-        return block_b(rng, rows) - boon_a
-
+    a = _boon_block(pool_a, EstimatorKind.NONPARAMETRIC, [n], pool_a.m)
+    b = _boon_block(pool_b, EstimatorKind.NONPARAMETRIC, [n], pool_b.m)
+    block = _Block(
+        lambda rng, rows: (*a.draw(rng, rows), *b.draw(rng, rows)),  # A's records first
+        lambda ranks_a, ranks_b: b.evaluate(ranks_b) - a.evaluate(ranks_a),
+    )
     values = _chunked_replicates(config.replicates, pool_a.m + pool_b.m, config.seed, block)
     ci = _percentile_interval(values[:, 0], config, CIMethod.BOOTSTRAP)
     significant = not ci.contains(0.0)

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -171,6 +172,27 @@ class TestSummarize:
         assert pool.validation_scores.tolist() == [0.1, 0.5, 0.8]
         assert pool.test_scores.tolist() == [1.0, 7.0, 8.0]
 
+    def test_jsonl_lines_end_at_line_feeds_and_carriage_returns_only(self, tmp_path, capsys):
+        # str.splitlines() would also end a line at U+2028 and at a form
+        # feed, and so misnumber every later line.
+        lines = [
+            '{"validation": 0.1, "test": 1.0, "note": "a\u2028b"}\n',
+            '{"validation": 0.2, "test": 2.0, "note": "a\x0cb"}\r\n',
+            '{"validation": 0.3, "test": 3.0}\r',
+            '{"validation": 0.4, "test": "x"}\n',
+        ]
+        path = tmp_path / "breaks.jsonl"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        assert run(["summarize", path]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: malformed rows in {path}: line 2: invalid JSON (Invalid control "
+            "character at); line 4: non-numeric 'test' value 'x'\n"
+        )
+        path.write_text(lines[0] + lines[2], encoding="utf-8", newline="")
+        pool = cli.load_pool(cli.PoolFile(str(path), "jsonl", "validation", "test",
+                                          cli.Direction.MAXIMIZE))
+        assert pool.test_scores.tolist() == [1.0, 3.0]
+
     def test_csv_row_with_extra_fields_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "extra.csv"
         path.write_text("validation,test\n0.1,10\n0.2,20,99\n")
@@ -242,6 +264,17 @@ class TestBoon:
         assert entry["extrapolative"] is True
         captured = capsys.readouterr()
         assert "extrapolative" in captured.out and captured.err == ""
+
+    def test_n_column_fits_the_widest_n(self, toy_csv, capsys):
+        big = 10**39 + 7  # 40 digits
+        assert run(["boon", toy_csv, "--n", f"1,12345,{big}"]) == EXIT_OK
+        table = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[0] for row in table] == ["n", "1", "12345", str(big)]
+        # n's right edge, the estimator's left edge, and the value and CI
+        # columns' right edges
+        edges = [[m.end() if i != 1 else m.start() for i, m in
+                  enumerate(list(re.finditer(r"\S+", row))[:5])] for row in table]
+        assert edges[0][0] == 40 and all(e == edges[0] for e in edges)
 
     def test_gaussian_estimator_on_degenerate_pool_guides_user(self, tmp_path, capsys):
         path = helpers.write_pool_csv(
@@ -497,8 +530,16 @@ class TestUsageErrors:
     def test_no_arguments(self):
         assert run([]) == EXIT_USAGE
 
-    def test_bad_columns_value(self, toy_csv):
-        assert run(["summarize", toy_csv, "--columns", "onlyone"]) == EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        ["summarize", "{pool}", "--columns", "onlyone"],
+        ["boon", "{pool}", "--columns", "test,test", "--n", "5"],
+        ["boon", "{pool}", "--columns", " test , test", "--n", "5"],
+    ])
+    def test_bad_columns_value(self, tmp_path, capsys, argv):
+        # refused before any input is read: the file does not exist
+        missing = tmp_path / "missing.csv"
+        assert run([a.format(pool=missing) for a in argv]) == EXIT_USAGE
+        assert "--columns" in capsys.readouterr().err
 
     def test_bad_n_value(self, toy_csv):
         assert run(["boon", toy_csv, "--n", "zero"]) == EXIT_USAGE

@@ -781,6 +781,11 @@ def _row_oracle(pool, idx, statistic):
     return np.array(out)
 
 
+def _values_block(values):
+    """An engine block whose draw half returns ``values(rng, rows)``."""
+    return resampling._Block(lambda rng, rows: (values(rng, rows),))
+
+
 class TestEngine:
     """The vectorised Boo(n) engine against the one-pool estimators."""
 
@@ -1003,12 +1008,74 @@ class TestEngine:
             out[out[:, 0] < 0.005, 1] = math.nan
             return out
 
-        values = resampling._chunked_replicates(5000, 1, 4, block)
+        values = resampling._chunked_replicates(5000, 1, 4, _values_block(block))
         first = block(np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,))), 5000)
         failed = np.isnan(first).any(axis=1)
         assert values.shape == (5000, 3) and failed.any() and not np.isnan(values).any()
         np.testing.assert_array_equal(values[~failed], first[~failed])
         assert (values[failed] != first[failed]).all()
+
+    # float.hex of compare_architectures(A, B, 5) at 100 replicates, seed 11,
+    # computed before short chunks were evaluated together. 9,000 records a
+    # replicate make one replicate a chunk and 7 chunks a batch, so the
+    # last batch holds 2.
+    _PINNED_COMPARE = {
+        (False, "maximize"): ("0x1.73134f7a4f048p-5", "0x1.6a93c9fc628c7p-3"),
+        (False, "minimize"): ("0x1.9962d26194671p-5", "0x1.5c5e52a8d64fcp-3"),
+        (True, "maximize"): ("0x1.73727e8c96951p-5", "0x1.6bb28d9f6924ap-3"),
+        (True, "minimize"): ("0x1.9d9980a622ec7p-5", "0x1.5cdb23e2f2026p-3"),
+    }
+
+    @staticmethod
+    def _search_pool(m, seed, tied, direction, shift=0.0):
+        rng = np.random.default_rng([seed, m])
+        v = rng.normal(size=m)
+        t = 0.6 * v + 0.8 * rng.normal(size=m) + shift
+        return ResultPool.from_arrays(v.round(1) if tied else v, t, direction)
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_compare_at_one_replicate_a_chunk_is_pinned_to_the_bit(self, tied, direction):
+        pool_a = self._search_pool(5000, 1, tied, direction)
+        pool_b = self._search_pool(4000, 2, tied, direction, shift=0.1)
+        ci = compare_architectures(pool_a, pool_b, 5, ResamplingConfig(replicates=100, seed=11)).ci
+        assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_COMPARE[tied, direction]
+
+    def test_boon_run_at_three_replicates_a_chunk_is_pinned_to_the_bit(self):
+        # 5,000 records: 3 replicates a chunk, 3 chunks a batch, and a last
+        # chunk of one replicate evaluated alone
+        pool = self._search_pool(5000, 3, True, "minimize")
+        cis = resampling._bootstrap_intervals(
+            pool, [BoonStatistic(n) for n in (1, 5, 20)], ResamplingConfig(replicates=100, seed=12)
+        )
+        assert [(ci.lo.hex(), ci.hi.hex()) for ci in cis] == [
+            ("-0x1.ffd903271650bp-6", "0x1.449b4fb5a33f8p-6"),
+            ("-0x1.88485b3accf27p-1", "-0x1.5b42324e02ddap-1"),
+            ("-0x1.3db184a516d42p+0", "-0x1.18d9d0454a9c5p+0"),
+        ]
+
+    def test_failed_rows_of_one_batch_are_redrawn_from_their_own_chunks(self):
+        # One replicate a chunk and 7 chunks a batch; at seed 3 the rows of
+        # chunks 833 and 835 fail, both in batch 119.
+        size, count, seed = 8193, 2000, 3
+        per_batch = min(resampling._BATCH_ROWS, resampling._BATCH_ELEMENTS // size)
+        block = resampling._Block(
+            lambda rng, rows: (rng.random((rows, 3)),),
+            lambda x: np.where(x[:, 0] < 0.004, math.nan, x.sum(axis=1)),
+        )
+        want, failed = [], []
+        for k in range(count):
+            rng = resampling._rng(seed, k)
+            value = block(rng, 1)[0]
+            if math.isnan(value):
+                failed.append(k)
+            while math.isnan(value):
+                value = block(rng, 1)[0]
+            want.append(value)
+        batches = [k // per_batch for k in failed]
+        assert per_batch == 7 and any(batches.count(b) > 1 for b in batches)
+        got = resampling._chunked_replicates(count, size, seed, block)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_an_infinite_point_fails_its_row_as_nan_does(self, bad):
@@ -1017,10 +1084,14 @@ class TestEngine:
             out[out[:, 0] < 0.005, 1] = mark
             return out
 
-        nan_marked = resampling._chunked_replicates(5000, 1, 4, lambda r, n: block(r, n, math.nan))
-        np.testing.assert_array_equal(resampling._chunked_replicates(5000, 1, 4, block), nan_marked)
+        nan_marked = resampling._chunked_replicates(
+            5000, 1, 4, _values_block(lambda r, n: block(r, n, math.nan))
+        )
+        np.testing.assert_array_equal(
+            resampling._chunked_replicates(5000, 1, 4, _values_block(block)), nan_marked
+        )
         with pytest.raises(ResamplingDegenerateError):
-            resampling._chunked_replicates(200, 1, 4, lambda r, n: np.full(n, bad))
+            resampling._chunked_replicates(200, 1, 4, _values_block(lambda r, n: np.full(n, bad)))
 
 
 # Scores whose draws, sums or simulated pools overflow the float range in far
