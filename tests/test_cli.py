@@ -1,4 +1,6 @@
 import csv
+import errno
+import gc
 import json
 import math
 import os
@@ -629,11 +631,14 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         assert report["schema_version"] == 1
 
 
+SRC = str(Path(cli.__file__).resolve().parents[1])
+POOL_ROWS = [(0.1 * i, float(i % 7)) for i in range(12)]
+
+
 @pytest.fixture(scope="module")
 def modules_after_every_command(tmp_path_factory):
     """The modules a fresh interpreter holds after running each command once."""
-    rows = [(0.1 * i, float(i % 7)) for i in range(12)]
-    path = helpers.write_pool_csv(tmp_path_factory.mktemp("pool") / "pool.csv", rows)
+    path = helpers.write_pool_csv(tmp_path_factory.mktemp("pool") / "pool.csv", POOL_ROWS)
     script = f"""
 import contextlib, io, json, sys
 from bestofn import cli
@@ -648,8 +653,7 @@ for argv in (
         assert cli.main(argv) == 0, argv
 print(json.dumps(sorted(sys.modules)))
 """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -667,3 +671,85 @@ def test_commands_run_without_importing_numpy_ma(modules_after_every_command):
     loaded = [m for m in modules_after_every_command
               if m == "numpy.ma" or m.startswith("numpy.ma.")]
     assert not loaded, loaded
+
+
+def cli_process(argv, unbuffered=False, **kwargs):
+    """``python -m bestofn argv`` in its own interpreter, stderr captured as bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "bestofn", *map(str, argv)], env=env,
+                          stderr=subprocess.PIPE, timeout=120, **kwargs)
+
+
+class TestProcessEntry:
+    """The CLI as a process: what a shell and the console script run."""
+
+    @pytest.mark.parametrize("command", [
+        ["--version"],
+        ["summarize", "{a}"],
+        ["boon", "{a}", "--n", "1,5,20", "--bootstrap", "100"],
+        ["boon", "{a}", "--estimator", "gaussian", "--bootstrap", "100"],
+        ["compare", "{a}", "{b}", "--bootstrap", "100"],
+        ["curve", "{a}", "--bootstrap", "100"],
+    ], ids=["version", "summarize", "boon", "boon-gaussian", "compare", "curve"])
+    def test_output_is_the_in_process_output(self, command, tmp_path, capsys):
+        pools = {
+            "a": helpers.write_pool_csv(tmp_path / "a.csv", POOL_ROWS),
+            "b": helpers.write_pool_csv(tmp_path / "b.csv", [(v, t + 0.5) for v, t in POOL_ROWS]),
+        }
+        argv = [arg.format(**pools) for arg in command]
+        if argv[0] != "--version":
+            argv += ["--output", str(tmp_path / "report.json")]
+
+        result = cli_process(argv, stdout=subprocess.PIPE)
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        written = {p.name: p.read_bytes() for p in tmp_path.glob("report*")}
+        for name in written:
+            (tmp_path / name).unlink()
+
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == result.stdout
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("report*")} == written
+        assert len(written) == {"--version": 0, "curve": 2}.get(argv[0], 1)
+
+    def test_main_leaves_the_callers_gc_state_alone(self, toy_csv):
+        # Only the process entry freezes the objects built on import.
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(["boon", toy_csv, "--bootstrap", "100"]) == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestStdoutFailures:
+    """A failed write of the table is an output error (exit 3), reported once
+    and after the report is complete; a reader that closed the pipe gets no
+    message."""
+
+    def assert_output_error(self, argv, result, expected_err):
+        assert result.returncode == EXIT_DATA
+        assert result.stderr.decode() == expected_err
+        out = Path(argv[-1])
+        written = out.read_bytes()
+        out.unlink()
+        assert run(argv) == EXIT_OK
+        assert out.read_bytes() == written
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_full_device(self, unbuffered, toy_csv, tmp_path):
+        argv = ["summarize", toy_csv, "--output", str(tmp_path / "report.json")]
+        with open("/dev/full", "wb") as full:
+            result = cli_process(argv, unbuffered, stdout=full)
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        self.assert_output_error(argv, result, f"error: cannot write output: {reason}\n")
+
+    def test_pipe_closed_by_its_reader(self, unbuffered, toy_csv, tmp_path):
+        argv = ["summarize", toy_csv, "--output", str(tmp_path / "report.json")]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the table is written
+        try:
+            result = cli_process(argv, unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        self.assert_output_error(argv, result, "")
