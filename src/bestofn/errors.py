@@ -16,10 +16,10 @@ _MAX_N = int(sys.float_info.max)  # the largest n taken: (j/m)**n stays a float 
 
 def _integer_arg(value, name: str, low: int = 1, high: int | None = None) -> int:
     """``value`` as an int in [low, high] (no upper bound when ``high`` is
-    None). Python and numpy integers pass; anything else, a float with an
-    integral value included, raises ValueError naming the argument."""
+    None). Python and numpy integers pass; anything else, a bool or a float
+    with an integral value included, raises ValueError naming the argument."""
     try:
-        number = operator.index(value)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
     if number is None or number < low or (high is not None and number > high):

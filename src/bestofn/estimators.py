@@ -269,10 +269,7 @@ def _boon_weighted_average(
     """
     global _last_shape
     m = vals.size
-    # Above the lexsort size a sort costs far more than this O(m) order check.
-    if not ordered and not (m > _LEXSORT_MAX_SIZE and (
-        (vals[:-1] < vals[1:]) | ((vals[:-1] == vals[1:]) & (tests[:-1] <= tests[1:]))
-    ).all()):
+    if not ordered:
         order = _pair_order(vals, tests)
         vals, tests = vals[order], tests[order]
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].

@@ -4,16 +4,18 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 5): every routine draws its
-replicates through one engine, in fixed-size chunks. A run of ``size``
-records per replicate holds ``max(1, 2**14 // size)`` replicates per
-chunk, and chunk k takes every draw from its own stream, split off
-(seed, *key, k) by numpy SeedSequence spawn keys: first the chunk's whole
-block of draws, then, in row order, a fresh draw for each row whose
-statistic failed. Bootstrap, compare and Monte Carlo runs have an empty
-key. Boo(n) bootstraps of one estimator at several n (the list of a
-``boon --n`` command) share one run: each chunk's block has a column per
-n, so every n reads the same draws. The n are taken in groups of
+Determinism contract (stream version 6): every routine draws its
+replicates through one engine, in chunks of ``max(1, 2**14 // size)``
+replicates of ``size`` records, or, for a block vectorised over the chunk
+(the count kernel, Gaussian Boo(n), compare and the Gaussian Monte Carlo
+kind), of at least ``min(8, 2**16 // size)``. Chunk k takes every draw
+from its own stream, split off (seed, *key, k) by numpy SeedSequence spawn
+keys: first the chunk's whole block of draws, then, in row order, a fresh
+draw for each row whose statistic failed. Bootstrap, compare and Monte
+Carlo runs have an empty key. Boo(n) bootstraps of one estimator at
+several n (the list of a ``boon --n`` command) share one run: each
+chunk's block has a column per n, so every n reads the same draws. The n
+are taken in groups of
 max(1, 2**21 // max(replicates, resample size + 1)), each group one run of
 the same streams, so a run holds at most max(replicates, 2**21) replicate
 values. Each n's interval is bit-identical to its own run's unless a row
@@ -33,15 +35,12 @@ draws one uniform key per pool record (then, in a band, (2, rows, pool
 size) noise), and its sequence is the records in increasing key order. A
 point's numbers therefore depend on the seed, the run, the sample count
 and m, not on the other points requested. Which replicates share a stream
-depends on the seed, the key and the resample size only, and chunks are
-concatenated in order, so output is bit-identical for a given seed.
-Chunks of fewer than 8 replicates are drawn one after another and
-evaluated together (see ``_chunked_replicates``); a row's value never
-depends on the rows evaluated with it, so this changes no number. A
-callable statistic gets an unsmoothed resample's records in the pool's
-worst-to-best (validation, test) order, a smoothed one's in draw order.
-A failed replicate is a NaN or infinite value, and a run prints no
-floating-point warnings.
+depends on the seed, the key, the kind of run and the resample size only,
+and chunks are concatenated in order, so output is bit-identical for a
+given seed. A callable statistic gets an unsmoothed resample's records in
+the pool's worst-to-best (validation, test) order, a smoothed one's in
+draw order. A failed replicate is a NaN or infinite value, and a run
+prints no floating-point warnings.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -99,14 +98,12 @@ MAX_REPLICATES = 10_000_000
 _FAILURE_BUDGET = 0.01
 _MAX_ATTEMPTS_PER_REPLICATE = 100
 
-# Resampled records per replicate chunk. Part of the output contract:
-# chunking follows resample size only.
+# Resampled records per replicate chunk, and the least rows a vectorised
+# block's chunk holds within a wider record budget. Part of the output
+# contract: chunking follows the kind of block and the resample size only.
 _CHUNK_ELEMENTS = 1 << 14
-
-# Chunks of fewer replicates than this are evaluated together, up to this
-# many drawn records a batch; the numbers do not depend on either.
-_BATCH_ROWS = 8
-_BATCH_ELEMENTS = 1 << 16
+_WIDE_ROWS = 8
+_WIDE_ELEMENTS = 1 << 16
 
 # Best test scores one curve scan holds (8 bytes each), and replicate values
 # one Boo(n) run over several n holds; further points or n take further runs
@@ -192,82 +189,54 @@ def _percentile_interval(
     return ConfidenceInterval(lo, hi, level, method, config.replicates)
 
 
-class _Block(NamedTuple):
-    """A replicate block in two halves. ``draw(rng, rows)`` takes all of one
-    chunk's draws from its stream, as arrays with one row per replicate;
-    ``evaluate(*drawn)`` computes the values of those rows, or of the rows
-    of several chunks' draws stacked in order, as values or a ``(rows,
-    points)`` array. A row's value depends on its own draws only, bit for
-    bit. An evaluation that cannot promise that (a BLAS matrix product sums
-    a row in an order that depends on the rows beside it), or that gains
-    nothing from more rows (one call per row), stays in ``draw``, which then
-    returns the values alone and keeps the default ``evaluate``."""
-
-    draw: Callable[..., Sequence[np.ndarray]]
-    evaluate: Callable[..., np.ndarray] = lambda values: values
-
-    def __call__(self, rng: np.random.Generator, rows: int) -> np.ndarray:
-        """The values of one chunk's ``rows`` replicates."""
-        return self.evaluate(*self.draw(rng, rows))
-
-
-def _stacked(drawn: list[Sequence[np.ndarray]]) -> Sequence[np.ndarray]:
-    """The draws of a batch's chunks: one chunk's as drawn, without a copy,
-    several chunks' arrays stacked row-wise."""
-    return drawn[0] if len(drawn) == 1 else [np.concatenate(a) for a in zip(*drawn)]
-
-
 def _chunked_replicates(
     count: int,
     size: int,
     seed: int,
-    block: _Block,
+    block: Callable[..., np.ndarray],
     *,
     key: tuple[int, ...] = (),
+    wide: bool = False,
 ) -> np.ndarray:
     """``count`` replicate values, drawn chunk by chunk from the streams
     split off (seed, *key, k) (see the module docstring for the layout).
 
-    Each replicate resamples ``size`` records. Chunks holding fewer than
-    ``_BATCH_ROWS`` replicates are drawn one after another, each from its
-    own stream, until the batch holds ``_BATCH_ROWS`` replicates or the
-    next chunk would take it past ``_BATCH_ELEMENTS`` drawn records, and
-    the batch is evaluated in one call; a larger chunk is its own batch.
-    The numbers are those of evaluating each chunk alone. A failed
-    replicate is a NaN or infinite value, and a run prints no
-    floating-point warnings. Each row holding a failure is redrawn one at a
-    time from its own chunk's stream, which has drawn nothing since the
-    chunk's block, up to ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the
-    run aborts with :class:`ResamplingDegenerateError` when more than 1% of
-    all evaluations fail.
+    Each replicate resamples ``size`` records, and ``block(rng, rows)``
+    draws one chunk's ``rows`` replicates from its stream and returns their
+    values, or a ``(rows, points)`` array. A chunk holds ``max(1,
+    _CHUNK_ELEMENTS // size)`` replicates; a ``wide`` block, one evaluated
+    with a few numpy calls over all of its rows, holds at least
+    ``min(_WIDE_ROWS, _WIDE_ELEMENTS // size)``. A failed replicate is a
+    NaN or infinite value, and a run prints no floating-point warnings.
+    Each row holding a failure is redrawn one at a time from its chunk's
+    stream, up to ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the run
+    aborts with :class:`ResamplingDegenerateError` when more than 1% of all
+    evaluations fail.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
-    chunks = -(-count // rows)
-    per_batch = max(1, min(-(-_BATCH_ROWS // rows), _BATCH_ELEMENTS // (rows * size)))
+    if wide:
+        rows = max(rows, min(_WIDE_ROWS, _WIDE_ELEMENTS // size))
     out = None
     failures = 0
-    for first in range(0, chunks, per_batch):
-        rngs = [_rng(seed, *key, k) for k in range(first, min(first + per_batch, chunks))]
+    for k, first in enumerate(range(0, count, rows)):
+        rng = _rng(seed, *key, k)
         # Around user callables too, on purpose: a non-finite result fails its
         # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
         with np.errstate(all="ignore"):
-            # No name holds the draws, so they are freed before the next batch's.
-            values = block.evaluate(*_stacked([
-                block.draw(rng, min(rows, count - k * rows)) for k, rng in enumerate(rngs, first)
-            ]))
+            values = block(rng, min(rows, count - first))
             for i in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1)):
                 failures += 1
                 for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
-                    values[i] = block(rngs[i // rows], 1)[0]
+                    values[i] = block(rng, 1)[0]
                     if np.isfinite(values[i]).all():
                         break
                     failures += 1
-        # A one-batch run is its batch; a longer one fills one array, so a
+        # A one-chunk run is its chunk; a longer one fills one array, so a
         # run never holds its values twice.
         if out is None:
             out = values if len(values) == count else np.empty((count, *values.shape[1:]))
         if out is not values:
-            out[first * rows : first * rows + len(values)] = values
+            out[first : first + len(values)] = values
     failure_rate = failures / (count + failures)
     if not np.isfinite(out).all() or failure_rate > _FAILURE_BUDGET:
         raise ResamplingDegenerateError(failure_rate)
@@ -410,12 +379,12 @@ def _boon_block(
     ns: Sequence[int],
     size: int,
     bandwidths: tuple[float, ...] = (),
-) -> _Block:
-    """Block for Boo(n) of one estimator kind at every n of ``ns``,
-    vectorised over rows: a ``(rows, len(ns))`` block whose columns all
-    read the same resamples. Unsmoothed non-parametric rows go by counts,
-    Gaussian rows by their moments, and smoothed non-parametric ones by
-    sorting, evaluated as drawn."""
+) -> Callable[..., np.ndarray]:
+    """Block for Boo(n) of one estimator kind at every n of ``ns``: a
+    ``(rows, len(ns))`` block whose columns all read the same resamples.
+    Unsmoothed non-parametric rows go by counts and Gaussian rows by their
+    moments, vectorised over the chunk; smoothed non-parametric ones go by
+    sorting each row."""
     vals, tests, sign = _oriented_scores(pool)
     # Noise scaled by sign on oriented scores is exactly the oriented image
     # of noise added to the pool's own scores, as the generic path does.
@@ -426,18 +395,17 @@ def _boon_block(
                 f"parametric estimation needs resamples of >= 3 records, got {size}"
             )
         e_ns = [std_normal_expected_max(n) for n in ns]
-        return _Block(
-            lambda rng, rows: _draw(rng, (vals, tests), rows, size, bandwidths),
-            lambda v, t: sign * _gaussian_boon(v, t, e_ns),
+        return lambda rng, rows: sign * _gaussian_boon(
+            *_draw(rng, (vals, tests), rows, size, bandwidths), e_ns
         )
     if any(bandwidths):
-        def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
+        def sorted_block(rng: np.random.Generator, rows: int) -> np.ndarray:
             v, t = _draw(rng, (vals, tests), rows, size, bandwidths)
-            return (sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1),)
+            return sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1)
 
-        return _Block(draw)
+        return sorted_block
     rank, boon = _count_boon(vals, tests, size, ns)
-    return _Block(lambda rng, rows: _draw(rng, (rank,), rows, size), lambda r: sign * boon(r))
+    return lambda rng, rows: sign * boon(_draw(rng, (rank,), rows, size)[0])
 
 
 def _statistic_block(
@@ -445,12 +413,12 @@ def _statistic_block(
     statistic: Callable[[ResultPool], float],
     size: int,
     bandwidths: tuple[float, ...],
-) -> _Block:
-    """Block for any pool statistic, evaluated as drawn: one pool per row,
-    over read-only views of the chunk's draws, in the pool's worst-to-best
-    (validation, test) order unless smoothed. A smoothed row with a
-    non-finite score (an overflowed draw) is a failed evaluation; an
-    unsmoothed row holds the pool's own finite scores."""
+) -> Callable[..., np.ndarray]:
+    """Block for any pool statistic: one pool per row, over read-only views
+    of the chunk's draws, in the pool's worst-to-best (validation, test)
+    order unless smoothed. A smoothed row with a non-finite score (an
+    overflowed draw) is a failed evaluation; an unsmoothed row holds the
+    pool's own finite scores."""
     columns = (pool.validation_scores, pool.test_scores)
     if any(bandwidths):
         row = _CheckedPool
@@ -471,16 +439,16 @@ def _statistic_block(
             pos = pos.astype(np.intp)
             return columns[0][pos], columns[1][pos], [True] * rows
 
-    def block(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
         v, t, finite = draw(rng, rows)
         v.flags.writeable = t.flags.writeable = False
-        return (np.array([
+        return np.array([
             _evaluate(statistic, row.from_arrays(v[r], t[r], pool.direction, pool.metric_name))
             if ok else math.nan
             for r, ok in enumerate(finite)
-        ]),)
+        ])
 
-    return _Block(block)
+    return block
 
 
 def _bootstrap_intervals(
@@ -505,6 +473,9 @@ def _bootstrap_intervals(
         raise InsufficientDataError(f"bootstrap needs m >= 2 records, got m={pool.m}")
     size = pool.m if resample_size is None else _integer_arg(resample_size, "resample_size")
     first = statistics[0]
+    # Callables and smoothed non-parametric Boo(n) go row by row: wider chunks
+    # made a callable a fifth slower per row at 5,000 records.
+    wide = False
     if isinstance(first, BoonStatistic):
         ns = [s.n for s in statistics]
         per_run = max(1, _CURVE_VALUES // max(config.replicates, size + 1))
@@ -512,12 +483,13 @@ def _bootstrap_intervals(
             _boon_block(pool, first.kind, ns[g : g + per_run], size, bandwidths)
             for g in range(0, len(ns), per_run)
         ]
+        wide = first.kind is EstimatorKind.GAUSSIAN_PARAMETRIC or not any(bandwidths)
     else:
         blocks = [_statistic_block(pool, first, size, bandwidths)]
 
-    def run(block: _Block) -> list:
+    def run(block: Callable[..., np.ndarray]) -> list:
         # A function scope, so one run's values are freed before the next is drawn.
-        values = _chunked_replicates(config.replicates, size, config.seed, block)
+        values = _chunked_replicates(config.replicates, size, config.seed, block, wide=wide)
         return [
             _percentile_interval(column, config, method)
             for column in values.reshape(config.replicates, -1).T
@@ -614,28 +586,30 @@ def monte_carlo_ci_gaussian(
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
     block = _monte_carlo_block(params, m, n, estimator_kind)
-    values = _chunked_replicates(config.replicates, m, config.seed, block)
+    wide = estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC
+    values = _chunked_replicates(config.replicates, m, config.seed, block, wide=wide)
     return _percentile_interval(values, config, CIMethod.MONTE_CARLO_GAUSSIAN)
 
 
 def _monte_carlo_block(
     params: GaussianParams, m: int, n: int, kind: EstimatorKind
-) -> _Block:
+) -> Callable[..., np.ndarray]:
     """Block for Boo(n) of pools of m records simulated from ``params``:
     Gaussian rows from a ``(rows, m, 2)`` standard normal draw, and
-    non-parametric rows, evaluated as drawn, from sorted validations plus
-    one test residual (see :func:`monte_carlo_ci_gaussian`)."""
+    non-parametric rows from sorted validations plus one test residual
+    (see :func:`monte_carlo_ci_gaussian`)."""
     if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
         e_n = std_normal_expected_max(n)
 
-        def evaluate(z: np.ndarray) -> np.ndarray:
+        def gaussian_block(rng: np.random.Generator, rows: int) -> np.ndarray:
+            z = rng.standard_normal((rows, m, 2))
             vals = params.mu_val + params.sigma_val * z[:, :, 0]
             tests = params.mu_test + params.sigma_test * (
                 params.rho * z[:, :, 0] + math.sqrt(1.0 - params.rho**2) * z[:, :, 1]
             )
             return _gaussian_boon(vals, tests, [e_n])[:, 0]
 
-        return _Block(lambda rng, rows: (rng.standard_normal((rows, m, 2)),), evaluate)
+        return gaussian_block
 
     power = _rank_powers(m, n)
     w = np.diff(power)
@@ -643,7 +617,7 @@ def _monte_carlo_block(
     slope = params.rho * params.sigma_test
     residual = params.sigma_test * math.sqrt(1.0 - params.rho**2)
 
-    def block(rng: np.random.Generator, rows: int) -> tuple[np.ndarray]:
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
         z = rng.standard_normal((rows, m))
         g = rng.standard_normal(rows)
         z.sort(axis=1)
@@ -659,9 +633,9 @@ def _monte_carlo_block(
             out[r] = (
                 params.mu_test * wr.sum() + slope * (z[r] @ wr) + residual * math.sqrt(wr @ wr) * g[r]
             )
-        return (out,)
+        return out
 
-    return _Block(block)
+    return block
 
 
 def best_of_m_curve(
@@ -762,10 +736,7 @@ def best_of_m_curve(
             block, size = with_replacement, 1
         else:
             block, size = without_replacement, pool.m
-        # Each sample's records are read as they are drawn.
-        values = _chunked_replicates(
-            count, size, config.seed, _Block(lambda rng, rows: (block(rng, rows),)), key=(run,)
-        )
+        values = _chunked_replicates(count, size, config.seed, block, key=(run,))
         values = np.ascontiguousarray(values.T)
         values *= sign
         return values
@@ -820,11 +791,14 @@ def compare_architectures(
     delta = boon_nonparametric(pool_b, n).value - boon_nonparametric(pool_a, n).value
     a = _boon_block(pool_a, EstimatorKind.NONPARAMETRIC, [n], pool_a.m)
     b = _boon_block(pool_b, EstimatorKind.NONPARAMETRIC, [n], pool_b.m)
-    block = _Block(
-        lambda rng, rows: (*a.draw(rng, rows), *b.draw(rng, rows)),  # A's records first
-        lambda ranks_a, ranks_b: b.evaluate(ranks_b) - a.evaluate(ranks_a),
+
+    def block(rng: np.random.Generator, rows: int) -> np.ndarray:
+        boon_a = a(rng, rows)  # A's records are drawn first
+        return b(rng, rows) - boon_a
+
+    values = _chunked_replicates(
+        config.replicates, pool_a.m + pool_b.m, config.seed, block, wide=True
     )
-    values = _chunked_replicates(config.replicates, pool_a.m + pool_b.m, config.seed, block)
     ci = _percentile_interval(values[:, 0], config, CIMethod.BOOTSTRAP)
     significant = not ci.contains(0.0)
     return ComparisonResult(delta=delta, ci=ci, significant=significant)

@@ -102,6 +102,26 @@ class TestSummarize:
         assert run(["summarize", path]) == EXIT_OK
         assert "2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt,name,text", [
+        ("jsonl", "pool.txt", '{"validation": 0.1, "test": 1.0}\n{"validation": 0.2, "test": 3}\n'),
+        ("csv", "pool.jsonl", "validation,test\n0.1,1.0\n0.2,3.0\n"),
+    ])
+    def test_explicit_format_overrides_the_extension(self, tmp_path, capsys, fmt, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(["summarize", path]) == EXIT_DATA
+        capsys.readouterr()
+        assert run(["summarize", path, "--format", fmt]) == EXIT_OK
+        assert "m=2" in capsys.readouterr().out
+
+    def test_more_than_twenty_malformed_rows_are_counted(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("validation,test\n0.1,1.0\n" + "oops,2.0\n" * 25)
+        assert run(["summarize", path]) == EXIT_DATA
+        err = capsys.readouterr().err
+        listed = "; ".join(f"line {i}: non-numeric 'validation' value 'oops'" for i in range(3, 23))
+        assert err == f"error: malformed rows in {path}: {listed}; ... (25 rejected rows total)\n"
+
     def test_jsonl_bad_line_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "pool.jsonl"
         for bad in ("not json", '{"validation": 0.2}'):
@@ -547,6 +567,11 @@ class TestUsageErrors:
         assert run(["boon", toy_csv, "--n", "zero"]) == EXIT_USAGE
         assert run(["boon", toy_csv, "--n", "0"]) == EXIT_USAGE
 
+    def test_n_list_without_a_value_is_refused(self, toy_csv, capsys):
+        assert run(["boon", toy_csv, "--n", ","]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "argument --n: n values must be positive integers, got ','" in err
+
     @pytest.mark.parametrize("value", ["3,5", "0", "-2"])
     def test_compare_takes_exactly_one_positive_n(self, toy_csv, capsys, value):
         assert run(["compare", toy_csv, toy_csv, "--n", value]) == EXIT_USAGE
@@ -627,7 +652,7 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--output", out]) == EXIT_OK
         report = read_report(out)
-        assert report["stream_version"] == resampling.STREAM_VERSION == 5
+        assert report["stream_version"] == resampling.STREAM_VERSION == 6
         assert report["schema_version"] == 1
 
 

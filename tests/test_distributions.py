@@ -134,6 +134,14 @@ class TestExpectedMaxContinuous:
             value = expected_max_continuous(dist, n)
             assert 2.0 <= value <= 3.0
 
+    def test_infinite_support_ends_are_cut_where_the_tails_vanish(self):
+        std = standard_normal()
+        dist = ContinuousDistribution(std.pdf, std.cdf, -math.inf, math.inf)
+        for n in (1, 5, 50):
+            assert expected_max_continuous(dist, n) == pytest.approx(
+                std_normal_expected_max(n), abs=1e-9
+            )
+
     def test_rejects_unnormalized_cdf(self):
         broken = ContinuousDistribution(
             pdf=lambda x: 0.9 if 0.0 <= x <= 1.0 else 0.0,

@@ -257,7 +257,7 @@ class TestPairOrder:
             assert np.array_equal(v[got], v[want]) and np.array_equal(t[got], t[want]), name
 
     @pytest.mark.parametrize("direction", list(Direction))
-    def test_large_pool_in_order_skips_the_sort_and_keeps_its_value(self, direction, monkeypatch):
+    def test_large_pool_in_any_order_is_sorted_and_keeps_its_value(self, direction, monkeypatch):
         calls = []
         pair_order = estimators._pair_order
 
@@ -278,7 +278,7 @@ class TestPairOrder:
             v, t = v[order], t[order]
             calls.clear()
             want = [_boon_value(ResultPool.from_arrays(v, t, direction), n) for n in (1, 5, 20)]
-            assert not calls, name
+            assert calls == [m] * 3, name  # only an engine resample skips the sort
             for shuffle in (rng.permutation(m), np.arange(m)[::-1]):
                 shuffled = ResultPool.from_arrays(v[shuffle], t[shuffle], direction)
                 assert [_boon_value(shuffled, n) for n in (1, 5, 20)] == want, name
@@ -410,6 +410,12 @@ class TestFitGaussianParams:
         assert params.sigma_val == pytest.approx(0.5, abs=0.02)
         assert params.sigma_test == pytest.approx(1.5, abs=0.05)
         assert params.rho == pytest.approx(0.4, abs=0.03)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_needs_three_records(self, m):
+        pool = ResultPool.from_pairs([(0.0, 1.0), (1.0, 3.0)][:m])
+        with pytest.raises(InsufficientDataError, match=f"at least 3 records to fit, got m={m}"):
+            fit_gaussian_params(pool)
 
     def test_fit_matches_parametric_estimator(self):
         pool = helpers.bivariate_normal_pool(m=200, rho=0.3, seed=5)

@@ -78,6 +78,38 @@ class TestResamplingConfig:
             ResamplingConfig(**kwargs)
 
 
+_POOL = ResultPool.from_pairs([(0.0, 1.0), (1.0, 3.0), (2.0, 2.0)])
+_PARAMS = GaussianParams(0.0, 0.0, 1.0, 1.0, 0.5)
+_BOOL_ARGS = {
+    "n": [
+        lambda b: boon_nonparametric(_POOL, b),
+        lambda b: BoonStatistic(b),
+        lambda b: compare_architectures(_POOL, _POOL, b, ResamplingConfig(replicates=100)),
+        lambda b: monte_carlo_ci_gaussian(
+            _PARAMS, 5, b, EstimatorKind.NONPARAMETRIC, ResamplingConfig(replicates=100)
+        ),
+    ],
+    "replicates": [lambda b: ResamplingConfig(replicates=b)],
+    "seed": [lambda b: ResamplingConfig(seed=b)],
+    "m": [
+        lambda b: monte_carlo_ci_gaussian(
+            _PARAMS, b, 2, EstimatorKind.NONPARAMETRIC, ResamplingConfig(replicates=100)
+        ),
+        lambda b: best_of_m_curve(_POOL, [b], 10, ResamplingConfig(replicates=100)),
+    ],
+    "samples_per_m": [lambda b: best_of_m_curve(_POOL, [1], b, ResamplingConfig(replicates=100))],
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("name", list(_BOOL_ARGS))
+def test_a_bool_is_not_an_integer_argument(name, flag):
+    # as np.True_ is refused, and as a boolean score in a pool file is
+    for call in _BOOL_ARGS[name]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer .*, got {flag}$"):
+            call(flag)
+
+
 class TestBootstrapCI:
     def test_identical_records_give_zero_width(self):
         pool = ResultPool.from_pairs([(0.5, 2.0)] * 6)
@@ -781,11 +813,6 @@ def _row_oracle(pool, idx, statistic):
     return np.array(out)
 
 
-def _values_block(values):
-    """An engine block whose draw half returns ``values(rng, rows)``."""
-    return resampling._Block(lambda rng, rows: (values(rng, rows),))
-
-
 class TestEngine:
     """The vectorised Boo(n) engine against the one-pool estimators."""
 
@@ -1008,7 +1035,7 @@ class TestEngine:
             out[out[:, 0] < 0.005, 1] = math.nan
             return out
 
-        values = resampling._chunked_replicates(5000, 1, 4, _values_block(block))
+        values = resampling._chunked_replicates(5000, 1, 4, block)
         first = block(np.random.default_rng(np.random.SeedSequence(4, spawn_key=(0,))), 5000)
         failed = np.isnan(first).any(axis=1)
         assert values.shape == (5000, 3) and failed.any() and not np.isnan(values).any()
@@ -1016,14 +1043,14 @@ class TestEngine:
         assert (values[failed] != first[failed]).all()
 
     # float.hex of compare_architectures(A, B, 5) at 100 replicates, seed 11,
-    # computed before short chunks were evaluated together. 9,000 records a
-    # replicate make one replicate a chunk and 7 chunks a batch, so the
-    # last batch holds 2.
+    # recorded after test_wide_chunks_are_the_documented_streams passed:
+    # 9,000 records a replicate make 7 replicates a chunk, so the last chunk
+    # holds 2.
     _PINNED_COMPARE = {
-        (False, "maximize"): ("0x1.73134f7a4f048p-5", "0x1.6a93c9fc628c7p-3"),
-        (False, "minimize"): ("0x1.9962d26194671p-5", "0x1.5c5e52a8d64fcp-3"),
-        (True, "maximize"): ("0x1.73727e8c96951p-5", "0x1.6bb28d9f6924ap-3"),
-        (True, "minimize"): ("0x1.9d9980a622ec7p-5", "0x1.5cdb23e2f2026p-3"),
+        (False, "maximize"): ("0x1.372e5691d0555p-5", "0x1.6112ed0381e55p-3"),
+        (False, "minimize"): ("0x1.8a22a3d24b9e1p-5", "0x1.8614eb6ae7245p-3"),
+        (True, "maximize"): ("0x1.3303cf9e394a0p-5", "0x1.60b07fa3c2250p-3"),
+        (True, "minimize"): ("0x1.92468d3987edbp-5", "0x1.85dd265dc9a3ap-3"),
     }
 
     @staticmethod
@@ -1035,47 +1062,114 @@ class TestEngine:
 
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-    def test_compare_at_one_replicate_a_chunk_is_pinned_to_the_bit(self, tied, direction):
+    def test_compare_in_wide_chunks_is_pinned_to_the_bit(self, tied, direction):
         pool_a = self._search_pool(5000, 1, tied, direction)
         pool_b = self._search_pool(4000, 2, tied, direction, shift=0.1)
         ci = compare_architectures(pool_a, pool_b, 5, ResamplingConfig(replicates=100, seed=11)).ci
         assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_COMPARE[tied, direction]
 
-    def test_boon_run_at_three_replicates_a_chunk_is_pinned_to_the_bit(self):
-        # 5,000 records: 3 replicates a chunk, 3 chunks a batch, and a last
-        # chunk of one replicate evaluated alone
+    def test_boon_run_in_wide_chunks_is_pinned_to_the_bit(self):
+        # 5,000 records: 8 replicates a chunk, and a last chunk of 4;
+        # recorded after test_wide_chunks_are_the_documented_streams passed
         pool = self._search_pool(5000, 3, True, "minimize")
         cis = resampling._bootstrap_intervals(
             pool, [BoonStatistic(n) for n in (1, 5, 20)], ResamplingConfig(replicates=100, seed=12)
         )
         assert [(ci.lo.hex(), ci.hi.hex()) for ci in cis] == [
-            ("-0x1.ffd903271650bp-6", "0x1.449b4fb5a33f8p-6"),
-            ("-0x1.88485b3accf27p-1", "-0x1.5b42324e02ddap-1"),
-            ("-0x1.3db184a516d42p+0", "-0x1.18d9d0454a9c5p+0"),
+            ("-0x1.d04d98732d1f5p-6", "0x1.7c85c099e5fdbp-6"),
+            ("-0x1.88315257b8527p-1", "-0x1.57f4621c81d28p-1"),
+            ("-0x1.3e6cf1803da15p+0", "-0x1.1568639344779p+0"),
         ]
 
-    def test_failed_rows_of_one_batch_are_redrawn_from_their_own_chunks(self):
-        # One replicate a chunk and 7 chunks a batch; at seed 3 the rows of
-        # chunks 833 and 835 fail, both in batch 119.
-        size, count, seed = 8193, 2000, 3
-        per_batch = min(resampling._BATCH_ROWS, resampling._BATCH_ELEMENTS // size)
-        block = resampling._Block(
-            lambda rng, rows: (rng.random((rows, 3)),),
-            lambda x: np.where(x[:, 0] < 0.004, math.nan, x.sum(axis=1)),
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_wide_chunks_are_the_documented_streams(self, monkeypatch, tied):
+        # Vectorised runs of more than 2,048 records hold min(8, 2**16 // size)
+        # replicates a chunk: 8 of 5,000 records, 7 of a 9,000-record compare.
+        runs = []
+        chunked = resampling._chunked_replicates
+        monkeypatch.setattr(
+            resampling, "_chunked_replicates",
+            lambda *a, **k: runs.append(chunked(*a, **k)) or runs[-1],
         )
-        want, failed = [], []
-        for k in range(count):
+        pool = self._search_pool(5000, 3, tied, "minimize")
+        statistics = [BoonStatistic(n) for n in (1, 5, 20)]
+        resampling._bootstrap_intervals(pool, statistics, ResamplingConfig(replicates=100, seed=12))
+        pool_a = self._search_pool(5000, 1, tied, "maximize")
+        pool_b = self._search_pool(4000, 2, tied, "maximize", shift=0.1)
+        compare_architectures(pool_a, pool_b, 5, ResamplingConfig(replicates=100, seed=11))
+        boon_values, compare_values = runs
+
+        want = []
+        for k, first in enumerate(range(0, 100, 8)):
+            idx = resampling._rng(12, k).integers(0, pool.m, size=(min(8, 100 - first), pool.m))
+            want.append(np.stack([_row_oracle(pool, idx, s) for s in statistics], axis=1))
+        np.testing.assert_allclose(boon_values, np.concatenate(want), rtol=1e-12)
+
+        want = []
+        for k, first in enumerate(range(0, 100, 7)):
+            rng, rows = resampling._rng(11, k), min(7, 100 - first)
+            idx_a = rng.integers(0, pool_a.m, size=(rows, pool_a.m))  # A's records first
+            idx_b = rng.integers(0, pool_b.m, size=(rows, pool_b.m))
+            stat = BoonStatistic(5)
+            want.append(_row_oracle(pool_b, idx_b, stat) - _row_oracle(pool_a, idx_a, stat))
+        np.testing.assert_allclose(compare_values[:, 0], np.concatenate(want), rtol=1e-12)
+
+    @pytest.mark.parametrize("routine,chunks", [
+        ("bootstrap", 13), ("gaussian bootstrap", 13), ("smoothed gaussian", 13),
+        ("monte carlo gaussian", 13), ("compare", 15),  # 100 replicates in chunks of 8 or 7
+        ("smoothed", 34), ("callable", 34), ("monte carlo", 34),  # in chunks of 3
+    ])
+    def test_only_vectorised_runs_take_wide_chunks(self, monkeypatch, routine, chunks):
+        pool = self._search_pool(5000, 3, False, "maximize")
+        config = ResamplingConfig(replicates=100, seed=1)
+        smoothed = ResamplingConfig(replicates=100, seed=1, bandwidth=0.1)
+        params = GaussianParams(0.0, 0.0, 1.0, 1.0, 0.5)
+        gaussian = EstimatorKind.GAUSSIAN_PARAMETRIC
+        run = {
+            "bootstrap": lambda: bootstrap_ci(pool, BoonStatistic(5), config),
+            "gaussian bootstrap": lambda: bootstrap_ci(pool, BoonStatistic(5, gaussian), config),
+            "smoothed gaussian": lambda: smoothed_bootstrap_ci(
+                pool, BoonStatistic(5, gaussian), smoothed
+            ),
+            "monte carlo gaussian": lambda: monte_carlo_ci_gaussian(
+                params, 5000, 5, gaussian, config
+            ),
+            "compare": lambda: compare_architectures(
+                pool, self._search_pool(4000, 2, False, "maximize"), 5, config
+            ),
+            "smoothed": lambda: smoothed_bootstrap_ci(pool, BoonStatistic(5), smoothed),
+            "callable": lambda: bootstrap_ci(pool, boon5, config),
+            "monte carlo": lambda: monte_carlo_ci_gaussian(
+                params, 5000, 5, EstimatorKind.NONPARAMETRIC, config
+            ),
+        }[routine]
+        keys = []
+        rng = resampling._rng
+        monkeypatch.setattr(resampling, "_rng", lambda *key: keys.append(key) or rng(*key))
+        run()
+        assert keys == [(1, k) for k in range(chunks)]
+
+    def test_failed_rows_of_a_wide_chunk_are_redrawn_from_its_own_stream(self):
+        # 8 replicates a chunk of 5,000 records; at seed 11 rows 2 and 5 of
+        # chunk 17 fail, and rows 6 and 7 of chunk 201.
+        size, count, seed = 5000, 2000, 11
+
+        def block(rng, rows):
+            x = rng.random((rows, 3))
+            return np.where(x[:, 0] < 0.004, math.nan, x.sum(axis=1))
+
+        want, failed = [], {}
+        for k, first in enumerate(range(0, count, 8)):
             rng = resampling._rng(seed, k)
-            value = block(rng, 1)[0]
-            if math.isnan(value):
-                failed.append(k)
-            while math.isnan(value):
-                value = block(rng, 1)[0]
-            want.append(value)
-        batches = [k // per_batch for k in failed]
-        assert per_batch == 7 and any(batches.count(b) > 1 for b in batches)
-        got = resampling._chunked_replicates(count, size, seed, block)
-        np.testing.assert_array_equal(got, want)
+            values = block(rng, min(8, count - first))
+            for i in np.flatnonzero(np.isnan(values)):
+                failed.setdefault(k, []).append(i)
+                while math.isnan(values[i]):
+                    values[i] = block(rng, 1)[0]
+            want.append(values)
+        assert failed[17] == [2, 5] and failed[201] == [6, 7]
+        got = resampling._chunked_replicates(count, size, seed, block, wide=True)
+        np.testing.assert_array_equal(got, np.concatenate(want))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_an_infinite_point_fails_its_row_as_nan_does(self, bad):
@@ -1084,14 +1178,10 @@ class TestEngine:
             out[out[:, 0] < 0.005, 1] = mark
             return out
 
-        nan_marked = resampling._chunked_replicates(
-            5000, 1, 4, _values_block(lambda r, n: block(r, n, math.nan))
-        )
-        np.testing.assert_array_equal(
-            resampling._chunked_replicates(5000, 1, 4, _values_block(block)), nan_marked
-        )
+        nan_marked = resampling._chunked_replicates(5000, 1, 4, lambda r, n: block(r, n, math.nan))
+        np.testing.assert_array_equal(resampling._chunked_replicates(5000, 1, 4, block), nan_marked)
         with pytest.raises(ResamplingDegenerateError):
-            resampling._chunked_replicates(200, 1, 4, _values_block(lambda r, n: np.full(n, bad)))
+            resampling._chunked_replicates(200, 1, 4, lambda r, n: np.full(n, bad))
 
 
 # Scores whose draws, sums or simulated pools overflow the float range in far
