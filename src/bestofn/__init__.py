@@ -8,105 +8,13 @@ distributions, empirically from pools of (validation, test) results, and
 with resampling-based confidence intervals throughout.
 """
 
-from .distributions import (
-    ContinuousDistribution,
-    DiscreteDistribution,
-    GaussianParams,
-    expected_max_continuous,
-    expected_max_discrete,
-    gaussian_boon_single,
-    gaussian_boon_valtest,
-    normal,
-    standard_normal,
-    std_normal_expected_max,
-    uniform,
-)
-from .errors import (
-    BestOfNError,
-    DegeneratePoolError,
-    InsufficientDataError,
-    InvalidDataError,
-    InvalidDistributionError,
-    PoolFileError,
-    ResamplingDegenerateError,
-)
-from .estimators import (
-    BoonEstimate,
-    BoonStatistic,
-    Direction,
-    EstimatorKind,
-    NormalityResult,
-    PoolSummary,
-    ResultPool,
-    RunRecord,
-    anderson_darling_normality,
-    best_single_model,
-    boon_nonparametric,
-    boon_parametric_gaussian,
-    fit_gaussian_params,
-    summarize,
-)
-from .resampling import (
-    CIMethod,
-    ComparisonResult,
-    ConfidenceInterval,
-    CurvePoint,
-    ResamplingConfig,
-    best_of_m_curve,
-    bootstrap_ci,
-    compare_architectures,
-    monte_carlo_ci_gaussian,
-    smoothed_bootstrap_ci,
-)
+from .distributions import *
+from .errors import *
+from .estimators import *
+from .resampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # distributions
-    "ContinuousDistribution",
-    "DiscreteDistribution",
-    "GaussianParams",
-    "standard_normal",
-    "normal",
-    "uniform",
-    "std_normal_expected_max",
-    "expected_max_continuous",
-    "expected_max_discrete",
-    "gaussian_boon_single",
-    "gaussian_boon_valtest",
-    # estimators
-    "Direction",
-    "RunRecord",
-    "ResultPool",
-    "EstimatorKind",
-    "BoonEstimate",
-    "BoonStatistic",
-    "PoolSummary",
-    "NormalityResult",
-    "boon_nonparametric",
-    "boon_parametric_gaussian",
-    "fit_gaussian_params",
-    "summarize",
-    "anderson_darling_normality",
-    "best_single_model",
-    # resampling
-    "ResamplingConfig",
-    "CIMethod",
-    "ConfidenceInterval",
-    "CurvePoint",
-    "ComparisonResult",
-    "bootstrap_ci",
-    "smoothed_bootstrap_ci",
-    "monte_carlo_ci_gaussian",
-    "best_of_m_curve",
-    "compare_architectures",
-    # errors
-    "BestOfNError",
-    "InvalidDistributionError",
-    "InvalidDataError",
-    "InsufficientDataError",
-    "DegeneratePoolError",
-    "ResamplingDegenerateError",
-    "PoolFileError",
-]
+# A public name is listed once, in its own module's __all__.
+__all__ = ["__version__", *distributions.__all__, *estimators.__all__, *resampling.__all__,
+           *errors.__all__]

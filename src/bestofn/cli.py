@@ -6,8 +6,12 @@ curve, a CSV with columns m,expected_best_test,ci_lo,ci_hi next to it).
 Scores are taken verbatim from the input files; the tool never rescales
 between fractions and percents.
 
+Only ``main`` loads the input pools and writes the JSON report; each
+command adds its own keys to the report and returns its table.
+
 Exit codes: 0 success, 2 usage error, 3 input/data error or a failed
-output write (stdout included), 4 estimator or resampling error.
+output write (stdout included), 4 estimator or resampling error (a Boo(n)
+estimate that overflows the float range included).
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -268,55 +274,52 @@ def _write_output(path: str, text: str) -> None:
         raise _OutputError(exc) from exc
 
 
-def _write_report(report: dict, output: str | None) -> None:
-    if output is not None:
-        _write_output(output, json.dumps(report, indent=2) + "\n")
-
-
 def _fmt(x: float | None) -> str:
     return "-" if x is None else f"{x:.6g}"
+
+
+def _finite(x: float | None) -> float | None:
+    return x if x is None or math.isfinite(x) else None  # None for an overflowed statistic
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_summarize(args: argparse.Namespace, argv: list[str]) -> list[str]:
-    pool_file = _pool_file_from_args(args, args.input)
-    pool = load_pool(pool_file)
+def _cmd_summarize(args: argparse.Namespace, pools: list[ResultPool], report: dict) -> list[str]:
+    (pool,) = pools
     s = summarize(pool)
     try:
         ad = anderson_darling_normality(pool.test_scores)
-        normality = {"statistic": ad.statistic, "reject_at_5pct": ad.reject_at_5pct}
     except InsufficientDataError:  # m < 8 or equal test scores
-        normality = None
+        ad = None
+    normality = None
+    if ad and math.isfinite(ad.statistic):  # NaN: the spread overflowed
+        normality = {"statistic": ad.statistic, "reject_at_5pct": ad.reject_at_5pct}
 
-    report = _base_report(args, argv)
-    report["pools"] = [_pool_fingerprint(pool_file, pool)]
-    report["summary"] = {
+    summary = report["summary"] = {
         "m": s.m,
-        "mean_test": s.mean_test,
-        "std_test": s.std_test,
-        "iqr_test": s.iqr_test,
+        "mean_test": _finite(s.mean_test),
+        "std_test": _finite(s.std_test),
+        "iqr_test": _finite(s.iqr_test),
         "range_test": list(s.range_test),
-        "spearman_val_test": s.spearman_val_test,
-        "pearson_val_test": s.pearson_val_test,
+        "spearman_val_test": _finite(s.spearman_val_test),
+        "pearson_val_test": _finite(s.pearson_val_test),
         "normality": normality,
     }
-    _write_report(report, args.output)
 
     table = [
-        f"pool: {pool_file.path} (m={pool.m}, metric={pool.metric_name}, "
+        f"pool: {args.input} (m={pool.m}, metric={pool.metric_name}, "
         f"direction={pool.direction.value})",
-        f"  mean_test     {_fmt(s.mean_test)}",
-        f"  std_test      {_fmt(s.std_test)}",
-        f"  iqr_test      {_fmt(s.iqr_test)}",
+        f"  mean_test     {_fmt(summary['mean_test'])}",
+        f"  std_test      {_fmt(summary['std_test'])}",
+        f"  iqr_test      {_fmt(summary['iqr_test'])}",
         f"  range_test    {_fmt(s.range_test[0])} .. {_fmt(s.range_test[1])}",
-        f"  spearman      {_fmt(s.spearman_val_test)}",
-        f"  pearson       {_fmt(s.pearson_val_test)}",
+        f"  spearman      {_fmt(summary['spearman_val_test'])}",
+        f"  pearson       {_fmt(summary['pearson_val_test'])}",
     ]
     if normality is None:
-        table.append("  normality     - (needs m >= 8 and nonzero spread)")
+        table.append("  normality     -" + ("" if ad else " (needs m >= 8 and nonzero spread)"))
     else:
         verdict = "rejected" if normality["reject_at_5pct"] else "not rejected"
         table.append(f"  normality     A2*={normality['statistic']:.4g} "
@@ -324,9 +327,8 @@ def _cmd_summarize(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return table
 
 
-def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> list[str]:
-    pool_file = _pool_file_from_args(args, args.input)
-    pool = load_pool(pool_file)
+def _cmd_boon(args: argparse.Namespace, pools: list[ResultPool], report: dict) -> list[str]:
+    (pool,) = pools
     kind = (
         EstimatorKind.GAUSSIAN_PARAMETRIC
         if args.estimator == "gaussian"
@@ -359,16 +361,13 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> list[str]:
         for entry, ci in zip(estimates, cis):
             entry["ci"] = asdict(ci)
 
-    report = _base_report(args, argv)
-    report["pools"] = [_pool_fingerprint(pool_file, pool)]
     report["n_values"] = list(args.n)
     report["estimator"] = kind.value
     report["estimates"] = estimates
-    _write_report(report, args.output)
 
     width = max(4, *(len(str(n)) for n in args.n))
     table = [
-        f"pool: {pool_file.path} (m={pool.m}, direction={pool.direction.value})",
+        f"pool: {args.input} (m={pool.m}, direction={pool.direction.value})",
         f"{'n':>{width}}  {'estimator':<20} {'value':>12}  {'ci_lo':>12}  {'ci_hi':>12}  flags",
     ]
     for e in estimates:
@@ -380,9 +379,8 @@ def _cmd_boon(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return table
 
 
-def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> list[str]:
-    pool_file = _pool_file_from_args(args, args.input)
-    pool = load_pool(pool_file)
+def _cmd_curve(args: argparse.Namespace, pools: list[ResultPool], report: dict) -> list[str]:
+    (pool,) = pools
     config = _config_from_args(args)
     points = best_of_m_curve(
         pool,
@@ -391,8 +389,6 @@ def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> list[str]:
         config=config,
     )
 
-    report = _base_report(args, argv)
-    report["pools"] = [_pool_fingerprint(pool_file, pool)]
     report["samples_per_m"] = args.samples_per_m
     report["curve"] = [
         {
@@ -419,10 +415,9 @@ def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> list[str]:
             ])
         _write_output(curve_csv, buf.getvalue())
         report["curve_csv"] = curve_csv
-    _write_report(report, args.output)
 
     table = [
-        f"pool: {pool_file.path} (m={pool.m}, direction={pool.direction.value})",
+        f"pool: {args.input} (m={pool.m}, direction={pool.direction.value})",
         f"{'m':>4}  {'expected_best_test':>20}  {'ci_lo':>12}  {'ci_hi':>12}",
     ]
     for p in points:
@@ -434,24 +429,16 @@ def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> list[str]:
     return table
 
 
-def _cmd_compare(args: argparse.Namespace, argv: list[str]) -> list[str]:
-    file_a = _pool_file_from_args(args, args.input_a)
-    file_b = _pool_file_from_args(args, args.input_b)
-    pool_a = load_pool(file_a)
-    pool_b = load_pool(file_b)
+def _cmd_compare(args: argparse.Namespace, pools: list[ResultPool], report: dict) -> list[str]:
     config = _config_from_args(args)
     n = args.n
-    result = compare_architectures(pool_a, pool_b, n, config)
-
-    report = _base_report(args, argv)
-    report["pools"] = [_pool_fingerprint(file_a, pool_a), _pool_fingerprint(file_b, pool_b)]
+    result = compare_architectures(*pools, n, config)
     report["comparison"] = {
         "n": n,
         "delta": result.delta,
         "significant": result.significant,
         "ci": asdict(result.ci),
     }
-    _write_report(report, args.output)
 
     verdict = "significant" if result.significant else "not significant"
     return [
@@ -621,7 +608,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        table = args.func(args, argv)
+        files = [_pool_file_from_args(args, getattr(args, name))
+                 for name in ("input", "input_a", "input_b") if hasattr(args, name)]
+        pools = [load_pool(pool_file) for pool_file in files]
+        report = _base_report(args, argv)
+        report["pools"] = [_pool_fingerprint(f, pool) for f, pool in zip(files, pools)]
+        # Overflows surface as checked results, as in the engine, not as numpy's warnings.
+        with np.errstate(all="ignore"):
+            table = args.func(args, pools, report)
+        if args.output is not None:
+            _write_output(args.output, json.dumps(report, indent=2) + "\n")
     except (InsufficientDataError, DegeneratePoolError, ResamplingDegenerateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ESTIMATOR

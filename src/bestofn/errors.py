@@ -11,6 +11,16 @@ from __future__ import annotations
 import operator
 import sys
 
+__all__ = [
+    "BestOfNError",
+    "InvalidDistributionError",
+    "InvalidDataError",
+    "InsufficientDataError",
+    "DegeneratePoolError",
+    "ResamplingDegenerateError",
+    "PoolFileError",
+]
+
 _MAX_N = int(sys.float_info.max)  # the largest n taken: (j/m)**n stays a float power
 
 
@@ -46,9 +56,11 @@ class InsufficientDataError(BestOfNError, ValueError):
 
 
 class DegeneratePoolError(BestOfNError, ValueError):
-    """A pool has zero variance on an axis a statistic needs.
+    """A pool has zero variance on an axis a statistic needs, or scores so
+    near the float range's limits that a Boo(n) estimate overflows.
 
-    The message names the degenerate axis ("validation" or "test").
+    The message names the degenerate axis ("validation" or "test") or the
+    overflow.
     """
 
 

@@ -283,6 +283,12 @@ def _boon_weighted_average(
     return float(np.dot(power[1:] - power[:-1], group_mean_test))
 
 
+def _finite_boon(value: float, n: int) -> float:
+    if not math.isfinite(value):  # a sum or spread of scores near the float range's limits
+        raise DegeneratePoolError(f"Boo({n}) overflows the float range")
+    return value
+
+
 def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     """Plug-in best-out-of-n estimate from the empirical distribution.
 
@@ -300,7 +306,7 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     return BoonEstimate(
         n=n,
         m=pool.m,
-        value=value,
+        value=_finite_boon(value, n),
         estimator_kind=EstimatorKind.NONPARAMETRIC,
         extrapolative=pool.m < n,
     )
@@ -380,7 +386,7 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
     return BoonEstimate(
         n=n,
         m=pool.m,
-        value=value,
+        value=_finite_boon(value, n),
         estimator_kind=EstimatorKind.GAUSSIAN_PARAMETRIC,
         extrapolative=pool.m < n,
     )

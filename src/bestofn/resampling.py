@@ -133,8 +133,10 @@ class ResamplingConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError(f'bandwidth must be "auto" or a number, got {self.bandwidth!r}')
-        elif not (math.isfinite(self.bandwidth) and self.bandwidth >= 0.0):
-            raise ValueError(f"bandwidth must be non-negative, got {self.bandwidth}")
+        elif isinstance(self.bandwidth, (bool, np.bool_)) or not (
+            math.isfinite(self.bandwidth) and self.bandwidth >= 0.0
+        ):
+            raise ValueError(f"bandwidth must be a non-negative number, got {self.bandwidth}")
 
 
 class CIMethod(str, enum.Enum):
@@ -218,11 +220,11 @@ def _chunked_replicates(
         rows = max(rows, min(_WIDE_ROWS, _WIDE_ELEMENTS // size))
     out = None
     failures = 0
-    for k, first in enumerate(range(0, count, rows)):
-        rng = _rng(seed, *key, k)
-        # Around user callables too, on purpose: a non-finite result fails its
-        # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
-        with np.errstate(all="ignore"):
+    # Around user callables too, on purpose: a non-finite result fails its
+    # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
+    with np.errstate(all="ignore"):
+        for k, first in enumerate(range(0, count, rows)):
+            rng = _rng(seed, *key, k)
             values = block(rng, min(rows, count - first))
             for i in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1)):
                 failures += 1
@@ -231,12 +233,12 @@ def _chunked_replicates(
                     if np.isfinite(values[i]).all():
                         break
                     failures += 1
-        # A one-chunk run is its chunk; a longer one fills one array, so a
-        # run never holds its values twice.
-        if out is None:
-            out = values if len(values) == count else np.empty((count, *values.shape[1:]))
-        if out is not values:
-            out[first : first + len(values)] = values
+            # A one-chunk run is its chunk; a longer one fills one array, so a
+            # run never holds its values twice.
+            if out is None:
+                out = values if len(values) == count else np.empty((count, *values.shape[1:]))
+            if out is not values:
+                out[first : first + len(values)] = values
     failure_rate = failures / (count + failures)
     if not np.isfinite(out).all() or failure_rate > _FAILURE_BUDGET:
         raise ResamplingDegenerateError(failure_rate)

@@ -19,9 +19,13 @@ from bestofn.errors import _MAX_N
 import helpers
 
 
+def _not_json(constant):
+    raise ValueError(f"report holds {constant}, which strict JSON has no value for")
+
+
 def read_report(path):
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_not_json)
 
 
 def run(argv):
@@ -75,6 +79,21 @@ class TestSummarize:
         summary = read_report(out)["summary"]
         assert summary["spearman_val_test"] is None and summary["pearson_val_test"] is None
         assert summary["normality"] is None
+
+    def test_statistics_that_overflow_are_null(self, tmp_path, capsys):
+        # Finite scores whose sum, deviations and products pass the float range.
+        tests = [-1e308, 0.0, 1e308, 1e308, 1.0, 2.0, 3.0, 4.0]
+        path = helpers.write_pool_csv(tmp_path / "big8.csv", list(zip(range(8), tests)))
+        out = tmp_path / "report.json"
+        assert run(["summarize", path, "--output", out]) == EXIT_OK
+        summary = read_report(out)["summary"]
+        for key in ("mean_test", "std_test", "pearson_val_test", "normality"):
+            assert summary[key] is None, key
+        assert summary["iqr_test"] == 2.5e307 and summary["spearman_val_test"] is not None
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "  mean_test     -\n" in captured.out and "  pearson       -\n" in captured.out
+        assert "  normality     -\n" in captured.out
 
     def test_non_numeric_row_is_an_error_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -298,12 +317,38 @@ class TestBoon:
                   enumerate(list(re.finditer(r"\S+", row))[:5])] for row in table]
         assert edges[0][0] == 40 and all(e == edges[0] for e in edges)
 
-    def test_gaussian_estimator_on_degenerate_pool_guides_user(self, tmp_path, capsys):
-        path = helpers.write_pool_csv(
-            tmp_path / "flat.csv", [(0.1, 5.0), (0.2, 5.0), (0.3, 5.0)]
-        )
-        assert run(["boon", path, "--estimator", "gaussian"]) == EXIT_ESTIMATOR
-        assert "nonparametric" in capsys.readouterr().err
+    @pytest.mark.parametrize("tests, reason", [
+        ([5.0, 5.0, 5.0], "test scores have zero variance"),
+        ([-1e308, 0.0, 1e308, 1e308], "Boo(5) overflows the float range"),  # the spread does
+    ], ids=["zero-spread", "overflow"])
+    def test_gaussian_estimator_on_degenerate_pool_guides_user(
+        self, tests, reason, tmp_path, capsys
+    ):
+        path = helpers.write_pool_csv(tmp_path / "p.csv", list(zip(range(len(tests)), tests)))
+        out = tmp_path / "report.json"
+        assert run(["boon", path, "--estimator", "gaussian", "--output", out]) == EXIT_ESTIMATOR
+        hint = "rerun with --estimator nonparametric, which needs no spread"
+        assert capsys.readouterr().err == f"error: {reason}; {hint}\n"
+        assert not out.exists()  # the pools loaded, the command failed: no report
+
+    @pytest.mark.parametrize("argv", [
+        ["boon", "{p}", "--n", "1"],
+        ["boon", "{p}", "--n", "1", "--bootstrap", "100"],
+        ["compare", "{p}", "{p}", "--bootstrap", "100"],
+    ], ids=["boon", "boon-bootstrap", "compare"])
+    def test_nonparametric_estimate_that_overflows_is_an_estimator_error(
+        self, argv, tmp_path, capsys
+    ):
+        # The rank weights sum to one only up to rounding, so the weighted
+        # sum of 199 largest floats passes the float range.
+        rows = [(i, sys.float_info.max) for i in range(199)]
+        path = helpers.write_pool_csv(tmp_path / "maxed.csv", rows)
+        out = tmp_path / "report.json"
+        argv = [arg.format(p=path) for arg in argv] + ["--output", out]
+        assert run(argv) == EXIT_ESTIMATOR
+        n = argv[argv.index("--n") + 1] if "--n" in argv else 5
+        assert capsys.readouterr().err == f"error: Boo({n}) overflows the float range\n"
+        assert not out.exists()
 
     def test_bootstrap_ci_recorded(self, tmp_path):
         pool = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=4)
@@ -429,14 +474,18 @@ class TestCurve:
         mean = float(pool.test_scores.mean())
         assert abs(point["expected_best_test"] - mean) <= 3 * point["mc_se"]
 
-    def test_overflowing_band_is_an_estimator_error(self, tmp_path, capsys):
-        path = helpers.write_pool_csv(
-            tmp_path / "p.csv", [(-1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)]
-        )
+    @pytest.mark.parametrize("rows, bandwidth", [
+        ([(-1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)], "1e308"),
+        # The automatic bandwidths themselves overflow.
+        ([(0.0, -1e308), (1.0, 0.0), (2.0, 1e308), (3.0, 1e308)], "auto"),
+    ], ids=["wide-noise", "auto"])
+    def test_overflowing_band_is_an_estimator_error(self, rows, bandwidth, tmp_path, capsys):
+        path = helpers.write_pool_csv(tmp_path / "p.csv", rows)
         rc = run(["curve", path, "--m-max", "2", "--samples-per-m", "200",
-                  "--bootstrap", "200", "--bandwidth", "1e308", "--seed", "0"])
+                  "--bootstrap", "200", "--bandwidth", bandwidth, "--seed", "0"])
         assert rc == EXIT_ESTIMATOR
-        assert "statistic failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: statistic failed") and err.count("\n") == 1
 
     def test_rejects_bad_m_max(self, tmp_path, capsys):
         # refused by the parser: the missing input file is never opened

@@ -391,6 +391,16 @@ class TestBoonStatistic:
         assert gaussian.kind is EstimatorKind.GAUSSIAN_PARAMETRIC
         assert gaussian(pool) == boon_parametric_gaussian(pool, 3).value
 
+    @pytest.mark.parametrize("kind, n, tests", [
+        # rank weights that sum to one up to rounding, times the largest float
+        ("nonparametric", 1, [np.finfo(float).max] * 199),
+        ("gaussian_parametric", 5, [-1e308, 0.0, 1e308, 1e308]),  # the spread overflows
+    ])
+    def test_an_estimate_beyond_the_float_range_is_refused(self, kind, n, tests):
+        pool = ResultPool.from_arrays(np.arange(len(tests), dtype=float), tests)
+        with np.errstate(all="ignore"), pytest.raises(DegeneratePoolError, match="overflows"):
+            BoonStatistic(n, kind)(pool)
+
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             BoonStatistic(0)

@@ -69,6 +69,8 @@ class TestResamplingConfig:
             dict(bandwidth=-0.5),
             dict(bandwidth="wide"),
             dict(bandwidth=math.inf),
+            dict(bandwidth=True),
+            dict(bandwidth=np.True_),
             dict(replicates=200.5),
             dict(seed=1.5),
         ],
