@@ -57,7 +57,7 @@ class InsufficientDataError(BestOfNError, ValueError):
 
 class DegeneratePoolError(BestOfNError, ValueError):
     """A pool has zero variance on an axis a statistic needs, or scores so
-    near the float range's limits that a Boo(n) estimate overflows.
+    near the float range's limits that a Boo(n) estimate or a bandwidth overflows.
 
     The message names the degenerate axis ("validation" or "test") or the
     overflow.
@@ -65,16 +65,12 @@ class DegeneratePoolError(BestOfNError, ValueError):
 
 
 class ResamplingDegenerateError(BestOfNError, RuntimeError):
-    """The statistic failed on more than the tolerated fraction of resamples."""
+    """The statistic failed on more than the tolerated fraction of resamples;
+    ``failure_fraction`` is the failed share of the evaluations made."""
 
-    def __init__(self, failure_fraction: float, message: str | None = None):
+    def __init__(self, failure_fraction: float):
         self.failure_fraction = failure_fraction
-        if message is None:
-            message = (
-                f"statistic failed on {failure_fraction:.1%} of resamples "
-                "(tolerated: 1%)"
-            )
-        super().__init__(message)
+        super().__init__(f"statistic failed on {failure_fraction:.1%} of resamples (tolerated: 1%)")
 
 
 class PoolFileError(BestOfNError, ValueError):

@@ -50,11 +50,11 @@ __all__ = [
 # A2 * (1 + 4/m - 25/m^2).
 _AD_CRITICAL_5PCT = 0.752
 
-# Pools up to this size are sorted by np.lexsort, larger ones by
-# _pair_order's argsorts. Measured on bootstrap resamples of untied and
-# 2-decimal validations (2-vCPU Xeon VM, numpy 2.4): lexsort takes 26 against
-# 51 µs at m=500, 65-78 against 77-90 µs at m=800, 91-92 against 74-76 µs at
-# m=900 and 115-120 against 78-82 µs at m=1000.
+# Pools up to this size are sorted by np.lexsort alone; a larger one first
+# argsorts its validations, which sorts it when they are untied. Measured
+# (2-vCPU Xeon VM, numpy 2.4), argsort and tie check against lexsort: untied,
+# 4.0 vs 2.8 µs at m=50, 9.7 vs 9.2 at 200, 20.1 vs 79.8 at 850 and 36.9 vs
+# 251 at 2000; a tied pool pays both, 92 against 68 µs at m=850.
 _LEXSORT_MAX_SIZE = 850
 _last_shape = None  # the (m, n) of the last _boon_weighted_average call
 
@@ -227,28 +227,14 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def _pair_order(vals: np.ndarray, tests: np.ndarray) -> np.ndarray:
-    """An order sorting the records by (validation, test): the same sorted
-    pairs as ``np.lexsort((tests, vals))``, though equal pairs may come in
-    another order.
-
-    Large pools avoid lexsort's two mergesorts: argsort the validations,
-    number their tie groups and, if any, sort the records by test and then
-    stably by group id (a radix sort when the ids fit 16 bits).
-    """
-    m = vals.size
-    if m <= _LEXSORT_MAX_SIZE:
-        return np.lexsort((tests, vals))
-    order = np.argsort(vals)
-    sorted_vals = vals[order]
-    new_group = sorted_vals[1:] != sorted_vals[:-1]
-    if new_group.all():
-        return order
-    ids = np.cumsum(new_group)
-    group = np.empty(m, dtype=np.uint16 if ids[-1] < 1 << 16 else np.intp)
-    group[order[0]] = 0
-    group[order[1:]] = ids
-    by_test = np.argsort(tests)
-    return by_test[np.argsort(group[by_test], kind="stable")]
+    """``np.lexsort((tests, vals))``, the records' (validation, test) order; on a large pool
+    with untied validations, their argsort, as then no other order sorts them."""
+    if vals.size > _LEXSORT_MAX_SIZE:
+        order = np.argsort(vals)
+        sorted_vals = vals[order]
+        if (sorted_vals[1:] != sorted_vals[:-1]).all():
+            return order
+    return np.lexsort((tests, vals))
 
 
 @lru_cache(maxsize=1)

@@ -56,6 +56,7 @@ from .distributions import GaussianParams, std_normal_expected_max
 from .errors import (
     _MAX_N,
     BestOfNError,
+    DegeneratePoolError,
     InsufficientDataError,
     ResamplingDegenerateError,
     _integer_arg,
@@ -69,6 +70,7 @@ from .estimators import (
     _boon_weighted_average,
     _linear_quantiles,
     _oriented_scores,
+    _pair_order,
     _rank_powers,
     _tie_groups,
     boon_nonparametric,
@@ -96,7 +98,6 @@ MAX_REPLICATES = 10_000_000
 # Retries are tolerated for up to this fraction of all statistic
 # evaluations before a resampling run is declared degenerate.
 _FAILURE_BUDGET = 0.01
-_MAX_ATTEMPTS_PER_REPLICATE = 100
 
 # Resampled records per replicate chunk, and the least rows a vectorised
 # block's chunk holds within a wider record budget. Part of the output
@@ -211,37 +212,40 @@ def _chunked_replicates(
     ``min(_WIDE_ROWS, _WIDE_ELEMENTS // size)``. A failed replicate is a
     NaN or infinite value, and a run prints no floating-point warnings.
     Each row holding a failure is redrawn one at a time from its chunk's
-    stream, up to ``_MAX_ATTEMPTS_PER_REPLICATE`` attempts, and the run
-    aborts with :class:`ResamplingDegenerateError` when more than 1% of all
-    evaluations fail.
+    stream until it is finite; the run aborts with
+    :class:`ResamplingDegenerateError` once failures exceed 1% of ``count``
+    plus failures, a share further draws can only raise, so it evaluates
+    at most about 1.01 * ``count`` rows.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
     if wide:
         rows = max(rows, min(_WIDE_ROWS, _WIDE_ELEMENTS // size))
     out = None
-    failures = 0
+    failures = evaluations = 0
     # Around user callables too, on purpose: a non-finite result fails its
     # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
     with np.errstate(all="ignore"):
         for k, first in enumerate(range(0, count, rows)):
             rng = _rng(seed, *key, k)
             values = block(rng, min(rows, count - first))
-            for i in np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1)):
-                failures += 1
-                for _ in range(_MAX_ATTEMPTS_PER_REPLICATE - 1):
+            evaluations += len(values)
+            failed = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
+            failures += failed.size
+            for i in failed:
+                while failures / (count + failures) <= _FAILURE_BUDGET:
                     values[i] = block(rng, 1)[0]
+                    evaluations += 1
                     if np.isfinite(values[i]).all():
                         break
                     failures += 1
+                else:
+                    raise ResamplingDegenerateError(failures / evaluations)
             # A one-chunk run is its chunk; a longer one fills one array, so a
             # run never holds its values twice.
             if out is None:
                 out = values if len(values) == count else np.empty((count, *values.shape[1:]))
             if out is not values:
                 out[first : first + len(values)] = values
-    failure_rate = failures / (count + failures)
-    if not np.isfinite(out).all() or failure_rate > _FAILURE_BUDGET:
-        raise ResamplingDegenerateError(failure_rate)
     return out
 
 
@@ -268,9 +272,9 @@ def _draw(
 
 
 def _pool_order(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pool's worst-to-best (validation, test) order, lexsort's own
-    permutation, and each record's position in it (maximize convention)."""
-    order = np.lexsort((tests, vals))
+    """The pool's worst-to-best (validation, test) order and each record's
+    position in it (maximize convention)."""
+    order = _pair_order(vals, tests)
     rank = np.empty(order.size, dtype=np.intp)
     rank[order] = np.arange(order.size)
     return order, rank
@@ -292,8 +296,6 @@ def _count_boon(
     and read by every n.
     """
     m = vals.size
-    # lexsort's own permutation, not _pair_order's: the grouped sums below
-    # depend on which of two equal pairs comes first. Once per run, it is cheap.
     order, rank = _pool_order(vals, tests)
     sorted_tests = tests[order]
     group_start, _ = _tie_groups(vals[order])
@@ -370,9 +372,16 @@ def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float
         return float(bandwidth), float(bandwidth)
     # Scott-style rule for bivariate data: sigma_hat * m**(-1/6) per axis.
     factor = pool.m ** (-1.0 / 6.0)
-    sd_val = float(pool.validation_scores.std(ddof=1)) if pool.m >= 2 else 0.0
-    sd_test = float(pool.test_scores.std(ddof=1)) if pool.m >= 2 else 0.0
-    return sd_val * factor, sd_test * factor
+    h = []
+    for axis, scores in (("validation", pool.validation_scores), ("test", pool.test_scores)):
+        with np.errstate(all="ignore"):
+            h.append(float(scores.std(ddof=1)) * factor if pool.m >= 2 else 0.0)
+        if not math.isfinite(h[-1]):
+            raise DegeneratePoolError(
+                f"the automatic {axis} bandwidth overflows the float range; "
+                "an explicit bandwidth (--bandwidth) avoids it"
+            )
+    return h[0], h[1]
 
 
 def _boon_block(
@@ -520,9 +529,10 @@ def bootstrap_ci(
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
     once; any other callable is called on one resampled pool at a time,
-    its records in worst-to-best (validation, test) order. Both see the
-    same resamples under the same seed. ``workers`` is accepted for
-    compatibility and has no effect.
+    its records in worst-to-best (validation, test) order. Under the same
+    seed both see the same resamples, except those of 2,049 to 32,768
+    records: a Boo(n) statistic takes them in wider chunks, so from other
+    streams. ``workers`` is accepted for compatibility and has no effect.
     """
     return _bootstrap_intervals(pool, [statistic], config, resample_size=resample_size)[0]
 
@@ -677,7 +687,7 @@ def best_of_m_curve(
                 f"without-replacement samples of size {m} exceed the pool (m={pool.m})"
             )
     vals, tests, sign = _oriented_scores(pool)
-    bandwidths = _resolve_bandwidths(pool, config.bandwidth)
+    bandwidths = _resolve_bandwidths(pool, config.bandwidth) if with_ci else ()
 
     def best_tests(ms: list[int], count: int, run: int, h: tuple[float, ...]) -> np.ndarray:
         """``(len(ms), count)`` test scores of the best-validation record

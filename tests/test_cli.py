@@ -474,18 +474,21 @@ class TestCurve:
         mean = float(pool.test_scores.mean())
         assert abs(point["expected_best_test"] - mean) <= 3 * point["mc_se"]
 
-    @pytest.mark.parametrize("rows, bandwidth", [
-        ([(-1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)], "1e308"),
-        # The automatic bandwidths themselves overflow.
-        ([(0.0, -1e308), (1.0, 0.0), (2.0, 1e308), (3.0, 1e308)], "auto"),
+    @pytest.mark.parametrize("rows, bandwidth, error", [
+        ([(-1e308, 1.0), (-1e308, 2.0), (0.0, 3.0)], "1e308", "error: statistic failed"),
+        # The automatic test bandwidth itself overflows: named before any draw.
+        ([(0.0, -1e308), (1.0, 0.0), (2.0, 1e308), (3.0, 1e308)], "auto",
+         "error: the automatic test bandwidth overflows the float range; an explicit"
+         " bandwidth (--bandwidth) avoids it"),
     ], ids=["wide-noise", "auto"])
-    def test_overflowing_band_is_an_estimator_error(self, rows, bandwidth, tmp_path, capsys):
+    def test_overflowing_band_is_an_estimator_error(self, rows, bandwidth, error, tmp_path,
+                                                    capsys):
         path = helpers.write_pool_csv(tmp_path / "p.csv", rows)
         rc = run(["curve", path, "--m-max", "2", "--samples-per-m", "200",
                   "--bootstrap", "200", "--bandwidth", bandwidth, "--seed", "0"])
         assert rc == EXIT_ESTIMATOR
         err = capsys.readouterr().err
-        assert err.startswith("error: statistic failed") and err.count("\n") == 1
+        assert err.startswith(error) and err.count("\n") == 1
 
     def test_rejects_bad_m_max(self, tmp_path, capsys):
         # refused by the parser: the missing input file is never opened

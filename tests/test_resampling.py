@@ -10,6 +10,7 @@ from scipy import stats as scipy_stats
 from bestofn import (
     BoonStatistic,
     CIMethod,
+    DegeneratePoolError,
     Direction,
     EstimatorKind,
     GaussianParams,
@@ -172,6 +173,21 @@ class TestBootstrapCI:
 
         with pytest.raises(ResamplingDegenerateError):
             bootstrap_ci(pool, broken, ResamplingConfig(replicates=200, seed=0))
+
+    def test_always_failing_statistic_stops_within_its_first_chunk(self):
+        # 4-record resamples: 4,096 a chunk, all failed, so the budget of 1%
+        # is spent before a single redraw
+        calls = []
+
+        def nan(pool):
+            calls.append(1)
+            return math.nan
+
+        pool = ResultPool.from_arrays([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0])
+        with pytest.raises(ResamplingDegenerateError, match="on 100.0% of resamples") as err:
+            bootstrap_ci(pool, nan, ResamplingConfig(replicates=10_000, seed=0))
+        assert err.value.failure_fraction == 1.0
+        assert len(calls) <= 4096
 
     def test_rare_failures_are_retried(self):
         # fails only when a resample repeats one record five times:
@@ -424,6 +440,25 @@ class TestSmoothedBootstrapCI:
         cfg = ResamplingConfig(replicates=200, seed=0, bandwidth=1e308)
         with pytest.raises(ResamplingDegenerateError):
             smoothed_bootstrap_ci(pool, statistic, cfg)
+
+    def test_an_overflowing_automatic_bandwidth_is_named(self):
+        # the test scores' spread overflows; the validations' does not
+        pool = ResultPool.from_arrays([0.0, 1.0, 2.0, 3.0], [-1e308, 0.0, 1e308, 1e308])
+        cfg = ResamplingConfig(replicates=200, seed=0)
+        match = r"^the automatic test bandwidth overflows the float range; .*--bandwidth"
+        with pytest.raises(DegeneratePoolError, match=match):
+            smoothed_bootstrap_ci(pool, boon5, cfg)
+        with pytest.raises(DegeneratePoolError, match=match):
+            best_of_m_curve(pool, [1, 2], 200, cfg)
+        flipped = ResultPool.from_arrays(pool.test_scores, pool.validation_scores)
+        with pytest.raises(DegeneratePoolError, match="automatic validation bandwidth"):
+            best_of_m_curve(flipped, [1, 2], 200, cfg)
+        # no smoothed draw, no bandwidth: the curve's points need none (their
+        # own sums of 1e308 scores overflow, with numpy's warnings)
+        with np.errstate(all="ignore"):
+            (point,) = best_of_m_curve(pool, [2], 200, cfg, with_ci=False)
+        assert point.ci is None
+        smoothed_bootstrap_ci(pool, boon5, dataclasses.replace(cfg, bandwidth=0.5))
 
 
 class TestMonteCarloCI:
@@ -867,6 +902,17 @@ class TestEngine:
                     checked += 1
         assert checked > 250
 
+    def test_boon_statistic_and_a_callable_see_the_same_resamples_up_to_2048_records(self):
+        # above 2,048 records a BoonStatistic's chunks are wider than a
+        # callable's, so the two read other streams
+        rng = np.random.default_rng(2048)
+        pool = ResultPool.from_arrays(rng.normal(size=2048).round(2), rng.normal(size=2048))
+        cfg = ResamplingConfig(replicates=100, seed=1)
+        fast = bootstrap_ci(pool, BoonStatistic(5), cfg)
+        slow = bootstrap_ci(pool, lambda p: boon_nonparametric(p, 5).value, cfg)
+        assert fast.lo == pytest.approx(slow.lo, rel=1e-12)
+        assert fast.hi == pytest.approx(slow.hi, rel=1e-12)
+
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_boon_statistic_agrees_with_the_generic_path(self, kind):
         records = helpers.random_tied_records(np.random.default_rng(5), m_max=40) + [
@@ -1172,6 +1218,29 @@ class TestEngine:
         assert failed[17] == [2, 5] and failed[201] == [6, 7]
         got = resampling._chunked_replicates(count, size, seed, block, wide=True)
         np.testing.assert_array_equal(got, np.concatenate(want))
+
+    def test_a_row_is_redrawn_until_it_is_finite_within_the_budget(self):
+        # row 0 fails, and so do its first 150 redraws: 151 failures in
+        # 20,151 evaluations stay within 1%, however many fall on one row
+        chunks, redraws = [], []
+
+        def block(rng, rows):
+            values = rng.random(rows)
+            if rows > 1:  # a chunk of 4,096 (the last of 3,616) resamples
+                chunks.append(rows)
+                if len(chunks) == 1:
+                    values[0] = math.nan
+            else:
+                redraws.append(values[0])
+                if len(redraws) <= 150:
+                    values[0] = math.nan
+            return values
+
+        got = resampling._chunked_replicates(20_000, 4, 5, block)
+        assert len(redraws) == 151
+        assert got[0] == redraws[-1]
+        plain = resampling._chunked_replicates(20_000, 4, 5, lambda rng, rows: rng.random(rows))
+        np.testing.assert_array_equal(got[1:], plain[1:])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_an_infinite_point_fails_its_row_as_nan_does(self, bad):
