@@ -290,12 +290,9 @@ def _cmd_summarize(args: argparse.Namespace, pools: list[ResultPool], report: di
     (pool,) = pools
     s = summarize(pool)
     try:
-        ad = anderson_darling_normality(pool.test_scores)
-    except InsufficientDataError:  # m < 8 or equal test scores
-        ad = None
-    normality = None
-    if ad and math.isfinite(ad.statistic):  # NaN: the spread overflowed
-        normality = {"statistic": ad.statistic, "reject_at_5pct": ad.reject_at_5pct}
+        normality = anderson_darling_normality(pool.test_scores)._asdict()
+    except InsufficientDataError:  # m < 8, equal test scores or a spread that overflows
+        normality = None
 
     summary = report["summary"] = {
         "m": s.m,
@@ -319,7 +316,7 @@ def _cmd_summarize(args: argparse.Namespace, pools: list[ResultPool], report: di
         f"  pearson       {_fmt(summary['pearson_val_test'])}",
     ]
     if normality is None:
-        table.append("  normality     -" + ("" if ad else " (needs m >= 8 and nonzero spread)"))
+        table.append("  normality     - (needs m >= 8 and a finite, nonzero spread)")
     else:
         verdict = "rejected" if normality["reject_at_5pct"] else "not rejected"
         table.append(f"  normality     A2*={normality['statistic']:.4g} "

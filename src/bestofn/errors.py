@@ -72,6 +72,9 @@ class ResamplingDegenerateError(BestOfNError, RuntimeError):
         self.failure_fraction = failure_fraction
         super().__init__(f"statistic failed on {failure_fraction:.1%} of resamples (tolerated: 1%)")
 
+    def __reduce__(self):  # rebuilt from the fraction, not from the formatted message
+        return type(self), (self.failure_fraction,)
+
 
 class PoolFileError(BestOfNError, ValueError):
     """An input file could not be turned into a valid result pool.

@@ -82,10 +82,12 @@ class RunRecord(NamedTuple):
 class ResultPool:
     """The m (validation, test) pairs collected for one architecture.
 
-    Scores are held as two read-only float64 arrays of equal length; row
-    order carries no meaning, as every estimator in this package is
-    permutation-invariant. Scores must be finite. Two pools are equal when
-    their scores, direction and metric name are; pools are not hashable.
+    Scores are held as two read-only float64 arrays of equal length, sorted
+    here, once, worst to best in the pool's own direction ((validation, test)
+    pairs ascending for maximize, descending for minimize), so no number
+    computed from a pool depends on the order its records were given in.
+    Scores must be finite. Pools are equal when their records, direction and
+    metric name are; they are not hashable.
     """
 
     validation_scores: np.ndarray
@@ -94,8 +96,9 @@ class ResultPool:
     metric_name: str = "score"
 
     def __post_init__(self):
-        v = np.array(self.validation_scores, dtype=float)
-        t = np.array(self.test_scores, dtype=float)
+        direction = Direction(self.direction)
+        v = np.asarray(self.validation_scores, dtype=float)
+        t = np.asarray(self.test_scores, dtype=float)
         if v.ndim != 1 or v.shape != t.shape:
             raise InvalidDataError("validation and test must be equal-length 1-d arrays")
         if v.size == 0:
@@ -103,11 +106,12 @@ class ResultPool:
         if not (np.isfinite(v).all() and np.isfinite(t).all()):
             i = int(np.flatnonzero(~(np.isfinite(v) & np.isfinite(t)))[0])
             raise InvalidDataError(f"non-finite score in record {i}: ({v[i]!r}, {t[i]!r})")
+        v, t = _worst_to_best(v, t, direction)
         v.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "validation_scores", v)
         object.__setattr__(self, "test_scores", t)
-        object.__setattr__(self, "direction", Direction(self.direction))
+        object.__setattr__(self, "direction", direction)
 
     def __eq__(self, other):
         if not isinstance(other, ResultPool):
@@ -119,13 +123,17 @@ class ResultPool:
             and np.array_equal(self.test_scores, other.test_scores)
         )
 
+    def __reduce__(self):  # unpickled through the constructor: checked, sorted, read-only
+        return type(self), (self.validation_scores, self.test_scores, self.direction,
+                            self.metric_name)
+
     @property
     def m(self) -> int:
         return self.validation_scores.size
 
     @property
     def records(self) -> tuple[RunRecord, ...]:
-        """The pool as (validation, test) records, built on each access."""
+        """The pool as (validation, test) records, worst to best, built on each access."""
         return tuple(map(RunRecord, self.validation_scores.tolist(), self.test_scores.tolist()))
 
     @classmethod
@@ -151,18 +159,14 @@ class ResultPool:
 
 
 class _CheckedPool(ResultPool):
-    """A plain ``ResultPool`` over arrays meeting its invariants, used as given: no copy, no
-    check (its copies are checked). Build it by ``from_arrays``: perfbench counts pools there."""
+    """A plain ``ResultPool`` over arrays meeting its invariants (finite, read-only, worst to
+    best), used as given. Build it by ``from_arrays``: perfbench counts pools there."""
 
     def __new__(cls, validation, test, direction, metric_name):
         pool = object.__new__(ResultPool)  # not a cls instance, so __init__ is skipped
         vars(pool).update(validation_scores=validation, test_scores=test, direction=direction,
-                          metric_name=metric_name, _ordered=cls is _OrderedPool)
+                          metric_name=metric_name)
         return pool
-
-
-class _OrderedPool(_CheckedPool):
-    """A bootstrap's unsmoothed resample, in worst-to-best order: Boo(n) skips its sort."""
 
 
 @dataclass(frozen=True)
@@ -237,6 +241,14 @@ def _pair_order(vals: np.ndarray, tests: np.ndarray) -> np.ndarray:
     return np.lexsort((tests, vals))
 
 
+def _worst_to_best(vals: np.ndarray, tests: np.ndarray, direction: Direction) -> tuple:
+    """Copies of the scores with the records worst to best in ``direction``: (validation, test)
+    order, reversed for minimize; records equal as numbers keep their order or its reverse."""
+    order = _pair_order(vals, tests)
+    order = order[::-1] if direction is Direction.MINIMIZE else order
+    return vals[order], tests[order]
+
+
 @lru_cache(maxsize=1)
 def _rank_powers(m: int, n: int) -> np.ndarray:
     """The read-only table (j/m)**n, j = 0..m, of Boo(n)'s rank weights, for the last (m, n)."""
@@ -245,19 +257,12 @@ def _rank_powers(m: int, n: int) -> np.ndarray:
     return power
 
 
-def _boon_weighted_average(
-    vals: np.ndarray, tests: np.ndarray, n: int, ordered: bool = False
-) -> float:
-    """Rank-weighted test average over validation order (maximize convention).
-
-    Sorting is by (validation, test) so tied-validation groups are summed in a canonical order
-    and the result is bit-identical under record shuffles; ``ordered`` records are used as given.
-    """
+def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
+    """Rank-weighted test average of records in (validation, test) order,
+    worst to best (maximize convention): tied-validation groups are summed in
+    that one order, so the value is bit-identical for the records in any order."""
     global _last_shape
     m = vals.size
-    if not ordered:
-        order = _pair_order(vals, tests)
-        vals, tests = vals[order], tests[order]
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
     new_group = np.ones(m + 1, dtype=bool)
     np.not_equal(vals[1:], vals[:-1], out=new_group[1:m])
@@ -288,7 +293,7 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     """
     _integer_arg(n, "n", 1, _MAX_N)
     vals, tests, sign = _oriented_scores(pool)
-    value = sign * _boon_weighted_average(vals, tests, n, getattr(pool, "_ordered", False))
+    value = sign * _boon_weighted_average(vals, tests, n)
     return BoonEstimate(
         n=n,
         m=pool.m,
@@ -444,7 +449,8 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
 
     Mean and variance are estimated from the data; the returned statistic
     is A2 * (1 + 4/m - 25/m^2) and is compared against the 5% critical
-    value 0.752 for this composite case.
+    value 0.752 for this composite case. Fewer than 8 values, equal values
+    and a spread beyond the float range raise :class:`InsufficientDataError`.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
@@ -456,6 +462,8 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
     if np.ptp(x) == 0.0:
         raise InsufficientDataError("zero variance; normality check is undefined")
     sd = float(x.std(ddof=1))
+    if not math.isfinite(sd):  # NaN when the mean overflows too
+        raise InsufficientDataError("the spread overflows; normality check is undefined")
     z = np.sort((x - x.mean()) / sd)
     i = np.arange(1, m + 1)
     # log-space tails keep the terms finite for extreme standardized values.
@@ -467,12 +475,11 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
 
 
 def best_single_model(pool: ResultPool) -> float:
-    """Test score of the pool's best-validation record.
+    """Test score of the pool's best-validation record, its last one.
 
     This is the statistic behind conventional "best single model"
-    reporting. Validation ties are broken toward the better test score so
-    the statistic is a deterministic function of the pool.
+    reporting. Validation ties are broken toward the better test score, as
+    the pool orders its records, so the statistic is a deterministic
+    function of the pool.
     """
-    vals, tests, sign = _oriented_scores(pool)
-    best_val = vals.max()
-    return sign * float(tests[vals == best_val].max())
+    return float(pool.test_scores[-1])

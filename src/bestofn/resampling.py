@@ -4,7 +4,7 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 6): every routine draws its
+Determinism contract (stream version 7): every routine draws its
 replicates through one engine, in chunks of ``max(1, 2**14 // size)``
 replicates of ``size`` records, or, for a block vectorised over the chunk
 (the count kernel, Gaussian Boo(n), compare and the Gaussian Monte Carlo
@@ -37,10 +37,11 @@ point's numbers therefore depend on the seed, the run, the sample count
 and m, not on the other points requested. Which replicates share a stream
 depends on the seed, the key, the kind of run and the resample size only,
 and chunks are concatenated in order, so output is bit-identical for a
-given seed. A callable statistic gets an unsmoothed resample's records in
-the pool's worst-to-best (validation, test) order, a smoothed one's in
-draw order. A failed replicate is a NaN or infinite value, and a run
-prints no floating-point warnings.
+given seed. A drawn index is a position in the pool, whose records run
+worst to best (see :class:`ResultPool`), so the output is the same for the
+pool's records in any order, and every resample a callable statistic gets
+is a pool in that order too. A failed replicate is a NaN or infinite
+value, and a run prints no floating-point warnings.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ from .estimators import (
     EstimatorKind,
     ResultPool,
     _CheckedPool,
-    _OrderedPool,
     _boon_weighted_average,
     _linear_quantiles,
     _oriented_scores,
     _pair_order,
     _rank_powers,
     _tie_groups,
+    _worst_to_best,
     boon_nonparametric,
 )
 
@@ -90,7 +91,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -267,28 +268,20 @@ def _draw(
     out = [c[idx] for c in columns]
     if any(bandwidths):
         noise = rng.standard_normal((rows, size, len(columns)))
-        out = [c + h * noise[:, :, j] for j, (c, h) in enumerate(zip(out, bandwidths))]
+        for j, (c, h) in enumerate(zip(out, bandwidths)):
+            c += h * noise[:, :, j]  # in place: the gathered columns are fresh arrays
     return out
-
-
-def _pool_order(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pool's worst-to-best (validation, test) order and each record's
-    position in it (maximize convention)."""
-    order = _pair_order(vals, tests)
-    rank = np.empty(order.size, dtype=np.intp)
-    rank[order] = np.arange(order.size)
-    return order, rank
 
 
 def _count_boon(
     vals: np.ndarray, tests: np.ndarray, size: int, ns: Sequence[int]
-) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Non-parametric Boo(n) at each n of ``ns`` of resamples of ``size``
-    records (maximize convention), without sorting any resample: returns
-    each record's position in the sorted pool and a kernel taking rows of
-    those positions to a ``(rows, len(ns))`` block.
+    records (maximize convention), without sorting any resample: a kernel
+    taking rows of positions in the pool's worst-to-best records to a
+    ``(rows, len(ns))`` block.
 
-    A resample is a count vector over the (validation, test)-sorted pool.
+    A resample is a count vector over the pool's records.
     With S_g the cumulative count up to validation tie group g and s the
     resample size, group g weighs (S_g/s)^n - (S_{g-1}/s)^n times its
     count-weighted mean test score: the rank-weight formula applied to
@@ -296,19 +289,17 @@ def _count_boon(
     and read by every n.
     """
     m = vals.size
-    order, rank = _pool_order(vals, tests)
-    sorted_tests = tests[order]
-    group_start, _ = _tie_groups(vals[order])
+    group_start, _ = _tie_groups(vals)
     tied = group_start.size < m
     powers = [_rank_powers(size, n) for n in ns]
 
-    def boon_rows(ranks: np.ndarray) -> np.ndarray:
-        rows = ranks.shape[0]
-        flat = (ranks + m * np.arange(rows)[:, None]).ravel()
+    def boon_rows(pos: np.ndarray) -> np.ndarray:
+        rows = pos.shape[0]
+        flat = (pos + m * np.arange(rows)[:, None]).ravel()
         counts = np.bincount(flat, minlength=rows * m).reshape(rows, m)
-        group_tests = sorted_tests
+        group_tests = tests
         if tied:
-            test_sums = np.add.reduceat(counts * sorted_tests, group_start, axis=1)
+            test_sums = np.add.reduceat(counts * tests, group_start, axis=1)
             counts = np.add.reduceat(counts, group_start, axis=1)
             group_tests = test_sums / np.maximum(counts, 1)
         upper = np.cumsum(counts, axis=1)
@@ -322,22 +313,24 @@ def _count_boon(
     # the pool are counted a slice of rows at a time.
     step = max(1, _CHUNK_ELEMENTS // m)
 
-    def boon(ranks: np.ndarray) -> np.ndarray:
-        return np.concatenate([boon_rows(ranks[i : i + step]) for i in range(0, len(ranks), step)])
+    def boon(pos: np.ndarray) -> np.ndarray:
+        return np.concatenate([boon_rows(pos[i : i + step]) for i in range(0, len(pos), step)])
 
-    return rank, boon
+    return boon
 
 
 def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
     """Non-parametric Boo(n) of each row of (vals, tests) (maximize
     convention): rows are sorted by validation and weighed with the fixed
-    rank weights; rows with tied validations take the grouped formula."""
+    rank weights; rows with tied validations are put in (validation, test)
+    order and take the grouped formula."""
     m = vals.shape[1]
     order = np.argsort(vals, axis=1)
     sorted_vals = np.take_along_axis(vals, order, axis=1)
     out = np.take_along_axis(tests, order, axis=1) @ np.diff(_rank_powers(m, n))
     for r in np.flatnonzero((sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1)):
-        out[r] = _boon_weighted_average(vals[r], tests[r], n)
+        row = _pair_order(vals[r], tests[r])
+        out[r] = _boon_weighted_average(vals[r, row], tests[r, row], n)
     return out
 
 
@@ -415,8 +408,8 @@ def _boon_block(
             return sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1)
 
         return sorted_block
-    rank, boon = _count_boon(vals, tests, size, ns)
-    return lambda rng, rows: sign * boon(_draw(rng, (rank,), rows, size)[0])
+    boon = _count_boon(vals, tests, size, ns)
+    return lambda rng, rows: sign * boon(rng.integers(0, pool.m, size=(rows, size)))
 
 
 def _statistic_block(
@@ -425,27 +418,24 @@ def _statistic_block(
     size: int,
     bandwidths: tuple[float, ...],
 ) -> Callable[..., np.ndarray]:
-    """Block for any pool statistic: one pool per row, over read-only views
-    of the chunk's draws, in the pool's worst-to-best (validation, test)
-    order unless smoothed. A smoothed row with a non-finite score (an
-    overflowed draw) is a failed evaluation; an unsmoothed row holds the
-    pool's own finite scores."""
+    """Block for any pool statistic: one pool per row, over read-only views of the chunk's
+    draws, its records worst to best. An unsmoothed row gathers the pool at sorted positions;
+    a smoothed row is sorted as a pool is, and fails with a non-finite (overflowed) score."""
     columns = (pool.validation_scores, pool.test_scores)
     if any(bandwidths):
-        row = _CheckedPool
-        # Noise is drawn for the draw's positions, so rows keep draw order.
-        def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
-            v, t = _draw(rng, columns, rows, size, bandwidths)
-            return v, t, (np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)).tolist()
-    else:
-        row = _OrderedPool
-        order, rank = _pool_order(*_oriented_scores(pool)[:2])
-        # Positions sort two to three times as fast as 16-bit integers.
-        rank = rank.astype(np.int16 if pool.m <= 2**15 else np.intp)
-        columns = tuple(c[order] for c in columns)
 
         def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
-            pos = _draw(rng, (rank,), rows, size)[0]
+            v, t = _draw(rng, columns, rows, size, bandwidths)
+            finite = np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)
+            for r in np.flatnonzero(finite):  # row views gather faster than v[r, order]
+                v[r], t[r] = _worst_to_best(v[r], t[r], pool.direction)
+            return v, t, finite.tolist()
+    else:
+        # Positions sort two to three times as fast as 16-bit integers.
+        small = np.int16 if pool.m <= 2**15 else np.intp
+
+        def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
+            pos = rng.integers(0, pool.m, size=(rows, size)).astype(small)
             pos.sort(axis=1)
             pos = pos.astype(np.intp)
             return columns[0][pos], columns[1][pos], [True] * rows
@@ -454,7 +444,8 @@ def _statistic_block(
         v, t, finite = draw(rng, rows)
         v.flags.writeable = t.flags.writeable = False
         return np.array([
-            _evaluate(statistic, row.from_arrays(v[r], t[r], pool.direction, pool.metric_name))
+            _evaluate(statistic, _CheckedPool.from_arrays(v[r], t[r], pool.direction,
+                                                          pool.metric_name))
             if ok else math.nan
             for r, ok in enumerate(finite)
         ])
@@ -529,7 +520,7 @@ def bootstrap_ci(
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
     once; any other callable is called on one resampled pool at a time,
-    its records in worst-to-best (validation, test) order. Under the same
+    its records worst to best, as every pool's are. Under the same
     seed both see the same resamples, except those of 2,049 to 32,768
     records: a Boo(n) statistic takes them in wider chunks, so from other
     streams. ``workers`` is accepted for compatibility and has no effect.

@@ -93,7 +93,7 @@ class TestSummarize:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "  mean_test     -\n" in captured.out and "  pearson       -\n" in captured.out
-        assert "  normality     -\n" in captured.out
+        assert "  normality     - (needs m >= 8 and a finite, nonzero spread)\n" in captured.out
 
     def test_non_numeric_row_is_an_error_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -704,7 +704,7 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--output", out]) == EXIT_OK
         report = read_report(out)
-        assert report["stream_version"] == resampling.STREAM_VERSION == 6
+        assert report["stream_version"] == resampling.STREAM_VERSION == 7
         assert report["schema_version"] == 1
 
 
@@ -830,3 +830,32 @@ class TestStdoutFailures:
         finally:
             os.close(write_end)
         self.assert_output_error(argv, result, "")
+
+
+def test_a_shuffled_input_file_gives_byte_identical_output(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(21)
+    v, t = rng.integers(0, 6, 40) / 4, rng.normal(size=40).round(2)
+    rows = list(zip(v.tolist(), t.tolist()))
+    commands = [
+        ["summarize", "pool.csv", "--output", "summarize.json"],
+        ["boon", "pool.csv", "--n", "1,5", "--bootstrap", "200", "--output", "boon.json"],
+        ["boon", "pool.csv", "--estimator", "gaussian", "--bootstrap", "200",
+         "--output", "gauss.json"],
+        ["compare", "pool.csv", "pool.csv", "--bootstrap", "200", "--output", "compare.json"],
+        ["curve", "pool.csv", "--m-max", "3", "--samples-per-m", "200", "--bootstrap", "200",
+         "--output", "curve.json"],
+    ]
+    seen = []
+    for name, order in (("given", np.arange(40)), ("shuffled", rng.permutation(40))):
+        directory = tmp_path / name
+        directory.mkdir()
+        helpers.write_pool_csv(directory / "pool.csv", [rows[i] for i in order])
+        monkeypatch.chdir(directory)
+        printed = []
+        for argv in commands:
+            assert run(argv) == EXIT_OK
+            printed.append(capsys.readouterr().out)
+        outputs = sorted(p for p in directory.iterdir() if p.name != "pool.csv")
+        seen.append((printed, [(p.name, p.read_bytes()) for p in outputs]))
+    assert seen[0] == seen[1]
+    assert len(seen[0][1]) == 6  # five reports and the curve CSV

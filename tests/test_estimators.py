@@ -282,10 +282,12 @@ class TestPairOrder:
             order = np.lexsort((sign * t, sign * v))  # worst to best
             v, t = v[order], t[order]
             calls.clear()
-            want = [_boon_value(ResultPool.from_arrays(v, t, direction), n) for n in (1, 5, 20)]
-            assert calls == [m] * 3, name  # only an engine resample skips the sort
+            pool = ResultPool.from_arrays(v, t, direction)
+            want = [_boon_value(pool, n) for n in (1, 5, 20)]
+            assert calls == [m], name  # sorted once, when built; Boo(n) sorts nothing
             for shuffle in (rng.permutation(m), np.arange(m)[::-1]):
                 shuffled = ResultPool.from_arrays(v[shuffle], t[shuffle], direction)
+                assert shuffled == pool, name
                 assert [_boon_value(shuffled, n) for n in (1, 5, 20)] == want, name
             # one swapped pair of tied validations is out of order again
             for i in np.flatnonzero((v[1:] == v[:-1]) & (t[1:] != t[:-1]))[:1]:
@@ -438,22 +440,25 @@ class TestResultPool:
         v, t = np.array([0.3, 0.1, 0.2]), np.array([3.0, 1.0, 2.0])
         pool = ResultPool.from_arrays(v, t)
         v[0] = 99.0
-        assert pool.validation_scores.tolist() == [0.3, 0.1, 0.2]
+        assert pool.validation_scores.tolist() == [0.1, 0.2, 0.3]
         for arr in (pool.validation_scores, pool.test_scores):
             assert arr.dtype == np.float64 and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_records_round_trip_the_pairs(self):
-        pairs = [(0.3, 3.0), (0.1, 1.0), (0.1, 2.0)]
+    def test_records_round_trip_the_pairs_worst_to_best(self):
+        pairs = [(0.3, 3.0), (0.1, 2.0), (0.1, 1.0)]
         pool = ResultPool.from_pairs(pairs)
-        assert pool.records == tuple(pairs)
+        assert pool.records == ((0.1, 1.0), (0.1, 2.0), (0.3, 3.0))
         assert ResultPool.from_pairs(pool.records) == pool
         assert pool.m == 3
+        loss = ResultPool.from_pairs(pairs, "minimize")
+        assert loss.records == ((0.3, 3.0), (0.1, 2.0), (0.1, 1.0))
 
-    def test_equality_compares_scores_direction_and_metric(self):
+    def test_equality_compares_records_direction_and_metric(self):
         pool = ResultPool.from_pairs([(0.1, 1.0), (0.2, 2.0)])
         assert pool == ResultPool.from_arrays([0.1, 0.2], [1.0, 2.0])
+        assert pool == ResultPool.from_arrays([0.2, 0.1], [2.0, 1.0])
         assert pool != ResultPool.from_arrays([0.1, 0.2], [1.0, 2.5])
         assert pool != ResultPool.from_arrays([0.1, 0.2], [1.0, 2.0], Direction.MINIMIZE)
         assert pool != ResultPool.from_arrays([0.1, 0.2], [1.0, 2.0], metric_name="acc")
@@ -598,6 +603,12 @@ class TestAndersonDarling:
     def test_too_few_values_rejected(self):
         with pytest.raises(InsufficientDataError):
             anderson_darling_normality([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+
+    def test_a_spread_that_overflows_is_refused(self):
+        # the statistic would be NaN, read as "not rejected"
+        values = [-1e308, 0.0, 1e308, 1e308, 1.0, 2.0, 3.0, 4.0]
+        with np.errstate(all="ignore"), pytest.raises(InsufficientDataError, match="overflows"):
+            anderson_darling_normality(values)
 
 
 class TestBestSingleModel:

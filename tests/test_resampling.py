@@ -230,18 +230,18 @@ class TestBootstrapCI:
         np.testing.assert_array_equal(first.test_scores, t)
 
     # float.hex of bootstrap_ci(pool, boon5) endpoints on _pinned_pool (300
-    # replicates, seed 21), computed when each callable resample came in draw
-    # order and every Boo(n) sorted its records: the order a callable now
-    # gets must leave every permutation-invariant number as it was.
+    # replicates, seed 21), recorded at stream version 7, after the row tests
+    # below passed: draws are positions in the sorted pool, and a smoothed
+    # resample is sorted when its pool is built.
     _PINNED = {
-        ("maximize", None, "bootstrap"): ("-0x1.22e01dbcfea9ep-3", "0x1.25ccb3bd1bcbbp-5"),
-        ("maximize", None, "smoothed"): ("-0x1.180987dadac83p-3", "0x1.77fd362b2404dp-5"),
-        ("maximize", 7, "bootstrap"): ("-0x1.1b6311f1d0427p+0", "0x1.16017a043426fp+0"),
-        ("maximize", 7, "smoothed"): ("-0x1.3f3ff14635cd8p+0", "0x1.1824ae183904fp+0"),
-        ("minimize", None, "bootstrap"): ("-0x1.8553bf1ca6281p-4", "0x1.7789966cbe31bp-4"),
-        ("minimize", None, "smoothed"): ("-0x1.9a79f50e40230p-4", "0x1.60174efb16b97p-4"),
-        ("minimize", 7, "bootstrap"): ("-0x1.348df55c05f5cp+0", "0x1.5b37a32eeea35p+0"),
-        ("minimize", 7, "smoothed"): ("-0x1.3fbdd46090be3p+0", "0x1.5ea4b96aeb5c2p+0"),
+        ("maximize", None, "bootstrap"): ("-0x1.28da3e60f3937p-3", "0x1.23934ef6e06dep-5"),
+        ("maximize", None, "smoothed"): ("-0x1.284341c612c6ap-3", "0x1.94fd0a58b1c43p-5"),
+        ("maximize", 7, "bootstrap"): ("-0x1.6d92cc50f5151p+0", "0x1.f4f7f1715da29p-1"),
+        ("maximize", 7, "smoothed"): ("-0x1.7258e0f53c669p+0", "0x1.140610e4d1973p+0"),
+        ("minimize", None, "bootstrap"): ("-0x1.6e6e537423754p-4", "0x1.82cdd6d51f8a3p-4"),
+        ("minimize", None, "smoothed"): ("-0x1.87a32106a63d0p-4", "0x1.a39e6996123a4p-4"),
+        ("minimize", 7, "bootstrap"): ("-0x1.22945ee200f9ep+0", "0x1.4101f444a4ecfp+0"),
+        ("minimize", 7, "smoothed"): ("-0x1.1840281e69938p+0", "0x1.5a49eb2fc6007p+0"),
     }
 
     @staticmethod
@@ -274,12 +274,14 @@ class TestBootstrapCI:
             return 0.0
 
         bootstrap_ci(pool, record, ResamplingConfig(replicates=100, seed=5), resample_size=size)
-        # one chunk holds all 100 resamples: rebuild its index draw
-        idx = resampling._rng(5, 0).integers(0, pool.m, size=(100, width))
+        # one chunk holds all 100 resamples: rebuild its draw of positions in the sorted pool
+        pos = resampling._rng(5, 0).integers(0, pool.m, size=(100, width))
         sign = 1.0 if direction == "maximize" else -1.0
+        order = np.lexsort((sign * t, sign * v))
         assert len(seen) == 100
-        for row, (sv, st) in zip(idx, seen):
-            assert sorted(zip(sv, st)) == sorted(zip(v[row], t[row]))
+        for row, (sv, st) in zip(pos, seen):
+            assert sorted(zip(sv, st)) == sorted(zip(v[order][row], t[order][row]))
+            np.testing.assert_array_equal(sv, pool.validation_scores[np.sort(row)])
             # ascending (validation, test) pairs for maximize, descending for minimize
             assert (np.diff(sign * sv) >= 0).all()
             np.testing.assert_array_equal(np.lexsort((sign * st, sign * sv)), np.arange(width))
@@ -287,7 +289,7 @@ class TestBootstrapCI:
     @pytest.mark.parametrize("m", [2**15, 2**15 + 1])
     def test_pool_order_holds_at_the_widest_sixteen_bit_position(self, m):
         # Positions sort as 16-bit integers up to 2**15 records; the best
-        # record's position is the largest one and must not wrap around.
+        # record's position, m - 1, is the largest one and must not wrap around.
         rng = np.random.default_rng(m)
         v, t = rng.permutation(m).astype(float), rng.normal(size=m)
         seen = []
@@ -300,15 +302,15 @@ class TestBootstrapCI:
         bootstrap_ci(ResultPool.from_arrays(v, t), record, ResamplingConfig(replicates=100, seed=5))
         # each chunk holds one full-size resample
         rows = [resampling._rng(5, k).integers(0, m, size=(1, m))[0] for k in range(8)]
-        assert any((idx == v.argmax()).any() for idx in rows)
-        for idx, got in zip(rows, seen, strict=True):
-            np.testing.assert_array_equal(got, np.sort(v[idx]))
+        assert any((pos == m - 1).any() for pos in rows)
+        for pos, got in zip(rows, seen, strict=True):
+            np.testing.assert_array_equal(got, np.sort(v)[np.sort(pos)])
 
     @pytest.mark.parametrize("run", [bootstrap_ci, smoothed_bootstrap_ci])
     def test_a_changed_copy_of_a_resample_is_a_plain_checked_pool(self, run):
         # A copy with another direction or other scores, made by
         # dataclasses.replace or through the resample's own constructors,
-        # must be checked and must not inherit the resample's order mark.
+        # must be checked and sorted, as a pool one builds is.
         pool = helpers.bivariate_normal_pool(m=30, seed=8)
         seen = []
 
@@ -343,7 +345,8 @@ class TestBootstrapCI:
         bootstrap_ci(pool, round_trip, ResamplingConfig(replicates=100, seed=1))
         assert seen == [True] * 100
 
-    def test_a_callable_gets_each_smoothed_resample_in_draw_order(self):
+    def test_a_callable_gets_each_smoothed_resample_worst_to_best(self):
+        # noise is drawn for the drawn positions; each row is then sorted
         pool = helpers.bivariate_normal_pool(m=40, seed=2, direction="minimize")
         seen = []
 
@@ -354,23 +357,22 @@ class TestBootstrapCI:
         cfg = ResamplingConfig(replicates=100, seed=5, bandwidth=0.1)
         smoothed_bootstrap_ci(pool, record, cfg)
         rng = resampling._rng(5, 0)
-        idx = rng.integers(0, pool.m, size=(100, pool.m))
+        pos = rng.integers(0, pool.m, size=(100, pool.m))
         noise = rng.standard_normal((100, pool.m, 2))
-        np.testing.assert_array_equal(
-            [v for v, _ in seen], pool.validation_scores[idx] + 0.1 * noise[:, :, 0]
-        )
-        np.testing.assert_array_equal(
-            [t for _, t in seen], pool.test_scores[idx] + 0.1 * noise[:, :, 1]
-        )
+        v = pool.validation_scores[pos] + 0.1 * noise[:, :, 0]
+        t = pool.test_scores[pos] + 0.1 * noise[:, :, 1]
+        assert len(seen) == 100
+        for row_v, row_t, (sv, st) in zip(v, t, seen):
+            order = np.lexsort((-row_t, -row_v))  # descending pairs: minimize
+            np.testing.assert_array_equal(sv, row_v[order])
+            np.testing.assert_array_equal(st, row_t[order])
 
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     @pytest.mark.parametrize("m", [50, 2000])
-    def test_large_pool_boon_skips_its_sort_on_unsmoothed_resamples(
-        self, m, direction, monkeypatch
-    ):
-        # Counts, not timings: a Boo(n) resample handed over in pool order
-        # must not reach the record sort at any size, a smoothed one must,
-        # and so must a pool built out of order by its user.
+    def test_records_are_sorted_once_when_their_pool_is_built(self, m, direction, monkeypatch):
+        # Counts, not timings: a pool built by its user is sorted once, an
+        # unsmoothed resample (sorted positions) never, a smoothed one once
+        # before its pool is built, and Boo(n) never sorts a pool's records.
         calls = []
         pair_order = estimators._pair_order
 
@@ -380,19 +382,16 @@ class TestBootstrapCI:
 
         monkeypatch.setattr(estimators, "_pair_order", counted)
         pool = self._pinned_pool(direction, m=m)
+        assert calls == [m]
+        calls.clear()
         cfg = ResamplingConfig(replicates=100, seed=3)
         bootstrap_ci(pool, boon5, cfg)
         assert not calls
         smoothed_bootstrap_ci(pool, boon5, cfg)
-        assert len(calls) >= 100
+        assert calls == [m] * 100
         calls.clear()
-        sign = 1.0 if direction == "maximize" else -1.0
-        v, t = pool.validation_scores, pool.test_scores
-        order = np.lexsort((sign * t, sign * v))
-        assert (order != np.arange(m)).any()
-        in_order = ResultPool.from_arrays(v[order], t[order], direction)
-        assert boon5(pool) == boon5(in_order)
-        assert calls[0] == m
+        boon5(pool)
+        assert not calls
 
 
 class TestSmoothedBootstrapCI:
@@ -1091,14 +1090,14 @@ class TestEngine:
         assert (values[failed] != first[failed]).all()
 
     # float.hex of compare_architectures(A, B, 5) at 100 replicates, seed 11,
-    # recorded after test_wide_chunks_are_the_documented_streams passed:
-    # 9,000 records a replicate make 7 replicates a chunk, so the last chunk
-    # holds 2.
+    # recorded at stream version 7 after test_wide_chunks_are_the_documented_streams
+    # passed: 9,000 records a replicate make 7 replicates a chunk, so the last
+    # chunk holds 2.
     _PINNED_COMPARE = {
-        (False, "maximize"): ("0x1.372e5691d0555p-5", "0x1.6112ed0381e55p-3"),
-        (False, "minimize"): ("0x1.8a22a3d24b9e1p-5", "0x1.8614eb6ae7245p-3"),
-        (True, "maximize"): ("0x1.3303cf9e394a0p-5", "0x1.60b07fa3c2250p-3"),
-        (True, "minimize"): ("0x1.92468d3987edbp-5", "0x1.85dd265dc9a3ap-3"),
+        (False, "maximize"): ("0x1.25b4823756327p-5", "0x1.6e46c34f29448p-3"),
+        (False, "minimize"): ("0x1.947bc91109cbdp-5", "0x1.72ea0d23d7732p-3"),
+        (True, "maximize"): ("0x1.fc6620e1db2abp-5", "0x1.7b31d5686d8fbp-3"),
+        (True, "minimize"): ("0x1.6e11b99d8e4fcp-5", "0x1.77e6b832909d6p-3"),
     }
 
     @staticmethod
@@ -1117,16 +1116,16 @@ class TestEngine:
         assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_COMPARE[tied, direction]
 
     def test_boon_run_in_wide_chunks_is_pinned_to_the_bit(self):
-        # 5,000 records: 8 replicates a chunk, and a last chunk of 4;
-        # recorded after test_wide_chunks_are_the_documented_streams passed
+        # 5,000 records: 8 replicates a chunk, and a last chunk of 4; recorded
+        # at stream version 7 after test_wide_chunks_are_the_documented_streams passed
         pool = self._search_pool(5000, 3, True, "minimize")
         cis = resampling._bootstrap_intervals(
             pool, [BoonStatistic(n) for n in (1, 5, 20)], ResamplingConfig(replicates=100, seed=12)
         )
         assert [(ci.lo.hex(), ci.hi.hex()) for ci in cis] == [
-            ("-0x1.d04d98732d1f5p-6", "0x1.7c85c099e5fdbp-6"),
-            ("-0x1.88315257b8527p-1", "-0x1.57f4621c81d28p-1"),
-            ("-0x1.3e6cf1803da15p+0", "-0x1.1568639344779p+0"),
+            ("-0x1.f5917559f60b7p-6", "0x1.9fcafa7181619p-6"),
+            ("-0x1.8596ed0e0352ap-1", "-0x1.5b720b831fbdbp-1"),
+            ("-0x1.3b3ee1e4a63eap+0", "-0x1.1659bd3899abap+0"),
         ]
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
