@@ -9,8 +9,9 @@ independent trainings has CDF F^n, so its expected value is
 The Gaussian case reduces to mu + sigma * E_n(N(0,1)), and for a bivariate
 normal (validation, test) pair the expected *test* score of the
 best-*validation* model is mu_test + rho * sigma_test * E_n(N(0,1)).
-Everything here is written for maxima; loss-style metrics are handled by
-negation in :mod:`bestofn.estimators`.
+Everything here is written for maxima; :mod:`bestofn.estimators` handles
+loss-style metrics by negation (the Gaussian estimator) or by the pool's
+worst-to-best record order (the non-parametric one).
 """
 
 from __future__ import annotations

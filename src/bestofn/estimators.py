@@ -20,7 +20,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -258,13 +258,15 @@ def _rank_powers(m: int, n: int) -> np.ndarray:
 
 
 def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
-    """Rank-weighted test average of records in (validation, test) order,
-    worst to best (maximize convention): tied-validation groups are summed in
-    that one order, so the value is bit-identical for the records in any order."""
+    """Rank-weighted test average of records worst to best, in (validation, test) order or
+    its reverse: tied-validation groups are summed in that one order, so the value is
+    bit-identical for the records in any order. Either direction's worst-to-best pool takes
+    the same weights, and negating both arrays would only negate the result."""
     global _last_shape
     m = vals.size
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
-    new_group = np.ones(m + 1, dtype=bool)
+    new_group = np.empty(m + 1, dtype=bool)
+    new_group[0] = new_group[m] = True
     np.not_equal(vals[1:], vals[:-1], out=new_group[1:m])
     bounds = new_group.nonzero()[0]
     # A repeated (m, n), as in a bootstrap, reads the table; a new one powers only its bounds.
@@ -274,10 +276,15 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     return float(np.dot(power[1:] - power[:-1], group_mean_test))
 
 
-def _finite_boon(value: float, n: int) -> float:
+def _boon_estimate(pool: ResultPool, n: int, value: float, kind: EstimatorKind) -> BoonEstimate:
+    """A checked ``BoonEstimate`` built as ``_CheckedPool`` builds a pool, without the frozen
+    dataclass ``__init__`` (an ``object.__setattr__`` per field): one per bootstrap resample."""
     if not math.isfinite(value):  # a sum or spread of scores near the float range's limits
         raise DegeneratePoolError(f"Boo({n}) overflows the float range")
-    return value
+    m = pool.m
+    estimate = object.__new__(BoonEstimate)
+    vars(estimate).update(n=n, m=m, value=value, estimator_kind=kind, extrapolative=m < n)
+    return estimate
 
 
 def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
@@ -292,15 +299,8 @@ def boon_nonparametric(pool: ResultPool, n: int) -> BoonEstimate:
     than n runs relies on the empirical tail more than the data supports.
     """
     _integer_arg(n, "n", 1, _MAX_N)
-    vals, tests, sign = _oriented_scores(pool)
-    value = sign * _boon_weighted_average(vals, tests, n)
-    return BoonEstimate(
-        n=n,
-        m=pool.m,
-        value=_finite_boon(value, n),
-        estimator_kind=EstimatorKind.NONPARAMETRIC,
-        extrapolative=pool.m < n,
-    )
+    value = _boon_weighted_average(pool.validation_scores, pool.test_scores, n)
+    return _boon_estimate(pool, n, value, EstimatorKind.NONPARAMETRIC)
 
 
 def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
@@ -321,6 +321,18 @@ def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
         diff = y - x
         out.append(y - diff * (1 - gamma) if gamma >= 0.5 else x + diff * gamma)
     return out
+
+
+def _rescaled(statistic: Callable[[np.ndarray], float], x: np.ndarray) -> float:
+    """``statistic(x)`` for a statistic that scales with its finite data, as a mean or standard
+    deviation does; where that overflows, ``statistic(x / s) * s`` with s the largest magnitude
+    in x, so a sum beyond the float range leaves a representable result finite."""
+    with np.errstate(all="ignore"):
+        value = float(statistic(x))
+        if not math.isfinite(value):
+            scale = float(np.abs(x).max())
+            value = float(statistic(x / scale)) * scale
+    return value
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -374,13 +386,7 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
     vals, tests, sign = _oriented_scores(pool)
     _check_spread(vals, tests)
     value = sign * _parametric_value(vals, tests, n)
-    return BoonEstimate(
-        n=n,
-        m=pool.m,
-        value=_finite_boon(value, n),
-        estimator_kind=EstimatorKind.GAUSSIAN_PARAMETRIC,
-        extrapolative=pool.m < n,
-    )
+    return _boon_estimate(pool, n, value, EstimatorKind.GAUSSIAN_PARAMETRIC)
 
 
 def _parametric_value(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
@@ -422,8 +428,8 @@ def summarize(pool: ResultPool) -> PoolSummary:
     tests = pool.test_scores
     vals = pool.validation_scores
     m = pool.m
-    mean_test = float(tests.mean())
-    std_test = float(tests.std(ddof=1)) if m >= 2 else None
+    mean_test = _rescaled(np.mean, tests)
+    std_test = _rescaled(lambda x: x.std(ddof=1), tests) if m >= 2 else None
     iqr_test = None
     if m >= 2:
         iqr_test = _linear_quantiles(tests, [0.75])[0] - _linear_quantiles(tests, [0.25])[0]

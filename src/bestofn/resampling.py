@@ -72,6 +72,7 @@ from .estimators import (
     _oriented_scores,
     _pair_order,
     _rank_powers,
+    _rescaled,
     _tie_groups,
     _worst_to_best,
     boon_nonparametric,
@@ -443,11 +444,10 @@ def _statistic_block(
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
         v, t, finite = draw(rng, rows)
         v.flags.writeable = t.flags.writeable = False
+        make, direction, name = _CheckedPool.from_arrays, pool.direction, pool.metric_name
         return np.array([
-            _evaluate(statistic, _CheckedPool.from_arrays(v[r], t[r], pool.direction,
-                                                          pool.metric_name))
-            if ok else math.nan
-            for r, ok in enumerate(finite)
+            _evaluate(statistic, make(vr, tr, direction, name)) if ok else math.nan
+            for vr, tr, ok in zip(v, t, finite)
         ])
 
     return block
@@ -745,8 +745,10 @@ def best_of_m_curve(
         return values
 
     def estimate(draws: np.ndarray) -> tuple[float, float | None]:
-        mc_se = float(draws.std(ddof=1) / math.sqrt(samples_per_m)) if samples_per_m > 1 else None
-        return float(draws.mean()), mc_se
+        mc_se = None
+        if samples_per_m > 1:
+            mc_se = _rescaled(lambda d: d.std(ddof=1) / math.sqrt(samples_per_m), draws)
+        return _rescaled(np.mean, draws), mc_se
 
     points = {}
     ms = sorted(set(m_values))

@@ -87,13 +87,28 @@ class TestSummarize:
         out = tmp_path / "report.json"
         assert run(["summarize", path, "--output", out]) == EXIT_OK
         summary = read_report(out)["summary"]
-        for key in ("mean_test", "std_test", "pearson_val_test", "normality"):
+        for key in ("pearson_val_test", "normality"):
             assert summary[key] is None, key
         assert summary["iqr_test"] == 2.5e307 and summary["spearman_val_test"] is not None
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert "  mean_test     -\n" in captured.out and "  pearson       -\n" in captured.out
+        assert "  pearson       -\n" in captured.out
         assert "  normality     - (needs m >= 8 and a finite, nonzero spread)\n" in captured.out
+
+    def test_a_mean_and_std_whose_plain_sums_overflow_are_reported(self, tmp_path, capsys):
+        # The same pool: its mean, 1.25e307, and std are finite though the plain sums are not.
+        tests = [-1e308, 0.0, 1e308, 1e308, 1.0, 2.0, 3.0, 4.0]
+        path = helpers.write_pool_csv(tmp_path / "big8.csv", list(zip(range(8), tests)))
+        out = tmp_path / "report.json"
+        assert run(["summarize", path, "--output", out]) == EXIT_OK
+        summary = read_report(out)["summary"]
+        scaled = np.array(tests) / 1e308
+        assert summary["mean_test"] == 1.25e307
+        assert summary["std_test"] == float(scaled.std(ddof=1)) * 1e308
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "  mean_test     1.25e+307\n" in captured.out
+        assert f"  std_test      {summary['std_test']:.6g}\n" in captured.out
 
     def test_non_numeric_row_is_an_error_naming_the_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from bestofn import (
+    BoonEstimate,
     BoonStatistic,
     DegeneratePoolError,
     Direction,
@@ -225,6 +228,83 @@ class TestBoonNonparametric:
         pool = ResultPool.from_arrays(v, t, direction)
         got = [float.hex(boon_nonparametric(pool, n).value) for n in (1, 5, 20)]
         assert got == _GOLDEN_BOON[name][direction.value]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3).map(float),
+                st.one_of(st.integers(min_value=-8, max_value=8).map(lambda k: k / 4),
+                          st.just(-0.0)),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(list(Direction)),
+        st.integers(min_value=1, max_value=40),
+    )
+    @example([(0.0, -1.0), (1.0, 1.0)], Direction.MINIMIZE, 1)  # the mean 0, once -0.0
+    def test_value_is_the_oriented_formula_to_the_bit(self, records, direction, n):
+        # Boo(n) weighs a pool's records as stored. Negating a minimize pool's scores and the
+        # result, as the estimator once did, gives the same bits, but a zero's sign.
+        pool = ResultPool.from_pairs(records, direction)
+        assert_boon_is_the_oriented_formula(pool, n)
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("m, decimals", [(50, None), (50, 1), (1200, 1), (1200, 2)])
+    def test_value_is_the_oriented_formula_on_larger_pools(self, direction, m, decimals):
+        rng = np.random.default_rng(m + (decimals or 0))
+        for _ in range(5):
+            v, t = rng.normal(size=m), rng.normal(size=m).round(2)
+            v = v if decimals is None else v.round(decimals)
+            pool = ResultPool.from_arrays(v, t, direction)
+            for n in (1, 2, 5, 20, 1000, 10**6):
+                assert_boon_is_the_oriented_formula(pool, n)
+
+
+def assert_boon_is_the_oriented_formula(pool, n):
+    """Boo(n) of ``pool`` against the oriented formula (minimize pools negated, then the result
+    negated back): the same bits for a nonzero value, and +0.0 for a zero unless every test
+    score is -0.0."""
+    sign = -1.0 if pool.direction is Direction.MINIMIZE else 1.0
+    v, t = pool.validation_scores, pool.test_scores
+    oriented = sign * estimators._boon_weighted_average(sign * v, sign * t, n)
+    value = boon_nonparametric(pool, n).value
+    if oriented != 0.0:
+        assert value.hex() == oriented.hex(), (n, value, oriented)
+    else:
+        assert value == 0.0
+        if not (np.signbit(t) & (t == 0.0)).all():
+            assert math.copysign(1.0, value) == 1.0, (n, value)
+
+
+class TestBoonEstimate:
+    @pytest.mark.parametrize("estimator", [boon_nonparametric, boon_parametric_gaussian])
+    def test_an_estimate_is_the_frozen_dataclass_it_declares(self, estimator):
+        pool = helpers.bivariate_normal_pool(m=4, rho=0.5, seed=3, direction="minimize")
+        estimate = estimator(pool, 6)
+        kind = estimate.estimator_kind
+        built = BoonEstimate(n=6, m=4, value=estimate.value, estimator_kind=kind,
+                             extrapolative=True)
+        assert type(estimate) is BoonEstimate
+        assert estimate == built and hash(estimate) == hash(built)
+        assert estimate != dataclasses.replace(built, extrapolative=False)
+        assert repr(estimate) == repr(built) == (
+            f"BoonEstimate(n=6, m=4, value={estimate.value!r}, estimator_kind={kind!r}, "
+            "extrapolative=True)"
+        )
+        assert dataclasses.asdict(estimate) == {
+            "n": 6, "m": 4, "value": estimate.value, "estimator_kind": kind,
+            "extrapolative": True,
+        }
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            estimate.value = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del estimate.n
+        assert estimate == built
+        copy = pickle.loads(pickle.dumps(estimate))
+        assert type(copy) is BoonEstimate and copy == estimate and repr(copy) == repr(estimate)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.m = 5
 
 
 def _boon_value(pool, n):
@@ -512,6 +592,23 @@ class TestSummarize:
         expected = scipy_stats.spearmanr(v, t).statistic
         got = summarize(ResultPool.from_arrays(v, t)).spearman_val_test
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_a_mean_and_std_whose_plain_sums_overflow_are_finite(self):
+        tests = [-1e308, 0.0, 1e308, 1e308, 1.0, 2.0, 3.0, 4.0]
+        pool = ResultPool.from_arrays(np.arange(8.0), tests)
+        with np.errstate(all="ignore"):  # Pearson's sums and the spread check still overflow
+            s = summarize(pool)
+        assert s.mean_test == 1.25e307 == math.fsum(tests) / 8
+        scaled = summarize(ResultPool.from_arrays(np.arange(8.0), np.array(tests) / 1e308))
+        assert s.std_test == scaled.std_test * 1e308
+        assert s.std_test == pytest.approx(oracles.sample_std([x / 1e308 for x in tests]) * 1e308,
+                                           rel=1e-12)
+
+    def test_a_sum_in_range_keeps_the_plain_mean_and_std(self):
+        pool = helpers.bivariate_normal_pool(m=37, mu_test=1e5, rho=0.3, seed=8)
+        s = summarize(pool)
+        assert s.mean_test.hex() == float(pool.test_scores.mean()).hex()
+        assert s.std_test.hex() == float(pool.test_scores.std(ddof=1)).hex()
 
     def test_constant_axis_has_absent_correlations(self):
         for pairs in [

@@ -244,6 +244,36 @@ class TestBootstrapCI:
         ("minimize", 7, "smoothed"): ("-0x1.1840281e69938p+0", "0x1.5a49eb2fc6007p+0"),
     }
 
+    # float.hex of bootstrap_ci(pool, boon5) endpoints (1,000 replicates, seed 2203) on
+    # _callable_pool, recorded while boon_nonparametric still negated a minimize pool's
+    # scores: weighing the records as stored moved no endpoint.
+    _PINNED_CALLABLE = {
+        ("minimize", None): ("-0x1.5f2bbdc7816e5p-1", "0x1.a472269383e54p-7"),
+        ("minimize", 7): ("-0x1.512ecee22a66fp+0", "0x1.df309045eeb7dp-2"),
+        ("maximize", None): ("0x1.16a999288040ep-1", "0x1.5853bd133b0c9p+0"),
+        ("maximize", 7): ("-0x1.7e1cdb1332d28p-1", "0x1.ad691b834e3a6p+0"),
+    }
+
+    @staticmethod
+    def _callable_pool(direction):
+        """60 minimize records on 30 distinct 1-decimal validations, or 50 untied maximize ones."""
+        if direction == "minimize":
+            rng = np.random.default_rng(2201)
+            v, t = rng.normal(size=60).round(1), rng.normal(size=60).round(2)
+        else:
+            z = np.random.default_rng(2202).standard_normal((50, 2))
+            v, t = z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]
+        return ResultPool.from_arrays(v, t, direction)
+
+    @pytest.mark.parametrize("key", list(_PINNED_CALLABLE))
+    def test_callable_boon_intervals_are_pinned_to_the_bit(self, key):
+        direction, size = key
+        pool = self._callable_pool(direction)
+        assert np.unique(pool.validation_scores).size == (30 if direction == "minimize" else 50)
+        cfg = ResamplingConfig(replicates=1000, seed=2203)
+        ci = bootstrap_ci(pool, boon5, cfg, resample_size=size)
+        assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_CALLABLE[key]
+
     @staticmethod
     def _pinned_pool(direction, m=1200):
         """m records with runs of equal pairs and 1-decimal validations."""
@@ -452,11 +482,9 @@ class TestSmoothedBootstrapCI:
         flipped = ResultPool.from_arrays(pool.test_scores, pool.validation_scores)
         with pytest.raises(DegeneratePoolError, match="automatic validation bandwidth"):
             best_of_m_curve(flipped, [1, 2], 200, cfg)
-        # no smoothed draw, no bandwidth: the curve's points need none (their
-        # own sums of 1e308 scores overflow, with numpy's warnings)
-        with np.errstate(all="ignore"):
-            (point,) = best_of_m_curve(pool, [2], 200, cfg, with_ci=False)
-        assert point.ci is None
+        # no smoothed draw, no bandwidth: the curve's points need none
+        (point,) = best_of_m_curve(pool, [2], 200, cfg, with_ci=False)
+        assert point.ci is None and math.isfinite(point.expected_best_test)
         smoothed_bootstrap_ci(pool, boon5, dataclasses.replace(cfg, bandwidth=0.5))
 
 
@@ -609,6 +637,25 @@ class TestBestOfMCurve:
         )
         assert point.expected_best_test == pytest.approx(oracles.enumerate_boon(records, 2), abs=0.05)
         assert point.expected_best_test == pytest.approx(220 / 9, abs=0.05)
+
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_points_whose_plain_sums_overflow_are_finite(self, replace):
+        # No np.errstate around the call: a point whose draws' sums overflow takes its mean
+        # and Monte Carlo error from the draws scaled by their largest magnitude, here 1e308,
+        # and no floating-point warning escapes.
+        v, t = np.arange(4.0), np.array([-1e308, 0.0, 1e308, 1e308])
+        cfg = ResamplingConfig(replicates=200, seed=3)
+        points, scaled = (
+            best_of_m_curve(ResultPool.from_arrays(v, tests), [1, 2, 3], 500, cfg,
+                            with_ci=False, replace=replace)
+            for tests in (t, t / 1e308)
+        )
+        for point, unit in zip(points, scaled):
+            assert point.expected_best_test == unit.expected_best_test * 1e308
+            assert point.mc_se == unit.mc_se * 1e308
+            assert math.isfinite(point.expected_best_test) and math.isfinite(point.mc_se)
+        first = points[0]  # m = 1: the test mean, 2.5e307
+        assert abs(first.expected_best_test - 2.5e307) <= 4 * first.mc_se
 
     def test_perfect_correlation_curve_is_nondecreasing(self):
         rng = np.random.default_rng(40)
