@@ -3,9 +3,9 @@
 Training the same architecture twice gives two different scores, and the
 best score out of an unreported number of runs is not a comparable quantity.
 This package computes the expected test performance of the best-validation
-model out of n runs, normalized to a stated n: exactly for known score
-distributions, empirically from pools of (validation, test) results, and
-with resampling-based confidence intervals throughout.
+model out of n runs, normalized to a stated n: empirically from pools of
+(validation, test) results or through the closed form of a bivariate-normal
+fit, with resampling-based confidence intervals throughout.
 """
 
 from .distributions import *

@@ -13,7 +13,6 @@ import sys
 
 __all__ = [
     "BestOfNError",
-    "InvalidDistributionError",
     "InvalidDataError",
     "InsufficientDataError",
     "DegeneratePoolError",
@@ -41,10 +40,6 @@ def _integer_arg(value, name: str, low: int = 1, high: int | None = None) -> int
 
 class BestOfNError(Exception):
     """Base class for all package-specific errors."""
-
-
-class InvalidDistributionError(BestOfNError, ValueError):
-    """A distribution violates its contract (e.g. CDF not normalized)."""
 
 
 class InvalidDataError(BestOfNError, ValueError):

@@ -336,20 +336,31 @@ def _rescaled(statistic: Callable[[np.ndarray], float], x: np.ndarray) -> float:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of x and y; where its sums leave the float range, the same from
+    both columns divided by their largest magnitudes, which leaves the correlation as it is."""
+    with np.errstate(all="ignore"):
+        value = _plain_pearson(x, y)
+        if not math.isfinite(value):
+            value = _plain_pearson(x / np.abs(x).max(), y / np.abs(y).max())
+    if not math.isfinite(value):
+        raise DegeneratePoolError("zero variance makes the correlation undefined")
+    return value
+
+
+def _plain_pearson(x: np.ndarray, y: np.ndarray) -> float:
     xc = x - x.mean()
     yc = y - y.mean()
     denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
-    if denom == 0.0:
-        raise DegeneratePoolError("zero variance makes the correlation undefined")
-    return float(np.dot(xc, yc) / denom)
+    # An infinite denominator would read as a zero correlation.
+    return float(np.dot(xc, yc) / denom) if 0.0 < denom < math.inf else math.nan
 
 
 def _check_spread(vals: np.ndarray, tests: np.ndarray) -> None:
     # Equal scores, not a zero np.std: the mean of equal values can round
     # away from them and leave a spurious nonzero deviation.
-    if np.ptp(vals) == 0.0:
+    if vals.min() == vals.max():
         raise DegeneratePoolError("validation scores have zero variance")
-    if np.ptp(tests) == 0.0:
+    if tests.min() == tests.max():
         raise DegeneratePoolError("test scores have zero variance")
 
 
@@ -436,7 +447,7 @@ def summarize(pool: ResultPool) -> PoolSummary:
     range_test = (float(tests.min()), float(tests.max()))
 
     spearman = pearson = None
-    if m >= 3 and np.ptp(vals) > 0.0 and np.ptp(tests) > 0.0:
+    if m >= 3 and vals.min() < vals.max() and tests.min() < tests.max():
         spearman = _pearson(_average_ranks(vals), _average_ranks(tests))
         pearson = _pearson(vals, tests)
     return PoolSummary(
@@ -465,7 +476,7 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
     if m < 8:
         raise InsufficientDataError(f"need at least 8 values, got {m}")
     # Equal values, as in _check_spread: their std can round to nonzero.
-    if np.ptp(x) == 0.0:
+    if x.min() == x.max():
         raise InsufficientDataError("zero variance; normality check is undefined")
     sd = float(x.std(ddof=1))
     if not math.isfinite(sd):  # NaN when the mean overflows too

@@ -87,12 +87,13 @@ class TestSummarize:
         out = tmp_path / "report.json"
         assert run(["summarize", path, "--output", out]) == EXIT_OK
         summary = read_report(out)["summary"]
-        for key in ("pearson_val_test", "normality"):
-            assert summary[key] is None, key
+        assert summary["normality"] is None
+        # Pearson is scale-free, so it is taken from the scaled scores
+        assert summary["pearson_val_test"] == 0.136504726557987
         assert summary["iqr_test"] == 2.5e307 and summary["spearman_val_test"] is not None
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert "  pearson       -\n" in captured.out
+        assert "  pearson       0.136505\n" in captured.out
         assert "  normality     - (needs m >= 8 and a finite, nonzero spread)\n" in captured.out
 
     def test_a_mean_and_std_whose_plain_sums_overflow_are_reported(self, tmp_path, capsys):
@@ -729,10 +730,13 @@ POOL_ROWS = [(0.1 * i, float(i % 7)) for i in range(12)]
 
 @pytest.fixture(scope="module")
 def modules_after_every_command(tmp_path_factory):
-    """The modules a fresh interpreter holds after running each command once."""
+    """The modules a fresh interpreter holds after running each command once
+    and each public library routine once, with scipy made unimportable."""
     path = helpers.write_pool_csv(tmp_path_factory.mktemp("pool") / "pool.csv", POOL_ROWS)
     script = f"""
 import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now raises ImportError
+import bestofn as b
 from bestofn import cli
 for argv in (
     ["summarize", {str(path)!r}],
@@ -743,6 +747,26 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+pool = b.ResultPool.from_pairs({POOL_ROWS!r})
+config = b.ResamplingConfig(replicates=100)
+params = b.fit_gaussian_params(pool)
+for statistic in (b.BoonStatistic(2), b.best_single_model):
+    for size in (None, 6):
+        b.bootstrap_ci(pool, statistic, config, resample_size=size)
+        b.smoothed_bootstrap_ci(pool, statistic, config, resample_size=size)
+for replace in (True, False):
+    b.best_of_m_curve(pool, [1, 2], 100, config, replace=replace)
+for kind in b.EstimatorKind:
+    b.monte_carlo_ci_gaussian(params, 12, 3, kind, config)
+b.compare_architectures(pool, pool, 3, config)
+b.summarize(pool)
+b.anderson_darling_normality(pool.test_scores)
+b.boon_nonparametric(pool, 3)
+b.boon_parametric_gaussian(pool, 3)
+b.gaussian_boon_valtest(params, 3)
+b.std_normal_expected_max.cache_clear()
+b.std_normal_expected_max(10**40)
+del sys.modules["scipy"]  # the block, not a loaded module
 print(json.dumps(sorted(sys.modules)))
 """
     env = {**os.environ, "PYTHONPATH": SRC}

@@ -1,23 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bestofn.distributions import (
-    ContinuousDistribution,
-    _log_ndtr,
-    DiscreteDistribution,
     GaussianParams,
-    expected_max_continuous,
-    expected_max_discrete,
-    gaussian_boon_single,
+    _log_ndtr,
     gaussian_boon_valtest,
-    normal,
-    standard_normal,
     std_normal_expected_max,
-    uniform,
 )
-from bestofn.errors import _MAX_N, InvalidDistributionError
+from bestofn.errors import _MAX_N
 
 import oracles
 
@@ -50,25 +43,49 @@ class TestStdNormalExpectedMax:
     def test_memoized_values_are_stable(self):
         assert std_normal_expected_max(7) == std_normal_expected_max(7)
 
+    @pytest.mark.parametrize(
+        "n,exact",
+        [
+            (2, 1.0 / math.sqrt(math.pi)),
+            (3, 1.5 / math.sqrt(math.pi)),
+            (4, 6.0 / math.pi**1.5 * math.atan(math.sqrt(2.0))),
+            (5, 1.25 / math.sqrt(math.pi) * (1.0 + 6.0 / math.pi * math.asin(1.0 / 3.0))),
+        ],
+    )
+    def test_closed_forms_for_two_to_five_draws(self, n, exact):
+        assert std_normal_expected_max(n) == pytest.approx(exact, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_monte_carlo_crosscheck(self, n):
+        draws = np.random.default_rng(n).standard_normal((200_000, n)).max(axis=1)
+        mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(std_normal_expected_max(n) - mc) <= 4 * se
+
+    @pytest.mark.parametrize(
+        "n",
+        [2, 10, 1000, 10**6, 10**100, _MAX_N],
+        ids=["2", "10", "1e3", "1e6", "1e100", "max"],
+    )
+    def test_stays_inside_the_extreme_value_bound(self, n):
+        # E_n <= sqrt(2 ln n): Jensen's inequality on exp(t * max), with t = sqrt(2 ln n).
+        assert 0.0 < std_normal_expected_max(n) <= math.sqrt(2.0 * math.log(n))
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, _MAX_N + 1], ids=["2.5", "3.0", "True", "max+1"])
+    def test_rejects_n_other_than_an_integer_a_float_holds(self, n):
+        with pytest.raises(ValueError, match="n must"):
+            std_normal_expected_max(n)
+
     def test_trapezoid_rule_matches_adaptive_quadrature(self):
         for n in range(1, 101):
             assert std_normal_expected_max(n) == pytest.approx(
-                expected_max_continuous(standard_normal(), n), abs=1e-11
+                oracles.std_normal_expected_max(n), abs=1e-11
             )
 
     @pytest.mark.parametrize("n", [10**6, 10**9, 10**12])
     def test_very_large_n_matches_adaptive_quadrature(self, n):
-        # Phi(x) rounds to 1 above x ~ 8.3, where Phi(x)**(n - 1) must still
-        # vanish; the oracle takes the power in log space.
-        from scipy.integrate import quad
-        from scipy.special import log_ndtr
-
-        def integrand(x):
-            return n * x * math.exp(-0.5 * x * x + (n - 1) * log_ndtr(x)) / math.sqrt(2 * math.pi)
-
-        mode = math.sqrt(2 * math.log(n))
-        want, _ = quad(integrand, -12, 12, epsabs=1e-13, epsrel=1e-13, limit=200, points=[mode])
-        assert std_normal_expected_max(n) == pytest.approx(want, abs=1e-12)
+        # Phi(x) rounds to 1 above x ~ 8.3, where Phi(x)**(n - 1) must still vanish.
+        assert std_normal_expected_max(n) == pytest.approx(oracles.std_normal_expected_max(n),
+                                                           abs=1e-12)
 
     @pytest.mark.parametrize(
         "n",
@@ -76,23 +93,9 @@ class TestStdNormalExpectedMax:
         ids=["1e30", "1e40", "1e100", "1e300", "max"],
     )
     def test_beyond_the_fixed_window_matches_adaptive_quadrature(self, n):
-        # The maximum's mass lies near sqrt(2 ln n), past x = 12 from
-        # n ~ 1e29 on. The oracle integrates in log space around it, with
-        # log Phi(x) from erfc above 0: scipy's ndtr flushes the upper tail
-        # to 0 past x ~ 37.6, which the largest n still reads.
-        from scipy.integrate import quad
-        from scipy.special import log_ndtr
-
-        log_n = math.log(n)
-
-        def integrand(x):
-            log_cdf = math.log1p(-0.5 * math.erfc(x / math.sqrt(2))) if x > 0 else log_ndtr(x)
-            return x * math.exp(log_n - 0.5 * x * x + (n - 1) * log_cdf) / math.sqrt(2 * math.pi)
-
-        mode = math.sqrt(2 * log_n)
-        want, _ = quad(integrand, mode - 12, mode + 12, epsabs=0, epsrel=1e-12, limit=200,
-                       points=[mode])
-        assert std_normal_expected_max(n) == pytest.approx(want, rel=1e-9)
+        # The maximum's mass lies near sqrt(2 ln n), past x = 12 from n ~ 1e29 on.
+        assert std_normal_expected_max(n) == pytest.approx(oracles.std_normal_expected_max(n),
+                                                           rel=1e-9)
 
 
 def test_log_ndtr_matches_scipy_in_both_tails():
@@ -100,146 +103,6 @@ def test_log_ndtr_matches_scipy_in_both_tails():
 
     z = np.concatenate([np.linspace(-60.0, 60.0, 24001), [-37.0, -36.999999, -37.000001]])
     np.testing.assert_allclose(_log_ndtr(z), log_ndtr(z), rtol=1e-12, atol=1e-300)
-
-
-class TestExpectedMaxContinuous:
-    def test_uniform_single_draw(self):
-        assert expected_max_continuous(uniform(0, 1), 1) == pytest.approx(0.5, abs=1e-9)
-
-    def test_uniform_best_of_three(self):
-        assert expected_max_continuous(uniform(0, 1), 3) == pytest.approx(0.75, abs=1e-9)
-
-    def test_uniform_closed_form_up_to_twenty(self):
-        for n in range(1, 21):
-            value = expected_max_continuous(uniform(0, 1), n)
-            assert value == pytest.approx(n / (n + 1), abs=1e-6)
-
-    def test_uniform_monte_carlo_crosscheck(self):
-        rng = np.random.default_rng(5)
-        draws = rng.random((200_000, 3)).max(axis=1)
-        mc, se = draws.mean(), draws.std(ddof=1) / math.sqrt(draws.size)
-        assert abs(expected_max_continuous(uniform(0, 1), 3) - mc) <= 4 * se
-
-    def test_standard_normal_matches_reference(self):
-        assert expected_max_continuous(standard_normal(), 5) == pytest.approx(1.163, abs=1e-3)
-
-    def test_shifted_gaussian(self):
-        dist = normal(mu=10.0, sigma=2.0)
-        expected = 10.0 + 2.0 * std_normal_expected_max(4)
-        assert expected_max_continuous(dist, 4) == pytest.approx(expected, abs=1e-6)
-
-    def test_result_stays_inside_support(self):
-        dist = uniform(2.0, 3.0)
-        for n in (1, 2, 10):
-            value = expected_max_continuous(dist, n)
-            assert 2.0 <= value <= 3.0
-
-    def test_infinite_support_ends_are_cut_where_the_tails_vanish(self):
-        std = standard_normal()
-        dist = ContinuousDistribution(std.pdf, std.cdf, -math.inf, math.inf)
-        for n in (1, 5, 50):
-            assert expected_max_continuous(dist, n) == pytest.approx(
-                std_normal_expected_max(n), abs=1e-9
-            )
-
-    def test_rejects_unnormalized_cdf(self):
-        broken = ContinuousDistribution(
-            pdf=lambda x: 0.9 if 0.0 <= x <= 1.0 else 0.0,
-            cdf=lambda x: 0.9 * min(1.0, max(0.0, x)),
-            support_lo=0.0,
-            support_hi=1.0,
-        )
-        with pytest.raises(InvalidDistributionError):
-            expected_max_continuous(broken, 3)
-
-    def test_rejects_nonpositive_n(self):
-        for n in (0, 2.5):
-            with pytest.raises(ValueError, match="n must"):
-                expected_max_continuous(uniform(0, 1), n)
-
-
-class TestExpectedMaxDiscrete:
-    def test_single_atom_is_degenerate(self):
-        dist = DiscreteDistribution(atoms=((3.5, 1.0),))
-        for n in (1, 2, 7):
-            assert expected_max_discrete(dist, n) == 3.5
-
-    def test_two_even_atoms_best_of_two(self):
-        a, b = 1.0, 3.0
-        dist = DiscreteDistribution(atoms=((a, 0.5), (b, 0.5)))
-        expected = 0.25 * a + 0.75 * b
-        assert expected_max_discrete(dist, 2) == pytest.approx(expected, abs=1e-12)
-        brute = oracles.enumerate_discrete_expected_max(dist.atoms, 2)
-        assert expected_max_discrete(dist, 2) == pytest.approx(brute, abs=1e-12)
-
-    def test_three_even_atoms_best_of_two(self):
-        dist = DiscreteDistribution(atoms=((1.0, 1 / 3), (2.0, 1 / 3), (3.0, 1 / 3)))
-        assert expected_max_discrete(dist, 2) == pytest.approx(22 / 9, abs=1e-12)
-
-    def test_single_draw_equals_distribution_mean(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            k = int(rng.integers(1, 6))
-            values = np.unique(rng.normal(size=k).round(3))
-            weights = rng.dirichlet(np.ones(len(values)))
-            dist = DiscreteDistribution(atoms=tuple(zip(values.tolist(), weights.tolist())))
-            assert expected_max_discrete(dist, 1) == pytest.approx(dist.mean(), abs=1e-12)
-
-    def test_brute_force_equivalence_randomized(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            k = int(rng.integers(1, 6))
-            values = np.unique(rng.normal(scale=10.0, size=k).round(2))
-            weights = rng.dirichlet(np.ones(len(values)))
-            dist = DiscreteDistribution(atoms=tuple(zip(values.tolist(), weights.tolist())))
-            for n in range(1, 5):
-                brute = oracles.enumerate_discrete_expected_max(dist.atoms, n)
-                assert expected_max_discrete(dist, n) == pytest.approx(brute, abs=1e-12)
-
-    def test_result_within_atom_range(self):
-        dist = DiscreteDistribution(atoms=((-2.0, 0.25), (0.0, 0.5), (4.0, 0.25)))
-        for n in (1, 3, 9):
-            value = expected_max_discrete(dist, n)
-            assert -2.0 <= value <= 4.0
-
-    def test_rejects_empty_atoms(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(atoms=())
-
-    def test_rejects_duplicate_values(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(atoms=((1.0, 0.5), (1.0, 0.5)))
-
-    def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution(atoms=((1.0, 0.7), (2.0, 0.4)))
-        with pytest.raises(ValueError):
-            DiscreteDistribution(atoms=((1.0, 1.2), (2.0, -0.2)))
-
-
-class TestGaussianBoonSingle:
-    def test_standard_normal_best_of_five(self):
-        assert gaussian_boon_single(0.0, 1.0, 5) == pytest.approx(1.163, abs=1e-3)
-
-    def test_single_draw_is_the_mean(self):
-        assert gaussian_boon_single(42.0, 3.0, 1) == pytest.approx(42.0, abs=1e-9)
-
-    def test_reference_composition(self):
-        assert gaussian_boon_single(63.16, 0.94, 5) == pytest.approx(64.25, abs=0.01)
-
-    def test_zero_sigma_degenerates_to_mean(self):
-        assert gaussian_boon_single(7.0, 0.0, 12) == 7.0
-
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_boon_single(0.0, -0.5, 3)
-
-    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (0.5, -3.0), (10.0, 100.0)])
-    def test_affine_equivariance(self, a, b):
-        mu, sigma, n = 1.5, 0.7, 6
-        direct = gaussian_boon_single(a * mu + b, a * sigma, n)
-        mapped = a * gaussian_boon_single(mu, sigma, n) + b
-        assert direct == pytest.approx(mapped, abs=1e-9)
 
 
 class TestGaussianBoonValtest:
@@ -252,12 +115,60 @@ class TestGaussianBoonValtest:
         params = GaussianParams(mu_val=0.0, mu_test=2.0, sigma_val=1.0, sigma_test=0.5, rho=1.0)
         for n in (1, 2, 7):
             assert gaussian_boon_valtest(params, n) == pytest.approx(
-                gaussian_boon_single(2.0, 0.5, n), abs=1e-12
+                2.0 + 0.5 * std_normal_expected_max(n), abs=1e-12
             )
 
     def test_reference_composition(self):
         params = GaussianParams(mu_val=63.5, mu_test=63.16, sigma_val=1.0, sigma_test=0.94, rho=0.18)
         assert gaussian_boon_valtest(params, 5) == pytest.approx(63.357, abs=0.005)
+
+    @pytest.mark.parametrize("rho", [-1.0, -0.3, 0.0, 0.7, 1.0])
+    def test_single_draw_is_the_test_mean(self, rho):
+        params = GaussianParams(mu_val=-4.0, mu_test=42.0, sigma_val=2.0, sigma_test=3.0, rho=rho)
+        assert gaussian_boon_valtest(params, 1) == pytest.approx(42.0, abs=1e-9)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (0.5, -3.0), (10.0, 100.0)])
+    def test_affine_equivariance_in_test_scores(self, a, b):
+        base = GaussianParams(mu_val=0.0, mu_test=1.5, sigma_val=1.0, sigma_test=0.7, rho=0.6)
+        mapped = dataclasses.replace(base, mu_test=a * 1.5 + b, sigma_test=a * 0.7)
+        assert gaussian_boon_valtest(mapped, 6) == pytest.approx(
+            a * gaussian_boon_valtest(base, 6) + b, abs=1e-9
+        )
+
+    def test_validation_location_and_scale_leave_the_value(self):
+        # Selection reads only the validation order, which an increasing affine map keeps.
+        base = GaussianParams(mu_val=0.0, mu_test=1.5, sigma_val=1.0, sigma_test=0.7, rho=0.6)
+        for mu_val, sigma_val in ((63.5, 0.01), (-1e6, 250.0)):
+            moved = dataclasses.replace(base, mu_val=mu_val, sigma_val=sigma_val)
+            assert gaussian_boon_valtest(moved, 6) == gaussian_boon_valtest(base, 6)
+
+    def test_negating_rho_reflects_the_value_about_the_test_mean(self):
+        up = GaussianParams(mu_val=0.0, mu_test=5.0, sigma_val=1.0, sigma_test=2.0, rho=0.4)
+        down = dataclasses.replace(up, rho=-0.4)
+        for n in (2, 9, 100):
+            assert gaussian_boon_valtest(down, n) - 5.0 == pytest.approx(
+                5.0 - gaussian_boon_valtest(up, n), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_monte_carlo_crosscheck(self, n):
+        # n bivariate-normal (validation, test) draws; keep the test score of the best validation.
+        params = GaussianParams(mu_val=1.0, mu_test=2.0, sigma_val=3.0, sigma_test=1.5, rho=0.6)
+        draws = 100_000
+        z = np.random.default_rng(100 + n).standard_normal((2, draws, n))
+        vals = params.mu_val + params.sigma_val * z[0]
+        tests = params.mu_test + params.sigma_test * (
+            params.rho * z[0] + math.sqrt(1.0 - params.rho**2) * z[1]
+        )
+        picked = tests[np.arange(draws), vals.argmax(axis=1)]
+        mc, se = picked.mean(), picked.std(ddof=1) / math.sqrt(draws)
+        assert abs(gaussian_boon_valtest(params, n) - mc) <= 4 * se
+
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_rejects_bad_n(self, n):
+        params = GaussianParams(mu_val=0.0, mu_test=0.0, sigma_val=1.0, sigma_test=1.0, rho=0.5)
+        with pytest.raises(ValueError, match="n must"):
+            gaussian_boon_valtest(params, n)
 
     def test_monotone_in_n_by_sign_of_rho(self):
         up = GaussianParams(0.0, 0.0, 1.0, 1.0, 0.5)

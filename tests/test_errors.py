@@ -6,7 +6,6 @@ from bestofn import errors
 
 _INSTANCES = {
     "BestOfNError": lambda: errors.BestOfNError("something failed"),
-    "InvalidDistributionError": lambda: errors.InvalidDistributionError("CDF not normalized"),
     "InvalidDataError": lambda: errors.InvalidDataError("non-finite score in record 3"),
     "InsufficientDataError": lambda: errors.InsufficientDataError("need at least 8 values"),
     "DegeneratePoolError": lambda: errors.DegeneratePoolError("test scores have zero variance"),

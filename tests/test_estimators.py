@@ -14,7 +14,6 @@ from bestofn import (
     BoonStatistic,
     DegeneratePoolError,
     Direction,
-    DiscreteDistribution,
     EstimatorKind,
     GaussianParams,
     InsufficientDataError,
@@ -26,12 +25,9 @@ from bestofn import (
     boon_nonparametric,
     boon_parametric_gaussian,
     compare_architectures,
-    expected_max_continuous,
-    expected_max_discrete,
     fit_gaussian_params,
     gaussian_boon_valtest,
     monte_carlo_ci_gaussian,
-    standard_normal,
     std_normal_expected_max,
     summarize,
 )
@@ -220,6 +216,27 @@ class TestBoonNonparametric:
         pool = ResultPool.from_pairs(list(zip(scores, scores)))
         values = [boon_nonparametric(pool, n).value for n in range(1, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_single_evaluation_grid_is_the_discrete_uniform_maximum(self, n):
+        # Validation equal to test makes Boo(n) the expected maximum of n draws from the pool:
+        # on the grid 1..m, the sum over k of P(max >= k) = 1 - ((k - 1) / m)**n.
+        m = 12
+        grid = np.arange(m, 0, -1, dtype=float)
+        want = math.fsum(1.0 - ((k - 1) / m) ** n for k in range(1, m + 1))
+        assert boon_nonparametric(ResultPool.from_arrays(grid, grid), n).value == pytest.approx(
+            want, rel=1e-12
+        )
+
+    def test_monte_carlo_crosscheck(self):
+        # Draw n records with replacement; keep the test score of the best validation.
+        pool = helpers.bivariate_normal_pool(m=15, rho=0.5, seed=9)
+        n, draws = 4, 200_000
+        picks = np.random.default_rng(17).integers(0, pool.m, size=(draws, n))
+        best = picks[np.arange(draws), pool.validation_scores[picks].argmax(axis=1)]
+        picked = pool.test_scores[best]
+        mc, se = picked.mean(), picked.std(ddof=1) / math.sqrt(draws)
+        assert abs(boon_nonparametric(pool, n).value - mc) <= 4 * se
 
     @pytest.mark.parametrize("name", list(_GOLDEN_BOON))
     @pytest.mark.parametrize("direction", list(Direction))
@@ -596,13 +613,24 @@ class TestSummarize:
     def test_a_mean_and_std_whose_plain_sums_overflow_are_finite(self):
         tests = [-1e308, 0.0, 1e308, 1e308, 1.0, 2.0, 3.0, 4.0]
         pool = ResultPool.from_arrays(np.arange(8.0), tests)
-        with np.errstate(all="ignore"):  # Pearson's sums and the spread check still overflow
-            s = summarize(pool)
+        s = summarize(pool)
         assert s.mean_test == 1.25e307 == math.fsum(tests) / 8
         scaled = summarize(ResultPool.from_arrays(np.arange(8.0), np.array(tests) / 1e308))
         assert s.std_test == scaled.std_test * 1e308
         assert s.std_test == pytest.approx(oracles.sample_std([x / 1e308 for x in tests]) * 1e308,
                                            rel=1e-12)
+        # the exact correlation, rounded; its plain sums overflow too
+        assert s.pearson_val_test == 0.136504726557987
+        assert s.pearson_val_test == pytest.approx(
+            scipy_stats.pearsonr(np.arange(8.0), np.array(tests) / 1e308).statistic, rel=1e-12)
+
+    def test_a_pearson_whose_plain_sums_underflow_is_the_scaled_one(self):
+        # Products of deviations near 1e-100 round to zero: the plain denominator reads zero.
+        pool = helpers.bivariate_normal_pool(m=20, rho=0.5, seed=3)
+        tiny = ResultPool.from_arrays(pool.validation_scores * 1e-100, pool.test_scores * 1e-100)
+        want = summarize(pool).pearson_val_test
+        assert summarize(tiny).pearson_val_test == pytest.approx(want, rel=1e-12)
+        assert fit_gaussian_params(tiny).rho == pytest.approx(want, rel=1e-12)
 
     def test_a_sum_in_range_keeps_the_plain_mean_and_std(self):
         pool = helpers.bivariate_normal_pool(m=37, mu_test=1e5, rho=0.3, seed=8)
@@ -738,9 +766,8 @@ _N_CHECKS = {
         ResamplingConfig(replicates=100),
     ),
     "std_normal_expected_max": lambda n: std_normal_expected_max(n),
-    "expected_max_continuous": lambda n: expected_max_continuous(standard_normal(), n),
-    "expected_max_discrete": lambda n: expected_max_discrete(
-        DiscreteDistribution(((0.0, 0.5), (1.0, 0.5))), n
+    "gaussian_boon_valtest": lambda n: gaussian_boon_valtest(
+        GaussianParams(0.0, 0.0, 1.0, 1.0, 0.5), n
     ),
 }
 

@@ -7,16 +7,8 @@ from bestofn import distributions, errors, estimators, resampling
 PUBLIC_NAMES = [
     "__version__",
     # distributions
-    "ContinuousDistribution",
-    "DiscreteDistribution",
     "GaussianParams",
-    "standard_normal",
-    "normal",
-    "uniform",
     "std_normal_expected_max",
-    "expected_max_continuous",
-    "expected_max_discrete",
-    "gaussian_boon_single",
     "gaussian_boon_valtest",
     # estimators
     "Direction",
@@ -46,7 +38,6 @@ PUBLIC_NAMES = [
     "compare_architectures",
     # errors
     "BestOfNError",
-    "InvalidDistributionError",
     "InvalidDataError",
     "InsufficientDataError",
     "DegeneratePoolError",
