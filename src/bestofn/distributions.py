@@ -7,9 +7,10 @@ standard normal draws,
 
     E_n = n * integral of x * phi(x) * Phi(x)^(n-1) dx.
 
-Everything here is written for maxima; :mod:`bestofn.estimators` handles
-loss-style metrics by negation (the Gaussian estimator) or by the pool's
-worst-to-best record order (the non-parametric one).
+Everything here is written for maxima. :mod:`bestofn.estimators` handles
+loss-style metrics through the pool's worst-to-best record order, and its
+Gaussian estimator by the sign of E_n: the best of n losses lies below
+their mean.
 """
 
 from __future__ import annotations

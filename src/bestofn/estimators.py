@@ -50,12 +50,6 @@ __all__ = [
 # A2 * (1 + 4/m - 25/m^2).
 _AD_CRITICAL_5PCT = 0.752
 
-# Pools up to this size are sorted by np.lexsort alone; a larger one first
-# argsorts its validations, which sorts it when they are untied. Measured
-# (2-vCPU Xeon VM, numpy 2.4), argsort and tie check against lexsort: untied,
-# 4.0 vs 2.8 µs at m=50, 9.7 vs 9.2 at 200, 20.1 vs 79.8 at 850 and 36.9 vs
-# 251 at 2000; a tied pool pays both, 92 against 68 µs at m=850.
-_LEXSORT_MAX_SIZE = 850
 _last_shape = None  # the (m, n) of the last _boon_weighted_average call
 
 
@@ -204,17 +198,6 @@ class NormalityResult(NamedTuple):
     reject_at_5pct: bool
 
 
-def _oriented_scores(pool: ResultPool) -> tuple[np.ndarray, np.ndarray, float]:
-    """Scores negated, if needed, so "best" always means maximal.
-
-    Returns (validation, test, sign); multiply maximize-convention results
-    by sign to return to the pool's own convention.
-    """
-    if pool.direction is Direction.MINIMIZE:
-        return -pool.validation_scores, -pool.test_scores, -1.0
-    return pool.validation_scores, pool.test_scores, 1.0
-
-
 def _tie_groups(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and end (exclusive) index of each run of equal values."""
     start = np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
@@ -230,23 +213,29 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _take(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, order, -1)`` at flat positions, which numpy gathers two to
+    three times as fast from a chunk of rows."""
+    return a.reshape(-1)[order + np.arange(0, a.size, a.shape[-1]).reshape(*a.shape[:-1], 1)]
+
+
 def _pair_order(vals: np.ndarray, tests: np.ndarray) -> np.ndarray:
-    """``np.lexsort((tests, vals))``, the records' (validation, test) order; on a large pool
-    with untied validations, their argsort, as then no other order sorts them."""
-    if vals.size > _LEXSORT_MAX_SIZE:
-        order = np.argsort(vals)
-        sorted_vals = vals[order]
-        if (sorted_vals[1:] != sorted_vals[:-1]).all():
-            return order
-    return np.lexsort((tests, vals))
+    """``np.lexsort((tests, vals))`` along the last axis: a row of untied validations takes
+    their argsort, the one order that sorts it, and a row with a validation tie is lexsorted."""
+    order = np.argsort(vals)
+    sorted_vals = _take(vals, order)
+    tied = (sorted_vals[..., 1:] == sorted_vals[..., :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = np.lexsort((tests[tied], vals[tied]))
+    return order
 
 
 def _worst_to_best(vals: np.ndarray, tests: np.ndarray, direction: Direction) -> tuple:
-    """Copies of the scores with the records worst to best in ``direction``: (validation, test)
-    order, reversed for minimize; records equal as numbers keep their order or its reverse."""
+    """Copies of the scores, each row's records worst to best in ``direction``: (validation,
+    test) order, reversed for minimize; records equal as numbers keep their order or its reverse."""
     order = _pair_order(vals, tests)
-    order = order[::-1] if direction is Direction.MINIMIZE else order
-    return vals[order], tests[order]
+    order = order[..., ::-1] if direction is Direction.MINIMIZE else order
+    return _take(vals, order), _take(tests, order)
 
 
 @lru_cache(maxsize=1)
@@ -369,40 +358,43 @@ def fit_gaussian_params(pool: ResultPool) -> GaussianParams:
     handling): sample means, Bessel-corrected stds, Pearson correlation."""
     if pool.m < 3:
         raise InsufficientDataError(f"need at least 3 records to fit, got m={pool.m}")
-    vals = pool.validation_scores
-    tests = pool.test_scores
+    vals, tests = pool.validation_scores, pool.test_scores
     _check_spread(vals, tests)
-    return GaussianParams(
-        mu_val=float(vals.mean()),
-        mu_test=float(tests.mean()),
-        sigma_val=float(vals.std(ddof=1)),
-        sigma_test=float(tests.std(ddof=1)),
-        rho=max(-1.0, min(1.0, _pearson(vals, tests))),
-    )
+    with np.errstate(all="ignore"):  # an overflowing moment fails GaussianParams' checks
+        return GaussianParams(
+            mu_val=float(vals.mean()),
+            mu_test=float(tests.mean()),
+            sigma_val=float(vals.std(ddof=1)),
+            sigma_test=float(tests.std(ddof=1)),
+            rho=max(-1.0, min(1.0, _pearson(vals, tests))),
+        )
+
+
+def _signed_expected_max(n: int, direction: Direction) -> float:
+    """E_n, negated for minimize: the best of n losses lies below their mean."""
+    e_n = std_normal_expected_max(n)
+    return -e_n if direction is Direction.MINIMIZE else e_n
 
 
 def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
     """Best-out-of-n estimate assuming a bivariate-normal performance
     distribution: mu_test + rho * sigma_test * E_n(N(0,1)) with the
-    parameters replaced by their standard sample estimates.
+    parameters replaced by their standard sample estimates, and E_n
+    negated for a minimize pool.
 
     Lower variance than the non-parametric estimator when the Gaussian
     assumption holds; biased when it does not.
     """
     _integer_arg(n, "n", 1, _MAX_N)
     if pool.m < 3:
-        raise InsufficientDataError(
-            f"parametric estimation needs m >= 3 records, got m={pool.m}"
-        )
-    vals, tests, sign = _oriented_scores(pool)
+        raise InsufficientDataError(f"parametric estimation needs m >= 3 records, got m={pool.m}")
+    vals, tests = pool.validation_scores, pool.test_scores
     _check_spread(vals, tests)
-    value = sign * _parametric_value(vals, tests, n)
-    return _boon_estimate(pool, n, value, EstimatorKind.GAUSSIAN_PARAMETRIC)
-
-
-def _parametric_value(vals: np.ndarray, tests: np.ndarray, n: int) -> float:
     rho = _pearson(vals, tests)
-    return float(tests.mean()) + rho * float(tests.std(ddof=1)) * std_normal_expected_max(n)
+    with np.errstate(all="ignore"):  # an overflowing moment fails _boon_estimate's check
+        mean, std = float(tests.mean()), float(tests.std(ddof=1))
+    value = mean + rho * std * _signed_expected_max(n, pool.direction)
+    return _boon_estimate(pool, n, value, EstimatorKind.GAUSSIAN_PARAMETRIC)
 
 
 @dataclass(frozen=True)

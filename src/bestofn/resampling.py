@@ -64,15 +64,15 @@ from .errors import (
 )
 from .estimators import (
     BoonStatistic,
+    Direction,
     EstimatorKind,
     ResultPool,
     _CheckedPool,
     _boon_weighted_average,
     _linear_quantiles,
-    _oriented_scores,
-    _pair_order,
     _rank_powers,
     _rescaled,
+    _signed_expected_max,
     _tie_groups,
     _worst_to_best,
     boon_nonparametric,
@@ -278,9 +278,8 @@ def _count_boon(
     vals: np.ndarray, tests: np.ndarray, size: int, ns: Sequence[int]
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Non-parametric Boo(n) at each n of ``ns`` of resamples of ``size``
-    records (maximize convention), without sorting any resample: a kernel
-    taking rows of positions in the pool's worst-to-best records to a
-    ``(rows, len(ns))`` block.
+    records, without sorting any resample: a kernel taking rows of positions
+    in a pool's records, worst to best, to a ``(rows, len(ns))`` block.
 
     A resample is a count vector over the pool's records.
     With S_g the cumulative count up to validation tie group g and s the
@@ -321,31 +320,40 @@ def _count_boon(
 
 
 def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
-    """Non-parametric Boo(n) of each row of (vals, tests) (maximize
-    convention): rows are sorted by validation and weighed with the fixed
-    rank weights; rows with tied validations are put in (validation, test)
-    order and take the grouped formula."""
-    m = vals.shape[1]
-    order = np.argsort(vals, axis=1)
-    sorted_vals = np.take_along_axis(vals, order, axis=1)
-    out = np.take_along_axis(tests, order, axis=1) @ np.diff(_rank_powers(m, n))
-    for r in np.flatnonzero((sorted_vals[:, 1:] == sorted_vals[:, :-1]).any(axis=1)):
-        row = _pair_order(vals[r], tests[r])
-        out[r] = _boon_weighted_average(vals[r, row], tests[r, row], n)
+    """Non-parametric Boo(n) of each row of (vals, tests), its records worst to best: the
+    row's tests weighed with the fixed rank weights, or, for a row with tied validations,
+    the grouped formula."""
+    out = tests @ np.diff(_rank_powers(vals.shape[1], n))
+    for r in np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1)):
+        out[r] = _boon_weighted_average(vals[r], tests[r], n)
     return out
 
 
-def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_ns: Sequence[float]) -> np.ndarray:
-    """Parametric Boo(n) of each row of (vals, tests) at each E_n of
-    ``e_ns``, mu_test + rho * sigma_test * E_n with sample estimates, as a
-    ``(rows, len(e_ns))`` block; NaN for a row without validation or test
-    spread. The moments are computed once and read by every E_n."""
+def _row_pearson(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation of each row of (vals, tests), NaN where its denominator is zero or
+    infinite, as in ``estimators._plain_pearson``, and each row's centred test sum of squares."""
     vc = vals - vals.mean(axis=1, keepdims=True)
     tc = tests - tests.mean(axis=1, keepdims=True)
     syy = (tc * tc).sum(axis=1)
-    degenerate = (np.ptp(vals, axis=1) == 0.0) | (np.ptp(tests, axis=1) == 0.0)
+    denom = np.sqrt((vc * vc).sum(axis=1) * syy)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (vc * tc).sum(axis=1) / np.sqrt((vc * vc).sum(axis=1) * syy)
+        rho = (vc * tc).sum(axis=1) / denom
+    rho[~((0.0 < denom) & (denom < math.inf))] = math.nan
+    return rho, syy
+
+
+def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_ns: Sequence[float]) -> np.ndarray:
+    """Parametric Boo(n) of each row of (vals, tests) at each signed E_n of ``e_ns``,
+    mu_test + rho * sigma_test * E_n with sample estimates, as a ``(rows, len(e_ns))``
+    block; NaN for a row without validation or test spread. A row whose correlation's sums
+    leave the float range takes it from its columns divided by their largest magnitudes,
+    as ``estimators._pearson`` does. The moments are computed once and read by every E_n."""
+    rho, syy = _row_pearson(vals, tests)
+    degenerate = (np.ptp(vals, axis=1) == 0.0) | (np.ptp(tests, axis=1) == 0.0)
+    rescale = ~np.isfinite(rho) & ~degenerate
+    if rescale.any():
+        v, t = (x[rescale] / np.abs(x[rescale]).max(axis=1, keepdims=True) for x in (vals, tests))
+        rho[rescale] = _row_pearson(v, t)[0]
     spread = rho * np.sqrt(syy / (vals.shape[1] - 1))
     out = tests.mean(axis=1)[:, None] + spread[:, None] * np.asarray(e_ns)
     out[degenerate] = np.nan
@@ -385,32 +393,26 @@ def _boon_block(
     size: int,
     bandwidths: tuple[float, ...] = (),
 ) -> Callable[..., np.ndarray]:
-    """Block for Boo(n) of one estimator kind at every n of ``ns``: a
-    ``(rows, len(ns))`` block whose columns all read the same resamples.
-    Unsmoothed non-parametric rows go by counts and Gaussian rows by their
-    moments, vectorised over the chunk; smoothed non-parametric ones go by
-    sorting each row."""
-    vals, tests, sign = _oriented_scores(pool)
-    # Noise scaled by sign on oriented scores is exactly the oriented image
-    # of noise added to the pool's own scores, as the generic path does.
-    bandwidths = tuple(sign * h for h in bandwidths)
+    """Block for Boo(n) of one estimator kind at every n of ``ns``: a ``(rows, len(ns))``
+    block whose columns all read the same resamples of the pool's records, worst to best.
+    Unsmoothed non-parametric rows go by counts and Gaussian rows by their moments,
+    vectorised over the chunk; smoothed non-parametric rows are sorted once a chunk."""
+    columns = (pool.validation_scores, pool.test_scores)
     if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
         if size < 3:
             raise InsufficientDataError(
                 f"parametric estimation needs resamples of >= 3 records, got {size}"
             )
-        e_ns = [std_normal_expected_max(n) for n in ns]
-        return lambda rng, rows: sign * _gaussian_boon(
-            *_draw(rng, (vals, tests), rows, size, bandwidths), e_ns
-        )
+        e_ns = [_signed_expected_max(n, pool.direction) for n in ns]
+        return lambda rng, rows: _gaussian_boon(*_draw(rng, columns, rows, size, bandwidths), e_ns)
     if any(bandwidths):
         def sorted_block(rng: np.random.Generator, rows: int) -> np.ndarray:
-            v, t = _draw(rng, (vals, tests), rows, size, bandwidths)
-            return sign * np.stack([_sorted_boon(v, t, n) for n in ns], axis=1)
+            v, t = _worst_to_best(*_draw(rng, columns, rows, size, bandwidths), pool.direction)
+            return np.stack([_sorted_boon(v, t, n) for n in ns], axis=1)
 
         return sorted_block
-    boon = _count_boon(vals, tests, size, ns)
-    return lambda rng, rows: sign * boon(rng.integers(0, pool.m, size=(rows, size)))
+    boon = _count_boon(*columns, size, ns)
+    return lambda rng, rows: boon(rng.integers(0, pool.m, size=(rows, size)))
 
 
 def _statistic_block(
@@ -426,10 +428,8 @@ def _statistic_block(
     if any(bandwidths):
 
         def draw(rng: np.random.Generator, rows: int) -> tuple[np.ndarray, np.ndarray, list]:
-            v, t = _draw(rng, columns, rows, size, bandwidths)
+            v, t = _worst_to_best(*_draw(rng, columns, rows, size, bandwidths), pool.direction)
             finite = np.isfinite(v).all(axis=1) & np.isfinite(t).all(axis=1)
-            for r in np.flatnonzero(finite):  # row views gather faster than v[r, order]
-                v[r], t[r] = _worst_to_best(v[r], t[r], pool.direction)
             return v, t, finite.tolist()
     else:
         # Positions sort two to three times as fast as 16-bit integers.
@@ -677,7 +677,8 @@ def best_of_m_curve(
             raise ValueError(
                 f"without-replacement samples of size {m} exceed the pool (m={pool.m})"
             )
-    vals, tests, sign = _oriented_scores(pool)
+    sign = -1.0 if pool.direction is Direction.MINIMIZE else 1.0  # the scans keep the largest
+    vals, tests = sign * pool.validation_scores, sign * pool.test_scores
     bandwidths = _resolve_bandwidths(pool, config.bandwidth) if with_ci else ()
 
     def best_tests(ms: list[int], count: int, run: int, h: tuple[float, ...]) -> np.ndarray:

@@ -366,6 +366,19 @@ class TestBoon:
         assert capsys.readouterr().err == f"error: Boo({n}) overflows the float range\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_gaussian_bootstrap_of_tiny_scores(self, direction, tmp_path):
+        # each resample's plain correlation sums underflow at scores near 1e-100
+        z = np.random.default_rng(30).standard_normal((30, 2))
+        rows = 1e-100 * np.column_stack((z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]))
+        path = helpers.write_pool_csv(tmp_path / "tiny.csv", rows.tolist())
+        out = tmp_path / "report.json"
+        rc = run(["boon", path, "--estimator", "gaussian", "--bootstrap", "200",
+                  "--direction", direction, "--output", out])
+        assert rc == EXIT_OK
+        (entry,) = read_report(out)["estimates"]
+        assert entry["ci"]["lo"] < entry["value"] < entry["ci"]["hi"]
+
     def test_bootstrap_ci_recorded(self, tmp_path):
         pool = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=4)
         rows = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))

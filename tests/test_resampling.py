@@ -25,6 +25,7 @@ from bestofn import (
     boon_nonparametric,
     boon_parametric_gaussian,
     compare_architectures,
+    fit_gaussian_params,
     monte_carlo_ci_gaussian,
     smoothed_bootstrap_ci,
     std_normal_expected_max,
@@ -290,6 +291,63 @@ class TestBootstrapCI:
         ci = run(self._pinned_pool(direction), boon5, cfg, resample_size=size)
         assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED[key]
 
+    # float.hex of the vectorised BoonStatistic(5, kind) endpoints on _pinned_pool (300
+    # replicates, seed 21), recorded at stream version 7 while those blocks still negated a
+    # minimize pool's scores: weighing the records as stored must move none of them.
+    _PINNED_BLOCKS = {
+        ("maximize", None, "bootstrap", "gaussian_parametric"):
+            ("-0x1.755846458ab5ap-4", "0x1.41e84c816ccd1p-4"),
+        ("maximize", None, "smoothed", "nonparametric"):
+            ("-0x1.284341c612c6bp-3", "0x1.94fd0a58b1c42p-5"),
+        ("maximize", None, "smoothed", "gaussian_parametric"):
+            ("-0x1.8f2e79f07bb10p-4", "0x1.5564d9ccccf1ep-4"),
+        ("maximize", 7, "bootstrap", "gaussian_parametric"):
+            ("-0x1.3ba28f753fa70p+0", "0x1.0d64f73009637p+0"),
+        ("maximize", 7, "smoothed", "nonparametric"):
+            ("-0x1.7258e0f53c669p+0", "0x1.140610e4d1973p+0"),
+        ("maximize", 7, "smoothed", "gaussian_parametric"):
+            ("-0x1.4d8a5cac40fb9p+0", "0x1.25e8e43bffbccp+0"),
+        ("minimize", None, "bootstrap", "gaussian_parametric"):
+            ("-0x1.f885d8af7fd25p-6", "0x1.16fadc3b01bedp-3"),
+        ("minimize", None, "smoothed", "nonparametric"):
+            ("-0x1.87a32106a63d1p-4", "0x1.a39e6996123a4p-4"),
+        ("minimize", None, "smoothed", "gaussian_parametric"):
+            ("-0x1.42ed0b39fcb00p-5", "0x1.2570a56cd3e2ap-3"),
+        ("minimize", 7, "bootstrap", "gaussian_parametric"):
+            ("-0x1.1897cda483df6p+0", "0x1.4e43964699b3fp+0"),
+        ("minimize", 7, "smoothed", "nonparametric"):
+            ("-0x1.1840281e69938p+0", "0x1.5a49eb2fc6007p+0"),
+        ("minimize", 7, "smoothed", "gaussian_parametric"):
+            ("-0x1.3135824026443p+0", "0x1.65a96437f4977p+0"),
+    }
+
+    @pytest.mark.parametrize("key", list(_PINNED_BLOCKS))
+    def test_boon_statistic_blocks_are_pinned_to_the_bit(self, key):
+        direction, size, method, kind = key
+        run = bootstrap_ci if method == "bootstrap" else smoothed_bootstrap_ci
+        cfg = ResamplingConfig(replicates=300, seed=21)
+        ci = run(self._pinned_pool(direction), BoonStatistic(5, kind), cfg, resample_size=size)
+        assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_BLOCKS[key]
+
+    # The same for smoothed BoonStatistic(5) on 40 records of one validation score: its
+    # automatic validation bandwidth is 0, so every smoothed row is one tie group.
+    _PINNED_TIED_ROWS = {
+        ("maximize", None): ("-0x1.6201006660745p-2", "0x1.8d32f6bc29db2p-2"),
+        ("maximize", 7): ("-0x1.86db772366a72p-1", "0x1.8c8bac3b2bcf9p-1"),
+        ("minimize", None): ("-0x1.7aabcdc26fea2p-2", "0x1.6a2b52432b813p-2"),
+        ("minimize", 7): ("-0x1.b88a47307bdeep-1", "0x1.cd7c19a550753p-1"),
+    }
+
+    @pytest.mark.parametrize("key", list(_PINNED_TIED_ROWS))
+    def test_smoothed_rows_of_one_tie_group_are_pinned_to_the_bit(self, key):
+        direction, size = key
+        rng = np.random.default_rng(24)
+        pool = ResultPool.from_arrays(np.full(40, 0.5), rng.normal(size=40).round(2), direction)
+        cfg = ResamplingConfig(replicates=300, seed=21)
+        assert resampling._resolve_bandwidths(pool, cfg.bandwidth)[0] == 0.0
+        ci = smoothed_bootstrap_ci(pool, BoonStatistic(5), cfg, resample_size=size)
+        assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_TIED_ROWS[key]
+
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     @pytest.mark.parametrize("size", [None, 7])
     def test_a_callable_gets_each_unsmoothed_resample_worst_to_best(self, direction, size):
@@ -402,12 +460,13 @@ class TestBootstrapCI:
     def test_records_are_sorted_once_when_their_pool_is_built(self, m, direction, monkeypatch):
         # Counts, not timings: a pool built by its user is sorted once, an
         # unsmoothed resample (sorted positions) never, a smoothed one once
-        # before its pool is built, and Boo(n) never sorts a pool's records.
+        # before its pool is built or its rows are weighed at every n, and
+        # Boo(n) never sorts a pool's records.
         calls = []
         pair_order = estimators._pair_order
 
         def counted(vals, tests):
-            calls.append(vals.size)
+            calls.append(vals.size)  # records sorted: a pool's, or a chunk's rows × size
             return pair_order(vals, tests)
 
         monkeypatch.setattr(estimators, "_pair_order", counted)
@@ -418,7 +477,12 @@ class TestBootstrapCI:
         bootstrap_ci(pool, boon5, cfg)
         assert not calls
         smoothed_bootstrap_ci(pool, boon5, cfg)
-        assert calls == [m] * 100
+        assert sum(calls) == m * 100
+        calls.clear()
+        bandwidths = resampling._resolve_bandwidths(pool, cfg.bandwidth)
+        statistics = [BoonStatistic(n) for n in (1, 5, 20)]
+        resampling._bootstrap_intervals(pool, statistics, cfg, bandwidths)
+        assert sum(calls) == m * 100
         calls.clear()
         boon5(pool)
         assert not calls
@@ -688,7 +752,7 @@ class TestBestOfMCurve:
     def test_deterministic_and_parallel_safe(self):
         pool = helpers.bivariate_normal_pool(m=25, rho=0.2, seed=55)
         cfg = ResamplingConfig(replicates=400, seed=1)
-        # 40,000 samples make three chunks of 2**14, so threads share them
+        # 40,000 samples make three chunks of 2**14; workers has no effect
         a = best_of_m_curve(pool, [1, 4, 6], 40_000, cfg, workers=1)
         b = best_of_m_curve(pool, [1, 4, 6], 40_000, cfg, workers=3)
         assert a == b
@@ -900,29 +964,6 @@ class TestEngine:
     """The vectorised Boo(n) engine against the one-pool estimators."""
 
     @pytest.mark.parametrize("direction", ["maximize", "minimize"])
-    def test_large_pool_sort_leaves_the_numbers_unchanged(self, direction, monkeypatch):
-        # Runs of equal (validation, test) pairs: the count kernel's sums
-        # depend on which record of such a run sorts first.
-        rng = np.random.default_rng(8)
-        m = 2000
-        idx = rng.integers(0, m, m)
-        v, t = rng.normal(size=m).round(2)[idx], rng.normal(size=m).round(1)[idx]
-        pool_a = ResultPool.from_arrays(v, t, direction)
-        pool_b = ResultPool.from_arrays(v[::-1], t[::-1] + 0.05, direction)
-        config = ResamplingConfig(replicates=200, seed=6)
-
-        def numbers():
-            return (
-                bootstrap_ci(pool_a, BoonStatistic(5), config),
-                bootstrap_ci(pool_a, boon5, config),
-                compare_architectures(pool_a, pool_b, 5, config),
-            )
-
-        got = numbers()
-        monkeypatch.setattr(estimators, "_LEXSORT_MAX_SIZE", m)
-        assert got == numbers()
-
-    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_rows_match_the_estimators_on_the_same_index_blocks(self, direction, kind):
         rng = np.random.default_rng(808)
@@ -1054,7 +1095,8 @@ class TestEngine:
             params.rho * z[:, :, 0] + math.sqrt(1 - params.rho**2) * z[:, :, 1]
         )
         vals[:5, 1] = vals[:5, 0]  # tied validations take the grouped formula
-        got = resampling._sorted_boon(vals, tests, n)
+        rows = estimators._worst_to_best(vals, tests, Direction.MAXIMIZE)
+        got = resampling._sorted_boon(*rows, n)
         want = [boon_nonparametric(ResultPool.from_arrays(v, t), n).value
                 for v, t in zip(vals, tests)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
@@ -1378,3 +1420,26 @@ class TestDegenerateGaussianResamples:
         assert sum(degenerate_rows) > 0
         assert np.isfinite([ci.lo, ci.hi]).all()
         assert bootstrap_ci(pool, stat, cfg, workers=3) == ci
+
+    @pytest.mark.parametrize("direction", ["maximize", "minimize"])
+    @pytest.mark.parametrize("scale", [2.0**-330, 2.0**330, 2.0**500])
+    def test_intervals_scale_with_scores_whose_correlation_sums_leave_the_float_range(
+        self, direction, scale
+    ):
+        # A row's plain correlation divides by sqrt(sum vc**2 * sum tc**2), which underflows
+        # to 0 (every replicate failed) or overflows to inf (every correlation read as 0)
+        # at these scales; such rows take it from scaled columns, so the intervals only scale.
+        z = np.random.default_rng(30).standard_normal((30, 2))
+        v, t = z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]
+        cfg = ResamplingConfig(replicates=200, seed=1)
+        stat = BoonStatistic(5, EstimatorKind.GAUSSIAN_PARAMETRIC)
+
+        def intervals(pool):
+            mc = monte_carlo_ci_gaussian(fit_gaussian_params(pool), 30, 5, stat.kind, cfg)
+            return [bootstrap_ci(pool, stat, cfg), smoothed_bootstrap_ci(pool, stat, cfg), mc]
+
+        want = intervals(ResultPool.from_arrays(v, t, direction))
+        got = intervals(ResultPool.from_arrays(v * scale, t * scale, direction))
+        for g, w in zip(got, want):
+            assert g.lo / scale == pytest.approx(w.lo, rel=1e-12)
+            assert g.hi / scale == pytest.approx(w.hi, rel=1e-12)
