@@ -51,6 +51,7 @@ __all__ = [
 _AD_CRITICAL_5PCT = 0.752
 
 _last_shape = None  # the (m, n) of the last _boon_weighted_average call
+_TINY = float(np.finfo(float).tiny)  # a variance or sum of squares below it has lost digits
 
 
 class Direction(str, enum.Enum):
@@ -312,21 +313,32 @@ def _linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
     return out
 
 
-def _rescaled(statistic: Callable[[np.ndarray], float], x: np.ndarray) -> float:
+def _rescaled(
+    statistic: Callable[[np.ndarray], float],
+    x: np.ndarray,
+    lost: Callable[[float], bool] = lambda value: not math.isfinite(value),
+) -> float:
     """``statistic(x)`` for a statistic that scales with its finite data, as a mean or standard
-    deviation does; where that overflows, ``statistic(x / s) * s`` with s the largest magnitude
-    in x, so a sum beyond the float range leaves a representable result finite."""
+    deviation does; where that value is ``lost`` (by default, where it overflows, as a sum beyond
+    the float range can), ``statistic(x / s) * s`` with s the largest magnitude in x."""
     with np.errstate(all="ignore"):
         value = float(statistic(x))
-        if not math.isfinite(value):
+        if lost(value):
             scale = float(np.abs(x).max())
             value = float(statistic(x / scale)) * scale
     return value
 
 
+def _std(x: np.ndarray) -> float:
+    """Bessel-corrected standard deviation of x, rescaled where its square is below the normal
+    range though x is not constant: there its squared deviations have underflowed."""
+    return _rescaled(lambda y: y.std(ddof=1), x, lambda sd: sd * sd < _TINY and x.min() < x.max())
+
+
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of x and y; where its sums leave the float range, the same from
-    both columns divided by their largest magnitudes, which leaves the correlation as it is."""
+    """Pearson correlation of x and y; where its sums leave the float range or its sums of
+    squares fall below the normal range, the same from both columns divided by their largest
+    magnitudes, which leaves the correlation as it is."""
     with np.errstate(all="ignore"):
         value = _plain_pearson(x, y)
         if not math.isfinite(value):
@@ -337,11 +349,11 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _plain_pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(np.dot(xc, xc)) * float(np.dot(yc, yc)))
-    # An infinite denominator would read as a zero correlation.
-    return float(np.dot(xc, yc) / denom) if 0.0 < denom < math.inf else math.nan
+    xc, yc = x - x.mean(), y - y.mean()
+    sxx, syy = float(np.dot(xc, xc)), float(np.dot(yc, yc))
+    # A sum of squares below the normal range has lost digits; an infinite denominator reads as 0.
+    ok = min(sxx, syy) >= _TINY and _TINY <= sxx * syy < math.inf
+    return float(np.dot(xc, yc) / math.sqrt(sxx * syy)) if ok else math.nan
 
 
 def _check_spread(vals: np.ndarray, tests: np.ndarray) -> None:
@@ -364,8 +376,8 @@ def fit_gaussian_params(pool: ResultPool) -> GaussianParams:
         return GaussianParams(
             mu_val=float(vals.mean()),
             mu_test=float(tests.mean()),
-            sigma_val=float(vals.std(ddof=1)),
-            sigma_test=float(tests.std(ddof=1)),
+            sigma_val=_std(vals),
+            sigma_test=_std(tests),
             rho=max(-1.0, min(1.0, _pearson(vals, tests))),
         )
 
@@ -392,7 +404,7 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
     _check_spread(vals, tests)
     rho = _pearson(vals, tests)
     with np.errstate(all="ignore"):  # an overflowing moment fails _boon_estimate's check
-        mean, std = float(tests.mean()), float(tests.std(ddof=1))
+        mean, std = float(tests.mean()), _std(tests)
     value = mean + rho * std * _signed_expected_max(n, pool.direction)
     return _boon_estimate(pool, n, value, EstimatorKind.GAUSSIAN_PARAMETRIC)
 
@@ -432,7 +444,7 @@ def summarize(pool: ResultPool) -> PoolSummary:
     vals = pool.validation_scores
     m = pool.m
     mean_test = _rescaled(np.mean, tests)
-    std_test = _rescaled(lambda x: x.std(ddof=1), tests) if m >= 2 else None
+    std_test = _rescaled(_std, tests) if m >= 2 else None
     iqr_test = None
     if m >= 2:
         iqr_test = _linear_quantiles(tests, [0.75])[0] - _linear_quantiles(tests, [0.25])[0]
@@ -470,7 +482,7 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
     # Equal values, as in _check_spread: their std can round to nonzero.
     if x.min() == x.max():
         raise InsufficientDataError("zero variance; normality check is undefined")
-    sd = float(x.std(ddof=1))
+    sd = _std(x)
     if not math.isfinite(sd):  # NaN when the mean overflows too
         raise InsufficientDataError("the spread overflows; normality check is undefined")
     z = np.sort((x - x.mean()) / sd)

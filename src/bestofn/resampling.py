@@ -24,15 +24,12 @@ and only scores near the top of the float range can cause that. A Monte
 Carlo run simulates pools of m records: a Gaussian-kind chunk draws a
 (rows, m, 2) standard normal block, a non-parametric one a (rows, m) block
 of standardised validations and then one test residual per row. A curve
-makes two runs, keyed (0,) for its samples and (1,) for its
-smoothed band, and each sample is one nested sequence of records read by
-every point: point m takes the first best-validation record among the
-first m. A with-replacement sample counts as one record, so a chunk holds
-2**14 samples and draws record j for all of its rows before record j + 1:
-the indices, then, in a band, the validation and test noise as one
-(2, rows) draw. A without-replacement sample counts the whole pool: it
-draws one uniform key per pool record (then, in a band, (2, rows, pool
-size) noise), and its sequence is the records in increasing key order. A
+makes two runs, keyed (0,) for its samples and (1,) for its smoothed band,
+and each sample is one nested sequence of records, drawn with replacement,
+read by every point: point m takes the first best-validation record among
+the first m. A sample counts as one record, so a chunk holds 2**14 samples
+and draws record j for all of its rows before record j + 1: the indices,
+then, in a band, the validation and test noise as one (2, rows) draw. A
 point's numbers therefore depend on the seed, the run, the sample count
 and m, not on the other points requested. Which replicates share a stream
 depends on the seed, the key, the kind of run and the resample size only,
@@ -68,11 +65,13 @@ from .estimators import (
     EstimatorKind,
     ResultPool,
     _CheckedPool,
+    _TINY,
     _boon_weighted_average,
     _linear_quantiles,
     _rank_powers,
     _rescaled,
     _signed_expected_max,
+    _std,
     _tie_groups,
     _worst_to_best,
     boon_nonparametric,
@@ -329,33 +328,36 @@ def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _row_pearson(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlation of each row of (vals, tests), NaN where its denominator is zero or
-    infinite, as in ``estimators._plain_pearson``, and each row's centred test sum of squares."""
+def _row_moments(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Pearson correlation, NaN where a sum of squares or their product is outside
+    the normal range as in ``estimators._plain_pearson``, and its Bessel-corrected test variance."""
     vc = vals - vals.mean(axis=1, keepdims=True)
     tc = tests - tests.mean(axis=1, keepdims=True)
-    syy = (tc * tc).sum(axis=1)
-    denom = np.sqrt((vc * vc).sum(axis=1) * syy)
+    sxx, syy = (vc * vc).sum(axis=1), (tc * tc).sum(axis=1)
+    product = sxx * syy
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (vc * tc).sum(axis=1) / denom
-    rho[~((0.0 < denom) & (denom < math.inf))] = math.nan
-    return rho, syy
+        rho = (vc * tc).sum(axis=1) / np.sqrt(product)
+    rho[~((np.minimum(sxx, syy) >= _TINY) & (_TINY <= product) & (product < math.inf))] = math.nan
+    return rho, syy / (vals.shape[1] - 1)
 
 
 def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_ns: Sequence[float]) -> np.ndarray:
     """Parametric Boo(n) of each row of (vals, tests) at each signed E_n of ``e_ns``,
     mu_test + rho * sigma_test * E_n with sample estimates, as a ``(rows, len(e_ns))``
-    block; NaN for a row without validation or test spread. A row whose correlation's sums
-    leave the float range takes it from its columns divided by their largest magnitudes,
-    as ``estimators._pearson`` does. The moments are computed once and read by every E_n."""
-    rho, syy = _row_pearson(vals, tests)
+    block; NaN for a row without validation or test spread. A row whose correlation is NaN
+    or test variance below the normal range takes it from its columns divided by their
+    largest magnitudes, as ``estimators._pearson`` and ``_std`` do. The moments are computed
+    once and read by every E_n."""
+    rho, var = _row_moments(vals, tests)
+    sd = np.sqrt(var)
     degenerate = (np.ptp(vals, axis=1) == 0.0) | (np.ptp(tests, axis=1) == 0.0)
-    rescale = ~np.isfinite(rho) & ~degenerate
+    rescale = (~np.isfinite(rho) | (var < _TINY)) & ~degenerate
     if rescale.any():
         v, t = (x[rescale] / np.abs(x[rescale]).max(axis=1, keepdims=True) for x in (vals, tests))
-        rho[rescale] = _row_pearson(v, t)[0]
-    spread = rho * np.sqrt(syy / (vals.shape[1] - 1))
-    out = tests.mean(axis=1)[:, None] + spread[:, None] * np.asarray(e_ns)
+        rho[rescale], t_var = _row_moments(v, t)
+        t_sd = np.sqrt(t_var) * np.abs(tests[rescale]).max(axis=1)
+        sd[rescale] = np.where(var[rescale] < _TINY, t_sd, sd[rescale])
+    out = tests.mean(axis=1)[:, None] + (rho * sd)[:, None] * np.asarray(e_ns)
     out[degenerate] = np.nan
     return out
 
@@ -376,8 +378,7 @@ def _resolve_bandwidths(pool: ResultPool, bandwidth: float | str) -> tuple[float
     factor = pool.m ** (-1.0 / 6.0)
     h = []
     for axis, scores in (("validation", pool.validation_scores), ("test", pool.test_scores)):
-        with np.errstate(all="ignore"):
-            h.append(float(scores.std(ddof=1)) * factor if pool.m >= 2 else 0.0)
+        h.append(_std(scores) * factor if pool.m >= 2 else 0.0)
         if not math.isfinite(h[-1]):
             raise DegeneratePoolError(
                 f"the automatic {axis} bandwidth overflows the float range; "
@@ -648,7 +649,6 @@ def best_of_m_curve(
     config: ResamplingConfig,
     *,
     with_ci: bool = True,
-    replace: bool = True,
     workers: int = 1,
 ) -> list[CurvePoint]:
     """Expected best-validation test score as a function of pool size m.
@@ -662,9 +662,6 @@ def best_of_m_curve(
     best-single-model statistic at that pool size is attached
     (``config.replicates`` smoothed draws).
 
-    ``replace=False`` switches to without-replacement samples (requires
-    m <= pool.m) for sensitivity analysis; the default matches the
-    with-replacement reading used by the estimator cross-check.
     ``workers`` is accepted for compatibility and has no effect.
     """
     m_values = list(m_values)
@@ -673,20 +670,15 @@ def best_of_m_curve(
     _integer_arg(samples_per_m, "samples_per_m", 1, MAX_REPLICATES)
     for m in m_values:
         _integer_arg(m, "m")
-        if not replace and m > pool.m:
-            raise ValueError(
-                f"without-replacement samples of size {m} exceed the pool (m={pool.m})"
-            )
     sign = -1.0 if pool.direction is Direction.MINIMIZE else 1.0  # the scans keep the largest
     vals, tests = sign * pool.validation_scores, sign * pool.test_scores
     bandwidths = _resolve_bandwidths(pool, config.bandwidth) if with_ci else ()
 
     def best_tests(ms: list[int], count: int, run: int, h: tuple[float, ...]) -> np.ndarray:
-        """``(len(ms), count)`` test scores of the best-validation record
-        among the first m records of each sample, for the increasing sizes
-        ``ms``, from the run keyed (run,)."""
+        """``(len(ms), count)`` test scores of the best-validation record among the first m
+        records of each sample, for the increasing sizes ``ms``, from the run keyed (run,)."""
 
-        def with_replacement(rng: np.random.Generator, rows: int) -> np.ndarray:
+        def scan(rng: np.random.Generator, rows: int) -> np.ndarray:
             out = np.empty((len(ms), rows))
             out_row = dict(zip(ms, out))
             best_v, best_t = np.full(rows, -np.inf), np.full(rows, np.nan)
@@ -699,56 +691,16 @@ def best_of_m_curve(
                 np.copyto(best_t, t, where=v > best_v)
                 np.maximum(best_v, v, out=best_v)
                 if j in out_row:
-                    out_row[j][:] = best_t
+                    np.multiply(best_t, sign, out=out_row[j])
             return out.T
 
-        def without_replacement(rng: np.random.Generator, rows: int) -> np.ndarray:
-            keys = rng.random((rows, pool.m))
-            noise = rng.standard_normal((2, rows, pool.m)) if any(h) else None
-
-            def first_records(m: int, in_order: bool) -> tuple[np.ndarray, ...]:
-                """Validation, test and key of each sample's m smallest-key
-                records, in increasing key order when ``in_order``."""
-                idx = np.argpartition(keys, m - 1, axis=1)[:, :m]
-                k = np.take_along_axis(keys, idx, axis=1)
-                if in_order:
-                    by_key = np.argsort(k, axis=1)
-                    idx, k = (np.take_along_axis(a, by_key, axis=1) for a in (idx, k))
-                v, t = vals[idx], tests[idx]
-                if noise is not None:
-                    v = v + h[0] * np.take_along_axis(noise[0], idx, axis=1)
-                    t = t + h[1] * np.take_along_axis(noise[1], idx, axis=1)
-                return v, t, k
-
-            # The largest size needs no order: its first best record is the
-            # smallest-key one among those of best validation.
-            v, t, k = first_records(ms[-1], in_order=False)
-            first_best = np.where(v == v.max(axis=1, keepdims=True), k, np.inf).argmin(axis=1)
-            last = t[np.arange(rows), first_best][:, None]
-            if len(ms) == 1:
-                return last
-            # Smaller sizes read the running best of the ordered records.
-            v, t, _ = first_records(ms[-2], in_order=True)
-            new_best = np.ones(v.shape, dtype=bool)
-            new_best[:, 1:] = v[:, 1:] > np.maximum.accumulate(v, axis=1)[:, :-1]
-            first_best = np.where(new_best, np.arange(ms[-2]), 0)
-            np.maximum.accumulate(first_best, axis=1, out=first_best)
-            head = np.take_along_axis(t, first_best[:, [m - 1 for m in ms[:-1]]], axis=1)
-            return np.concatenate([head, last], axis=1)
-
-        if replace:
-            block, size = with_replacement, 1
-        else:
-            block, size = without_replacement, pool.m
-        values = _chunked_replicates(count, size, config.seed, block, key=(run,))
-        values = np.ascontiguousarray(values.T)
-        values *= sign
-        return values
+        values = _chunked_replicates(count, 1, config.seed, scan, key=(run,))
+        return np.ascontiguousarray(values.T)  # one contiguous row per size
 
     def estimate(draws: np.ndarray) -> tuple[float, float | None]:
         mc_se = None
         if samples_per_m > 1:
-            mc_se = _rescaled(lambda d: d.std(ddof=1) / math.sqrt(samples_per_m), draws)
+            mc_se = _rescaled(lambda d: _std(d) / math.sqrt(samples_per_m), draws)
         return _rescaled(np.mean, draws), mc_se
 
     points = {}

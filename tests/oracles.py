@@ -27,20 +27,6 @@ def enumerate_boon(records, n, direction="maximize"):
     return total / m**n
 
 
-def enumerate_best_of_subsets(records, n, direction="maximize"):
-    """Exact expected best-validation test score of n records drawn without
-    replacement, by enumerating all C(m, n) subsets; tied best entries
-    average their test scores, as in :func:`enumerate_boon`."""
-    sign = -1.0 if direction == "minimize" else 1.0
-    subsets = list(itertools.combinations(records, n))
-    total = 0.0
-    for subset in subsets:
-        best_val = max(sign * v for v, _ in subset)
-        tied_tests = [t for v, t in subset if sign * v == best_val]
-        total += sum(tied_tests) / len(tied_tests)
-    return total / len(subsets)
-
-
 def std_normal_expected_max(n):
     """Expected maximum of n standard normal draws, n * integral of x * phi(x) * Phi(x)^(n-1),
     by adaptive quadrature over 12 standard deviations either side of sqrt(2 ln n), near which

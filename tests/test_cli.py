@@ -379,6 +379,26 @@ class TestBoon:
         (entry,) = read_report(out)["estimates"]
         assert entry["ci"]["lo"] < entry["value"] < entry["ci"]["hi"]
 
+    def test_scores_near_1e_200_give_the_numbers_of_scores_near_1e_100(self, tmp_path):
+        # The squared deviations of scores near 1e-200 fall below the float range, so every
+        # spread is taken from scaled scores: the Gaussian estimate, its interval, the test
+        # SD and the normality statistic are the 1e-100 pool's, scaled.
+        def numbers(exponent):
+            rows = [(f"{i}e-{exponent}", f"{i * 7 % 11 + i}e-{exponent}") for i in range(1, 31)]
+            path = helpers.write_pool_csv(tmp_path / f"tiny{exponent}.csv", rows)
+            boon, summary = tmp_path / f"boon{exponent}.json", tmp_path / f"sum{exponent}.json"
+            assert run(["boon", path, "--estimator", "gaussian", "--bootstrap", "200",
+                        "--output", boon]) == EXIT_OK
+            assert run(["summarize", path, "--output", summary]) == EXIT_OK
+            (entry,) = read_report(boon)["estimates"]
+            summary = read_report(summary)
+            scale = 10.0**-exponent
+            return [entry["value"] / scale, entry["ci"]["lo"] / scale, entry["ci"]["hi"] / scale,
+                    summary["summary"]["std_test"] / scale,
+                    summary["summary"]["normality"]["statistic"]]
+
+        assert numbers(200) == pytest.approx(numbers(100), rel=1e-9, abs=0)
+
     def test_bootstrap_ci_recorded(self, tmp_path):
         pool = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=4)
         rows = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))
@@ -767,8 +787,7 @@ for statistic in (b.BoonStatistic(2), b.best_single_model):
     for size in (None, 6):
         b.bootstrap_ci(pool, statistic, config, resample_size=size)
         b.smoothed_bootstrap_ci(pool, statistic, config, resample_size=size)
-for replace in (True, False):
-    b.best_of_m_curve(pool, [1, 2], 100, config, replace=replace)
+b.best_of_m_curve(pool, [1, 2], 100, config)
 for kind in b.EstimatorKind:
     b.monte_carlo_ci_gaussian(params, 12, 3, kind, config)
 b.compare_architectures(pool, pool, 3, config)

@@ -651,6 +651,36 @@ class TestSummarize:
         assert summarize(tiny).pearson_val_test == pytest.approx(want, rel=1e-12)
         assert fit_gaussian_params(tiny).rho == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize("scale", [2.0**-266, 2.0**-600, 2.0**-990])
+    def test_spreads_whose_squared_deviations_underflow_scale_with_the_scores(
+        self, direction, scale
+    ):
+        # Below a spread of 2**-511 the squared deviations fall below the normal float range
+        # and a plain standard deviation reads 0 (at 2**-266 only the product of the two sums
+        # of squares in a correlation does, which cost it digits): such spreads and
+        # correlations are taken from scaled scores. Power-of-two scales divide out exactly.
+        z = np.random.default_rng(4).standard_normal((30, 2))
+        v, t = z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]
+
+        def numbers(pool, scale):
+            s, fit = summarize(pool), fit_gaussian_params(pool)
+            return [
+                s.std_test / scale,
+                s.pearson_val_test,
+                fit.mu_val / scale,
+                fit.mu_test / scale,
+                fit.sigma_val / scale,
+                fit.sigma_test / scale,
+                fit.rho,
+                *(boon_parametric_gaussian(pool, n).value / scale for n in (1, 5, 20)),
+                anderson_darling_normality(pool.test_scores).statistic,
+            ]
+
+        want = numbers(ResultPool.from_arrays(v, t, direction), 1.0)
+        got = numbers(ResultPool.from_arrays(v * scale, t * scale, direction), scale)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_a_sum_in_range_keeps_the_plain_mean_and_std(self):
         pool = helpers.bivariate_normal_pool(m=37, mu_test=1e5, rho=0.3, seed=8)
         s = summarize(pool)

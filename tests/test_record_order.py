@@ -69,9 +69,6 @@ def outcomes(pool, other):
         "compare as A": outcome(compare_architectures, pool, other, 5, cfg),
         "compare as B": outcome(compare_architectures, other, pool, 5, cfg),
         "curve": outcome(best_of_m_curve, pool, [1, 2, 5], 100, cfg),
-        "curve without replacement": outcome(
-            best_of_m_curve, pool, [1, 2], 100, cfg, replace=False
-        ),
         "monte carlo of the fit": outcome(
             lambda: monte_carlo_ci_gaussian(
                 fit_gaussian_params(pool), pool.m, 5, EstimatorKind.NONPARAMETRIC, cfg
@@ -186,10 +183,9 @@ def test_affine_test_maps_move_every_interval_with_them(direction, tied):
     np.testing.assert_allclose([result2.delta, result2.ci.lo, result2.ci.hi],
                                [a * result.delta, a * result.ci.lo, a * result.ci.hi],
                                rtol=0, atol=scale)
-    for replace in (True, False):
-        points = _curve_numbers(best_of_m_curve(pool, [1, 3, 10], 200, cfg, replace=replace))
-        points2 = _curve_numbers(best_of_m_curve(pool2, [1, 3, 10], 200, cfg, replace=replace))
-        np.testing.assert_allclose(points2, a * np.array(points) + b, rtol=0, atol=scale)
+    points = _curve_numbers(best_of_m_curve(pool, [1, 3, 10], 200, cfg))
+    points2 = _curve_numbers(best_of_m_curve(pool2, [1, 3, 10], 200, cfg))
+    np.testing.assert_allclose(points2, a * np.array(points) + b, rtol=0, atol=scale)
 
 
 @pytest.mark.parametrize("direction,tied", _CASES)
@@ -210,11 +206,10 @@ def test_strictly_increasing_validation_maps_leave_every_number_unchanged(direct
     assert compare_architectures(pool2, other2, 5, cfg) == compare_architectures(
         pool, other, 5, cfg
     )
-    for replace in (True, False):
-        args = ([1, 3, 10], 200, cfg)
-        assert best_of_m_curve(pool2, *args, with_ci=False, replace=replace) == (
-            best_of_m_curve(pool, *args, with_ci=False, replace=replace)
-        )
+    args = ([1, 3, 10], 200, cfg)
+    assert best_of_m_curve(pool2, *args, with_ci=False) == best_of_m_curve(
+        pool, *args, with_ci=False
+    )
 
 
 @pytest.mark.parametrize("direction,tied", _CASES)
@@ -236,9 +231,8 @@ def test_direction_duality_negates_every_interval(direction, tied):
         -result.delta, -result.ci.hi, -result.ci.lo
     )
     assert result2.significant == result.significant
-    for replace in (True, False):
-        points = best_of_m_curve(pool, [1, 3, 10], 200, cfg, replace=replace)
-        points2 = best_of_m_curve(dual, [1, 3, 10], 200, cfg, replace=replace)
-        assert [(p.expected_best_test, p.ci.lo, p.ci.hi, p.mc_se) for p in points2] == [
-            (-p.expected_best_test, -p.ci.hi, -p.ci.lo, p.mc_se) for p in points
-        ]
+    points = best_of_m_curve(pool, [1, 3, 10], 200, cfg)
+    points2 = best_of_m_curve(dual, [1, 3, 10], 200, cfg)
+    assert [(p.expected_best_test, p.ci.lo, p.ci.hi, p.mc_se) for p in points2] == [
+        (-p.expected_best_test, -p.ci.hi, -p.ci.lo, p.mc_se) for p in points
+    ]

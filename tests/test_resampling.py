@@ -702,16 +702,14 @@ class TestBestOfMCurve:
         assert point.expected_best_test == pytest.approx(oracles.enumerate_boon(records, 2), abs=0.05)
         assert point.expected_best_test == pytest.approx(220 / 9, abs=0.05)
 
-    @pytest.mark.parametrize("replace", [True, False])
-    def test_points_whose_plain_sums_overflow_are_finite(self, replace):
+    def test_points_whose_plain_sums_overflow_are_finite(self):
         # No np.errstate around the call: a point whose draws' sums overflow takes its mean
         # and Monte Carlo error from the draws scaled by their largest magnitude, here 1e308,
         # and no floating-point warning escapes.
         v, t = np.arange(4.0), np.array([-1e308, 0.0, 1e308, 1e308])
         cfg = ResamplingConfig(replicates=200, seed=3)
         points, scaled = (
-            best_of_m_curve(ResultPool.from_arrays(v, tests), [1, 2, 3], 500, cfg,
-                            with_ci=False, replace=replace)
+            best_of_m_curve(ResultPool.from_arrays(v, tests), [1, 2, 3], 500, cfg, with_ci=False)
             for tests in (t, t / 1e308)
         )
         for point, unit in zip(points, scaled):
@@ -764,21 +762,6 @@ class TestBestOfMCurve:
         backward = best_of_m_curve(pool, [5, 2], 2000, cfg, with_ci=False)
         assert forward[0] == backward[1] and forward[1] == backward[0]
 
-    def test_without_replacement_full_pool_is_best_single_model(self):
-        pool = helpers.bivariate_normal_pool(m=12, rho=0.7, seed=23)
-        (point,) = best_of_m_curve(
-            pool, [12], 500, ResamplingConfig(replicates=500, seed=6),
-            with_ci=False, replace=False,
-        )
-        assert point.expected_best_test == pytest.approx(best_single_model(pool), abs=1e-12)
-
-    def test_without_replacement_rejects_oversized_m(self):
-        pool = helpers.bivariate_normal_pool(m=5, seed=2)
-        with pytest.raises(ValueError):
-            best_of_m_curve(
-                pool, [6], 100, ResamplingConfig(replicates=500, seed=0), replace=False
-            )
-
     def test_empty_m_values_rejected(self):
         pool = helpers.bivariate_normal_pool(m=5, seed=2)
         with pytest.raises(ValueError):
@@ -820,63 +803,34 @@ class TestBestOfMCurve:
         lo, hi = np.quantile(best_tests(1, replicates, h), [(1 - level) / 2, (1 + level) / 2])
         assert (point.ci.lo, point.ci.hi) == (lo, hi)
 
-    @pytest.mark.parametrize("replace", [True, False])
-    def test_point_does_not_depend_on_the_other_points(self, monkeypatch, replace):
+    def test_point_does_not_depend_on_the_other_points(self, monkeypatch):
         base = helpers.bivariate_normal_pool(m=30, rho=0.4, seed=9)
         pool = ResultPool.from_arrays(base.validation_scores.round(1), base.test_scores)
         cfg = ResamplingConfig(replicates=700, seed=5)
         m, samples = 7, 3000
-        (alone,) = best_of_m_curve(pool, [m], samples, cfg, replace=replace)
-        full = best_of_m_curve(pool, range(1, 21), samples, cfg, replace=replace)
-        pair = best_of_m_curve(pool, [20, m], samples, cfg, replace=replace)
+        (alone,) = best_of_m_curve(pool, [m], samples, cfg)
+        full = best_of_m_curve(pool, range(1, 21), samples, cfg)
+        pair = best_of_m_curve(pool, [20, m], samples, cfg)
         assert alone.ci is not None
         assert alone == full[m - 1] == pair[1]
         assert full[19] == pair[0]
         # a scan holding one point's samples at a time gives the same curve
         monkeypatch.setattr(resampling, "_CURVE_VALUES", samples)
-        assert best_of_m_curve(pool, range(1, 21), samples, cfg, replace=replace) == full
+        assert best_of_m_curve(pool, range(1, 21), samples, cfg) == full
 
-    @pytest.mark.parametrize("replace", [True, False])
     @pytest.mark.parametrize("direction", [Direction.MAXIMIZE, Direction.MINIMIZE])
-    def test_first_of_tied_records_is_unbiased(self, direction, replace):
+    def test_first_of_tied_records_is_unbiased(self, direction):
         # 3 distinct validations over 12 records, tests differing within ties
         rng = np.random.default_rng(31)
         vals = np.repeat([0.1, 0.2, 0.3], 4)
         pool = ResultPool.from_arrays(vals, rng.normal(size=12), direction)
-        records = list(zip(pool.validation_scores.tolist(), pool.test_scores.tolist()))
-        # without replacement every sample draws 12 keys, so fewer samples
         points = best_of_m_curve(
-            pool, range(1, 21 if replace else 13), 1_000_000 if replace else 200_000,
-            ResamplingConfig(replicates=500, seed=17), with_ci=False, replace=replace,
+            pool, range(1, 21), 1_000_000, ResamplingConfig(replicates=500, seed=17),
+            with_ci=False,
         )
         for p in points:
-            if replace:
-                exact = boon_nonparametric(pool, p.m).value
-            else:
-                exact = oracles.enumerate_best_of_subsets(records, p.m, direction.value)
+            exact = boon_nonparametric(pool, p.m).value
             assert abs(p.expected_best_test - exact) <= 4 * p.mc_se
-
-    def test_without_replacement_chunks_draw_at_most_2_14_keys(self, monkeypatch):
-        pool = helpers.bivariate_normal_pool(m=5000, seed=2)
-        sizes = []
-
-        class Recording:
-            def __init__(self, rng):
-                self.rng = rng
-
-            def random(self, size):
-                sizes.append(math.prod(size))
-                return self.rng.random(size)
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-        rng = resampling._rng
-        monkeypatch.setattr(resampling, "_rng", lambda *key: Recording(rng(*key)))
-        cfg = ResamplingConfig(replicates=100, seed=3)
-        best_of_m_curve(pool, [1, 40, 5000], 20, cfg, replace=False)
-        # 2**14 // 5000 = 3 rows of 5000 keys per chunk
-        assert max(sizes) == 3 * 5000
 
     def test_sample_count_is_bounded(self):
         # refused before the 8 TB of draws would be allocated
@@ -1375,9 +1329,6 @@ _OVERFLOW_CASES = {
         _OVERFLOW_PARAMS, 20, 5, EstimatorKind.GAUSSIAN_PARAMETRIC, _CFG
     ),
     "curve band with replacement": lambda: best_of_m_curve(_OVERFLOW_CURVE, [1, 2], 200, _WIDE),
-    "curve band without replacement": lambda: best_of_m_curve(
-        _OVERFLOW_CURVE, [1, 2], 200, _WIDE, replace=False
-    ),
 }
 
 
@@ -1443,3 +1394,35 @@ class TestDegenerateGaussianResamples:
         for g, w in zip(got, want):
             assert g.lo / scale == pytest.approx(w.lo, rel=1e-12)
             assert g.hi / scale == pytest.approx(w.hi, rel=1e-12)
+
+
+@pytest.mark.parametrize("direction", ["maximize", "minimize"])
+@pytest.mark.parametrize("scale", [2.0**-266, 2.0**-600, 2.0**-990])
+def test_results_scale_with_scores_whose_squared_deviations_underflow(direction, scale):
+    # Below a spread of 2**-511 the squared deviations fall below the normal float range and
+    # a plain standard deviation reads 0 (at 2**-266 only the product of the two sums of
+    # squares in a correlation does): such spreads and correlations are taken from scaled
+    # scores, so every interval, bandwidth and curve number only scales. Power-of-two scales
+    # make the division below exact.
+    z = np.random.default_rng(4).standard_normal((30, 2))
+    v, t = z[:, 0], 0.6 * z[:, 0] + 0.8 * z[:, 1]
+    cfg = ResamplingConfig(replicates=200, seed=3)
+    gaussian = BoonStatistic(5, EstimatorKind.GAUSSIAN_PARAMETRIC)
+
+    def numbers(pool):
+        cis = [
+            bootstrap_ci(pool, gaussian, cfg),
+            smoothed_bootstrap_ci(pool, gaussian, cfg),
+            smoothed_bootstrap_ci(pool, BoonStatistic(5), cfg),
+            monte_carlo_ci_gaussian(fit_gaussian_params(pool), 30, 5, gaussian.kind, cfg),
+        ]
+        curve = best_of_m_curve(pool, [1, 3], 300, cfg)
+        return [
+            *resampling._resolve_bandwidths(pool, "auto"),
+            *(x for ci in cis for x in (ci.lo, ci.hi)),
+            *(x for p in curve for x in (p.expected_best_test, p.mc_se, p.ci.lo, p.ci.hi)),
+        ]
+
+    want = numbers(ResultPool.from_arrays(v, t, direction))
+    got = numbers(ResultPool.from_arrays(v * scale, t * scale, direction))
+    assert [g / scale for g in got] == pytest.approx(want, rel=1e-12, abs=0)
