@@ -335,25 +335,54 @@ def _std(x: np.ndarray) -> float:
     return _rescaled(lambda y: y.std(ddof=1), x, lambda sd: sd * sd < _TINY and x.min() < x.max())
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation of x and y; where its sums leave the float range or its sums of
-    squares fall below the normal range, the same from both columns divided by their largest
-    magnitudes, which leaves the correlation as it is."""
+def _row_moments(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Pearson correlation, NaN where a sum of squares or their product is outside
+    the normal range (one below it has lost digits), and its Bessel-corrected test variance."""
+    vc = vals - vals.mean(axis=1, keepdims=True)
+    tc = tests - tests.mean(axis=1, keepdims=True)
+    sxx, syy = (vc * vc).sum(axis=1), (tc * tc).sum(axis=1)
+    product = sxx * syy
+    rho = (vc * tc).sum(axis=1) / np.sqrt(product)
+    rho[~((np.minimum(sxx, syy) >= _TINY) & (_TINY <= product) & (product < math.inf))] = math.nan
+    return rho, syy / (vals.shape[1] - 1)
+
+
+def _rho_and_sd(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's Pearson correlation, NaN for a row without validation or test spread, and its
+    Bessel-corrected test SD. A row whose correlation is NaN or test variance below the normal
+    range takes it from its columns divided by their largest magnitudes, which leaves the
+    correlation as it is and scales the SD, as ``_std`` does."""
+    rho, var = _row_moments(vals, tests)
+    sd = np.sqrt(var)
+    # Equal scores, not a zero sum of squares, as in _check_spread.
+    degenerate = (vals.min(axis=1) == vals.max(axis=1)) | (tests.min(axis=1) == tests.max(axis=1))
+    rescale = (~np.isfinite(rho) | (var < _TINY)) & ~degenerate
+    if rescale.any():
+        v, t = (x[rescale] / np.abs(x[rescale]).max(axis=1, keepdims=True) for x in (vals, tests))
+        rho[rescale], t_var = _row_moments(v, t)
+        t_sd = np.sqrt(t_var) * np.abs(tests[rescale]).max(axis=1)
+        sd[rescale] = np.where(var[rescale] < _TINY, t_sd, sd[rescale])
+    rho[degenerate] = math.nan
+    return rho, sd
+
+
+def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_ns: Sequence[float]) -> np.ndarray:
+    """Parametric Boo(n) of each row of (vals, tests) at each signed E_n of ``e_ns``,
+    mu_test + rho * sigma_test * E_n with the estimates of ``_rho_and_sd``, as a
+    ``(rows, len(e_ns))`` block, NaN for a row without validation or test spread. The
+    moments are computed once and read by every E_n."""
     with np.errstate(all="ignore"):
-        value = _plain_pearson(x, y)
-        if not math.isfinite(value):
-            value = _plain_pearson(x / np.abs(x).max(), y / np.abs(y).max())
-    if not math.isfinite(value):
+        rho, sd = _rho_and_sd(vals, tests)
+        return tests.mean(axis=1)[:, None] + (rho * sd)[:, None] * np.asarray(e_ns)
+
+
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation of x and y, one row of ``_rho_and_sd``."""
+    with np.errstate(all="ignore"):
+        rho = float(_rho_and_sd(x[None], y[None])[0][0])
+    if not math.isfinite(rho):
         raise DegeneratePoolError("zero variance makes the correlation undefined")
-    return value
-
-
-def _plain_pearson(x: np.ndarray, y: np.ndarray) -> float:
-    xc, yc = x - x.mean(), y - y.mean()
-    sxx, syy = float(np.dot(xc, xc)), float(np.dot(yc, yc))
-    # A sum of squares below the normal range has lost digits; an infinite denominator reads as 0.
-    ok = min(sxx, syy) >= _TINY and _TINY <= sxx * syy < math.inf
-    return float(np.dot(xc, yc) / math.sqrt(sxx * syy)) if ok else math.nan
+    return rho
 
 
 def _check_spread(vals: np.ndarray, tests: np.ndarray) -> None:
@@ -402,11 +431,9 @@ def boon_parametric_gaussian(pool: ResultPool, n: int) -> BoonEstimate:
         raise InsufficientDataError(f"parametric estimation needs m >= 3 records, got m={pool.m}")
     vals, tests = pool.validation_scores, pool.test_scores
     _check_spread(vals, tests)
-    rho = _pearson(vals, tests)
-    with np.errstate(all="ignore"):  # an overflowing moment fails _boon_estimate's check
-        mean, std = float(tests.mean()), _std(tests)
-    value = mean + rho * std * _signed_expected_max(n, pool.direction)
-    return _boon_estimate(pool, n, value, EstimatorKind.GAUSSIAN_PARAMETRIC)
+    # One row of the bootstrap kernel; an overflowing moment fails _boon_estimate's check.
+    value = _gaussian_boon(vals[None], tests[None], [_signed_expected_max(n, pool.direction)])
+    return _boon_estimate(pool, n, float(value[0, 0]), EstimatorKind.GAUSSIAN_PARAMETRIC)
 
 
 @dataclass(frozen=True)
@@ -470,12 +497,16 @@ def anderson_darling_normality(values: Sequence[float]) -> NormalityResult:
 
     Mean and variance are estimated from the data; the returned statistic
     is A2 * (1 + 4/m - 25/m^2) and is compared against the 5% critical
-    value 0.752 for this composite case. Fewer than 8 values, equal values
-    and a spread beyond the float range raise :class:`InsufficientDataError`.
+    value 0.752 for this composite case. A NaN or infinite value raises
+    :class:`InvalidDataError`; fewer than 8 values, equal values and a spread
+    beyond the float range raise :class:`InsufficientDataError`.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1:
         raise ValueError("values must be one-dimensional")
+    if not np.isfinite(x).all():
+        i = int(np.flatnonzero(~np.isfinite(x))[0])
+        raise InvalidDataError(f"non-finite value at index {i}: {float(x[i])}")
     m = x.size
     if m < 8:
         raise InsufficientDataError(f"need at least 8 values, got {m}")

@@ -4,47 +4,53 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 7): every routine draws its
+Determinism contract (stream version 8): every routine draws its
 replicates through one engine, in chunks of ``max(1, 2**14 // size)``
-replicates of ``size`` records, or, for a block vectorised over the chunk
-(the count kernel, Gaussian Boo(n), compare and the Gaussian Monte Carlo
-kind), of at least ``min(8, 2**16 // size)``. Chunk k takes every draw
-from its own stream, split off (seed, *key, k) by numpy SeedSequence spawn
-keys: first the chunk's whole block of draws, then, in row order, a fresh
-draw for each row whose statistic failed. Bootstrap, compare and Monte
-Carlo runs have an empty key. Boo(n) bootstraps of one estimator at
-several n (the list of a ``boon --n`` command) share one run: each
-chunk's block has a column per n, so every n reads the same draws. The n
-are taken in groups of
+replicates of ``size`` records; compare, whose replicate resamples both
+pools, holds at least ``min(8, 2**16 // size)`` a chunk. Chunk k takes
+every draw from its own stream, split off (seed, *key, k) by numpy
+SeedSequence spawn keys: first the chunk's whole block of draws, then, in
+row order, a fresh draw for each row whose statistic failed. Bootstrap,
+compare and Monte Carlo runs have an empty key. Boo(n) bootstraps of one
+estimator at several n (the list of a ``boon --n`` command) share one run:
+each chunk's block has a column per n, so every n reads the same draws.
+The n are taken in groups of
 max(1, 2**21 // max(replicates, resample size + 1)), each group one run of
 the same streams, so a run holds at most max(replicates, 2**21) replicate
-values. Each n's interval is bit-identical to its own run's unless a row
-fails at one n of its group and not at another: the row is redrawn whole,
-and only scores near the top of the float range can cause that. A Monte
-Carlo run simulates pools of m records: a Gaussian-kind chunk draws a
-(rows, m, 2) standard normal block, a non-parametric one a (rows, m) block
-of standardised validations and then one test residual per row. A curve
-makes two runs, keyed (0,) for its samples and (1,) for its smoothed band,
-and each sample is one nested sequence of records, drawn with replacement,
-read by every point: point m takes the first best-validation record among
-the first m. A sample counts as one record, so a chunk holds 2**14 samples
-and draws record j for all of its rows before record j + 1: the indices,
-then, in a band, the validation and test noise as one (2, rows) draw. A
-point's numbers therefore depend on the seed, the run, the sample count
-and m, not on the other points requested. Which replicates share a stream
-depends on the seed, the key, the kind of run and the resample size only,
-and chunks are concatenated in order, so output is bit-identical for a
-given seed. A drawn index is a position in the pool, whose records run
-worst to best (see :class:`ResultPool`), so the output is the same for the
-pool's records in any order, and every resample a callable statistic gets
-is a pool in that order too. A failed replicate is a NaN or infinite
-value, and a run prints no floating-point warnings.
+values. Each n's interval is
+bit-identical to its own run's unless a row fails at one n of its group
+and not at another: the row is redrawn whole, and only scores near the top
+of the float range can cause that. A Monte Carlo run simulates pools of m
+records: a Gaussian-kind chunk draws a (rows, m, 2) standard normal block,
+a non-parametric one a (rows, m) block of standardised validations and
+then one test residual per row. A curve makes two runs, keyed (0,) for its
+samples and (1,) for its smoothed band, and each sample is one nested
+sequence of records, drawn with replacement, read by every point: point m
+takes the first best-validation record among the first m. A sample counts
+as one record, so a chunk holds 2**14 samples and draws record j for all
+of its rows before record j + 1: the indices, then, in a band, the
+validation and test noise as one (2, rows) draw. A point's numbers
+therefore depend on the seed, the run, the sample count and m, not on the
+other points requested. Which replicates share a stream depends on the
+seed, the key, the kind of run and the resample size only, and chunks are
+concatenated in order, so output is bit-identical for a given seed. A run
+of B replicates is the first B of a longer run, except where a chunk's
+later draws follow its whole block: smoothed draws (the noise follows the
+indices), compare (B's block follows A's), the non-parametric Monte Carlo
+kind (the test residuals follow the validations), curves (record j of
+every sample precedes record j + 1) and a failed row's redraw. A drawn
+index is a position in the pool, whose records run worst to best (see
+:class:`ResultPool`), so the output is the same for the pool's records in
+any order, and every resample a callable statistic gets is a pool in that
+order too. A failed replicate is a NaN or infinite value, and a run prints
+no floating-point warnings.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,8 +71,8 @@ from .estimators import (
     EstimatorKind,
     ResultPool,
     _CheckedPool,
-    _TINY,
     _boon_weighted_average,
+    _gaussian_boon,
     _linear_quantiles,
     _rank_powers,
     _rescaled,
@@ -91,7 +97,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -100,9 +106,9 @@ MAX_REPLICATES = 10_000_000
 # evaluations before a resampling run is declared degenerate.
 _FAILURE_BUDGET = 0.01
 
-# Resampled records per replicate chunk, and the least rows a vectorised
-# block's chunk holds within a wider record budget. Part of the output
-# contract: chunking follows the kind of block and the resample size only.
+# Resampled records per replicate chunk, and the least rows compare's chunk
+# holds within a wider record budget (its replicate resamples two pools).
+# Part of the output contract: chunking follows the resample size only.
 _CHUNK_ELEMENTS = 1 << 14
 _WIDE_ROWS = 8
 _WIDE_ELEMENTS = 1 << 16
@@ -135,8 +141,9 @@ class ResamplingConfig:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError(f'bandwidth must be "auto" or a number, got {self.bandwidth!r}')
+        # A comparison, not math.isfinite: an int beyond the float range would overflow there.
         elif isinstance(self.bandwidth, (bool, np.bool_)) or not (
-            math.isfinite(self.bandwidth) and self.bandwidth >= 0.0
+            0.0 <= self.bandwidth <= sys.float_info.max
         ):
             raise ValueError(f"bandwidth must be a non-negative number, got {self.bandwidth}")
 
@@ -208,10 +215,10 @@ def _chunked_replicates(
     Each replicate resamples ``size`` records, and ``block(rng, rows)``
     draws one chunk's ``rows`` replicates from its stream and returns their
     values, or a ``(rows, points)`` array. A chunk holds ``max(1,
-    _CHUNK_ELEMENTS // size)`` replicates; a ``wide`` block, one evaluated
-    with a few numpy calls over all of its rows, holds at least
-    ``min(_WIDE_ROWS, _WIDE_ELEMENTS // size)``. A failed replicate is a
-    NaN or infinite value, and a run prints no floating-point warnings.
+    _CHUNK_ELEMENTS // size)`` replicates; ``wide``, which only compare
+    sets, raises that to at least ``min(_WIDE_ROWS, _WIDE_ELEMENTS //
+    size)``. A failed replicate is a NaN or infinite value, and a run
+    prints no floating-point warnings.
     Each row holding a failure is redrawn one at a time from its chunk's
     stream until it is finite; the run aborts with
     :class:`ResamplingDegenerateError` once failures exceed 1% of ``count``
@@ -325,40 +332,6 @@ def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
     out = tests @ np.diff(_rank_powers(vals.shape[1], n))
     for r in np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1)):
         out[r] = _boon_weighted_average(vals[r], tests[r], n)
-    return out
-
-
-def _row_moments(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's Pearson correlation, NaN where a sum of squares or their product is outside
-    the normal range as in ``estimators._plain_pearson``, and its Bessel-corrected test variance."""
-    vc = vals - vals.mean(axis=1, keepdims=True)
-    tc = tests - tests.mean(axis=1, keepdims=True)
-    sxx, syy = (vc * vc).sum(axis=1), (tc * tc).sum(axis=1)
-    product = sxx * syy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (vc * tc).sum(axis=1) / np.sqrt(product)
-    rho[~((np.minimum(sxx, syy) >= _TINY) & (_TINY <= product) & (product < math.inf))] = math.nan
-    return rho, syy / (vals.shape[1] - 1)
-
-
-def _gaussian_boon(vals: np.ndarray, tests: np.ndarray, e_ns: Sequence[float]) -> np.ndarray:
-    """Parametric Boo(n) of each row of (vals, tests) at each signed E_n of ``e_ns``,
-    mu_test + rho * sigma_test * E_n with sample estimates, as a ``(rows, len(e_ns))``
-    block; NaN for a row without validation or test spread. A row whose correlation is NaN
-    or test variance below the normal range takes it from its columns divided by their
-    largest magnitudes, as ``estimators._pearson`` and ``_std`` do. The moments are computed
-    once and read by every E_n."""
-    rho, var = _row_moments(vals, tests)
-    sd = np.sqrt(var)
-    degenerate = (np.ptp(vals, axis=1) == 0.0) | (np.ptp(tests, axis=1) == 0.0)
-    rescale = (~np.isfinite(rho) | (var < _TINY)) & ~degenerate
-    if rescale.any():
-        v, t = (x[rescale] / np.abs(x[rescale]).max(axis=1, keepdims=True) for x in (vals, tests))
-        rho[rescale], t_var = _row_moments(v, t)
-        t_sd = np.sqrt(t_var) * np.abs(tests[rescale]).max(axis=1)
-        sd[rescale] = np.where(var[rescale] < _TINY, t_sd, sd[rescale])
-    out = tests.mean(axis=1)[:, None] + (rho * sd)[:, None] * np.asarray(e_ns)
-    out[degenerate] = np.nan
     return out
 
 
@@ -476,9 +449,6 @@ def _bootstrap_intervals(
         raise InsufficientDataError(f"bootstrap needs m >= 2 records, got m={pool.m}")
     size = pool.m if resample_size is None else _integer_arg(resample_size, "resample_size")
     first = statistics[0]
-    # Callables and smoothed non-parametric Boo(n) go row by row: wider chunks
-    # made a callable a fifth slower per row at 5,000 records.
-    wide = False
     if isinstance(first, BoonStatistic):
         ns = [s.n for s in statistics]
         per_run = max(1, _CURVE_VALUES // max(config.replicates, size + 1))
@@ -486,13 +456,12 @@ def _bootstrap_intervals(
             _boon_block(pool, first.kind, ns[g : g + per_run], size, bandwidths)
             for g in range(0, len(ns), per_run)
         ]
-        wide = first.kind is EstimatorKind.GAUSSIAN_PARAMETRIC or not any(bandwidths)
     else:
         blocks = [_statistic_block(pool, first, size, bandwidths)]
 
     def run(block: Callable[..., np.ndarray]) -> list:
         # A function scope, so one run's values are freed before the next is drawn.
-        values = _chunked_replicates(config.replicates, size, config.seed, block, wide=wide)
+        values = _chunked_replicates(config.replicates, size, config.seed, block)
         return [
             _percentile_interval(column, config, method)
             for column in values.reshape(config.replicates, -1).T
@@ -521,10 +490,9 @@ def bootstrap_ci(
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
     once; any other callable is called on one resampled pool at a time,
-    its records worst to best, as every pool's are. Under the same
-    seed both see the same resamples, except those of 2,049 to 32,768
-    records: a Boo(n) statistic takes them in wider chunks, so from other
-    streams. ``workers`` is accepted for compatibility and has no effect.
+    its records worst to best, as every pool's are. Under the same seed
+    both see the same resamples. ``workers`` is accepted for compatibility
+    and has no effect.
     """
     return _bootstrap_intervals(pool, [statistic], config, resample_size=resample_size)[0]
 
@@ -590,8 +558,7 @@ def monte_carlo_ci_gaussian(
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
     block = _monte_carlo_block(params, m, n, estimator_kind)
-    wide = estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC
-    values = _chunked_replicates(config.replicates, m, config.seed, block, wide=wide)
+    values = _chunked_replicates(config.replicates, m, config.seed, block)
     return _percentile_interval(values, config, CIMethod.MONTE_CARLO_GAUSSIAN)
 
 

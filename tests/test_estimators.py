@@ -477,6 +477,15 @@ class TestBoonParametricGaussian:
         got = boon_parametric_gaussian(negated, 4).value
         assert got == pytest.approx(-boon_parametric_gaussian(pool, 4).value, abs=1e-12)
 
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_value_is_one_row_of_the_bootstrap_kernel_to_the_bit(self, direction):
+        pool = helpers.bivariate_normal_pool(m=60, rho=0.5, seed=13, direction=direction)
+        vals, tests = pool.validation_scores[None], pool.test_scores[None]
+        for n in (1, 5, 20):
+            e_n = estimators._signed_expected_max(n, pool.direction)
+            row = estimators._gaussian_boon(vals, tests, [e_n])[0, 0]
+            assert boon_parametric_gaussian(pool, n).value.hex() == float(row).hex()
+
     def test_affine_equivariance(self):
         pool = helpers.bivariate_normal_pool(m=60, rho=0.5, seed=13)
         a, b = 3.0, 11.0
@@ -777,6 +786,12 @@ class TestAndersonDarling:
     def test_too_few_values_rejected(self):
         with pytest.raises(InsufficientDataError):
             anderson_darling_normality([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_is_named(self, bad):
+        values = [1.0, 2.0, 3.0, bad, 5.0, 6.0, 7.0, 8.0]
+        with pytest.raises(InvalidDataError, match=f"non-finite value at index 3: {bad}"):
+            anderson_darling_normality(values)
 
     def test_a_spread_that_overflows_is_refused(self):
         # the statistic would be NaN, read as "not rejected"

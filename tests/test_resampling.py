@@ -71,6 +71,7 @@ class TestResamplingConfig:
             dict(bandwidth=-0.5),
             dict(bandwidth="wide"),
             dict(bandwidth=math.inf),
+            dict(bandwidth=10**400),  # an int beyond the float range
             dict(bandwidth=True),
             dict(bandwidth=np.True_),
             dict(replicates=200.5),
@@ -943,14 +944,20 @@ class TestEngine:
                     checked += 1
         assert checked > 250
 
-    def test_boon_statistic_and_a_callable_see_the_same_resamples_up_to_2048_records(self):
-        # above 2,048 records a BoonStatistic's chunks are wider than a
-        # callable's, so the two read other streams
-        rng = np.random.default_rng(2048)
-        pool = ResultPool.from_arrays(rng.normal(size=2048).round(2), rng.normal(size=2048))
+    @pytest.mark.parametrize("m", [2049, 5000, 20_000])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_boon_statistic_and_a_callable_see_the_same_resamples_at_every_size(self, kind, m):
+        # 2,049 to 32,768 records a resample take wider chunks only in compare
+        rng = np.random.default_rng(m)
+        v = rng.normal(size=m)
+        pool = ResultPool.from_arrays(v.round(2), 0.6 * v + 0.8 * rng.normal(size=m))
+        if kind is EstimatorKind.NONPARAMETRIC:
+            generic = lambda p: boon_nonparametric(p, 5).value  # noqa: E731
+        else:
+            generic = lambda p: boon_parametric_gaussian(p, 5).value  # noqa: E731
         cfg = ResamplingConfig(replicates=100, seed=1)
-        fast = bootstrap_ci(pool, BoonStatistic(5), cfg)
-        slow = bootstrap_ci(pool, lambda p: boon_nonparametric(p, 5).value, cfg)
+        fast = bootstrap_ci(pool, BoonStatistic(5, kind), cfg)
+        slow = bootstrap_ci(pool, generic, cfg)
         assert fast.lo == pytest.approx(slow.lo, rel=1e-12)
         assert fast.hi == pytest.approx(slow.hi, rel=1e-12)
 
@@ -1055,13 +1062,34 @@ class TestEngine:
                 for v, t in zip(vals, tests)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
-    def test_chunk_layout_ignores_the_replicate_count(self):
-        # replicate r of a longer run equals replicate r of a shorter one
-        pool = helpers.bivariate_normal_pool(m=30, seed=6)
-        block = resampling._boon_block(pool, EstimatorKind.NONPARAMETRIC, [5], pool.m)
-        short = resampling._chunked_replicates(700, pool.m, 9, block)
-        long = resampling._chunked_replicates(1500, pool.m, 9, block)
-        np.testing.assert_array_equal(short, long[:700])
+    @pytest.mark.parametrize("m", [50, 5000])
+    @pytest.mark.parametrize(
+        "routine", ["bootstrap", "gaussian bootstrap", "monte carlo gaussian", "callable"]
+    )
+    def test_a_run_is_the_first_replicates_of_a_longer_run(self, monkeypatch, routine, m):
+        # A shorter last chunk draws a prefix of the full chunk's block, and a row's
+        # value does not depend on the rows beside it. Neither replicate count is a
+        # multiple of the chunk's rows (327 of 50 records, 3 of 5,000).
+        pool = self._search_pool(m, 3, True, "minimize")
+        gaussian = EstimatorKind.GAUSSIAN_PARAMETRIC
+        run = {
+            "bootstrap": lambda cfg: bootstrap_ci(pool, BoonStatistic(5), cfg),
+            "gaussian bootstrap": lambda cfg: bootstrap_ci(pool, BoonStatistic(5, gaussian), cfg),
+            "monte carlo gaussian": lambda cfg: monte_carlo_ci_gaussian(
+                _PARAMS, m, 5, gaussian, cfg
+            ),
+            "callable": lambda cfg: bootstrap_ci(pool, boon5, cfg),
+        }[routine]
+        runs = []
+        chunked = resampling._chunked_replicates
+        monkeypatch.setattr(
+            resampling, "_chunked_replicates",
+            lambda *a, **k: runs.append(chunked(*a, **k)) or runs[-1],
+        )
+        short, long = (400, 1000) if m == 50 else (100, 200)
+        for count in (short, long):
+            run(ResamplingConfig(replicates=count, seed=5))
+        np.testing.assert_array_equal(runs[0], runs[1][:short])
 
     def test_many_n_at_a_large_replicate_count_stay_in_the_run_budget(self):
         # 30 n at 200,000 replicates: one block would hold 6e6 values (48 MB);
@@ -1133,7 +1161,7 @@ class TestEngine:
         assert (values[failed] != first[failed]).all()
 
     # float.hex of compare_architectures(A, B, 5) at 100 replicates, seed 11,
-    # recorded at stream version 7 after test_wide_chunks_are_the_documented_streams
+    # recorded at stream version 7 after test_chunks_are_the_documented_streams
     # passed: 9,000 records a replicate make 7 replicates a chunk, so the last
     # chunk holds 2.
     _PINNED_COMPARE = {
@@ -1158,23 +1186,23 @@ class TestEngine:
         ci = compare_architectures(pool_a, pool_b, 5, ResamplingConfig(replicates=100, seed=11)).ci
         assert (ci.lo.hex(), ci.hi.hex()) == self._PINNED_COMPARE[tied, direction]
 
-    def test_boon_run_in_wide_chunks_is_pinned_to_the_bit(self):
-        # 5,000 records: 8 replicates a chunk, and a last chunk of 4; recorded
-        # at stream version 7 after test_wide_chunks_are_the_documented_streams passed
+    def test_boon_run_of_5000_records_is_pinned_to_the_bit(self):
+        # 5,000 records: 3 replicates a chunk, and a last chunk of 1; recorded at
+        # stream version 8 after test_chunks_are_the_documented_streams passed
         pool = self._search_pool(5000, 3, True, "minimize")
         cis = resampling._bootstrap_intervals(
             pool, [BoonStatistic(n) for n in (1, 5, 20)], ResamplingConfig(replicates=100, seed=12)
         )
         assert [(ci.lo.hex(), ci.hi.hex()) for ci in cis] == [
-            ("-0x1.f5917559f60b7p-6", "0x1.9fcafa7181619p-6"),
-            ("-0x1.8596ed0e0352ap-1", "-0x1.5b720b831fbdbp-1"),
-            ("-0x1.3b3ee1e4a63eap+0", "-0x1.1659bd3899abap+0"),
+            ("-0x1.ca80ab3c58c86p-6", "0x1.a5b54f1b12574p-6"),
+            ("-0x1.8362604289df3p-1", "-0x1.56a4228f9f2c5p-1"),
+            ("-0x1.3cd5884b21196p+0", "-0x1.133ad2848a4f1p+0"),
         ]
 
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
-    def test_wide_chunks_are_the_documented_streams(self, monkeypatch, tied):
-        # Vectorised runs of more than 2,048 records hold min(8, 2**16 // size)
-        # replicates a chunk: 8 of 5,000 records, 7 of a 9,000-record compare.
+    def test_chunks_are_the_documented_streams(self, monkeypatch, tied):
+        # A run holds max(1, 2**14 // size) replicates a chunk, 3 of 5,000 records;
+        # compare holds at least min(8, 2**16 // size), 7 of 9,000 records.
         runs = []
         chunked = resampling._chunked_replicates
         monkeypatch.setattr(
@@ -1190,8 +1218,8 @@ class TestEngine:
         boon_values, compare_values = runs
 
         want = []
-        for k, first in enumerate(range(0, 100, 8)):
-            idx = resampling._rng(12, k).integers(0, pool.m, size=(min(8, 100 - first), pool.m))
+        for k, first in enumerate(range(0, 100, 3)):
+            idx = resampling._rng(12, k).integers(0, pool.m, size=(min(3, 100 - first), pool.m))
             want.append(np.stack([_row_oracle(pool, idx, s) for s in statistics], axis=1))
         np.testing.assert_allclose(boon_values, np.concatenate(want), rtol=1e-12)
 
@@ -1205,11 +1233,12 @@ class TestEngine:
         np.testing.assert_allclose(compare_values[:, 0], np.concatenate(want), rtol=1e-12)
 
     @pytest.mark.parametrize("routine,chunks", [
-        ("bootstrap", 13), ("gaussian bootstrap", 13), ("smoothed gaussian", 13),
-        ("monte carlo gaussian", 13), ("compare", 15),  # 100 replicates in chunks of 8 or 7
-        ("smoothed", 34), ("callable", 34), ("monte carlo", 34),  # in chunks of 3
+        ("bootstrap", 34), ("gaussian bootstrap", 34), ("smoothed gaussian", 34),
+        ("monte carlo gaussian", 34), ("smoothed", 34), ("callable", 34),
+        ("monte carlo", 34),  # 100 replicates in chunks of 3
+        ("compare", 15),  # in chunks of 7
     ])
-    def test_only_vectorised_runs_take_wide_chunks(self, monkeypatch, routine, chunks):
+    def test_only_compare_takes_wide_chunks(self, monkeypatch, routine, chunks):
         pool = self._search_pool(5000, 3, False, "maximize")
         config = ResamplingConfig(replicates=100, seed=1)
         smoothed = ResamplingConfig(replicates=100, seed=1, bandwidth=0.1)
