@@ -100,7 +100,8 @@ class ResultPool:
             raise InvalidDataError("result pool must contain at least one record")
         if not (np.isfinite(v).all() and np.isfinite(t).all()):
             i = int(np.flatnonzero(~(np.isfinite(v) & np.isfinite(t)))[0])
-            raise InvalidDataError(f"non-finite score in record {i}: ({v[i]!r}, {t[i]!r})")
+            pair = f"({float(v[i])}, {float(t[i])})"
+            raise InvalidDataError(f"non-finite score in record {i}: {pair}")
         v, t = _worst_to_best(v, t, direction)
         v.flags.writeable = False
         t.flags.writeable = False
@@ -266,6 +267,31 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     return float(np.dot(power[1:] - power[:-1], group_mean_test))
 
 
+def _tie_weights(vals: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """Each record's Boo(n) weight in rows of records worst to best, ``power`` the rank-power
+    table: a validation tie group [start, end) shares power[end] - power[start] equally."""
+    rows, m = vals.shape
+    j = np.arange(m)
+    new = np.ones((rows, m + 1), dtype=bool)  # a group starts at j; one starts past the end
+    np.not_equal(vals[:, 1:], vals[:, :-1], out=new[:, 1:m])
+    start = np.maximum.accumulate(np.where(new[:, :m], j, 0), axis=1)
+    end = np.minimum.accumulate(np.where(new[:, 1:], j + 1, m)[:, ::-1], axis=1)[:, ::-1]
+    return (power[end] - power[start]) / (end - start)
+
+
+def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
+    """Non-parametric Boo(n) of each row of (vals, tests), its records worst to best: the
+    row's tests weighed with the rank weights, tied validations with :func:`_tie_weights`.
+    Rows are summed as products, never through BLAS, whose bits depend on the row count."""
+    power = _rank_powers(vals.shape[1], n)
+    out = (tests * np.diff(power)).sum(axis=1)
+    ties = vals[:, 1:] == vals[:, :-1]
+    if ties.any():  # most chunks hold none, and a row-wise any() costs more than this check
+        tied = ties.any(axis=1)
+        out[tied] = (tests[tied] * _tie_weights(vals[tied], power)).sum(axis=1)
+    return out
+
+
 def _boon_estimate(pool: ResultPool, n: int, value: float, kind: EstimatorKind) -> BoonEstimate:
     """A checked ``BoonEstimate`` built as ``_CheckedPool`` builds a pool, without the frozen
     dataclass ``__init__`` (an ``object.__setattr__`` per field): one per bootstrap resample."""
@@ -338,13 +364,14 @@ def _std(x: np.ndarray) -> float:
 def _row_moments(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's Pearson correlation, NaN where a sum of squares or their product is outside
     the normal range (one below it has lost digits), and its Bessel-corrected test variance."""
-    vc = vals - vals.mean(axis=1, keepdims=True)
-    tc = tests - tests.mean(axis=1, keepdims=True)
+    m = vals.shape[1]
+    vc = vals - vals.sum(axis=1, keepdims=True) / m  # the bits of mean(), at half its cost
+    tc = tests - tests.sum(axis=1, keepdims=True) / m
     sxx, syy = (vc * vc).sum(axis=1), (tc * tc).sum(axis=1)
     product = sxx * syy
     rho = (vc * tc).sum(axis=1) / np.sqrt(product)
     rho[~((np.minimum(sxx, syy) >= _TINY) & (_TINY <= product) & (product < math.inf))] = math.nan
-    return rho, syy / (vals.shape[1] - 1)
+    return rho, syy / (m - 1)
 
 
 def _rho_and_sd(vals: np.ndarray, tests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

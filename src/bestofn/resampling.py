@@ -4,51 +4,43 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 8): every routine draws its
-replicates through one engine, in chunks of ``max(1, 2**14 // size)``
-replicates of ``size`` records; compare, whose replicate resamples both
-pools, holds at least ``min(8, 2**16 // size)`` a chunk. Chunk k takes
-every draw from its own stream, split off (seed, *key, k) by numpy
-SeedSequence spawn keys: first the chunk's whole block of draws, then, in
-row order, a fresh draw for each row whose statistic failed. Bootstrap,
-compare and Monte Carlo runs have an empty key. Boo(n) bootstraps of one
-estimator at several n (the list of a ``boon --n`` command) share one run:
-each chunk's block has a column per n, so every n reads the same draws.
-The n are taken in groups of
-max(1, 2**21 // max(replicates, resample size + 1)), each group one run of
-the same streams, so a run holds at most max(replicates, 2**21) replicate
-values. Each n's interval is
-bit-identical to its own run's unless a row fails at one n of its group
-and not at another: the row is redrawn whole, and only scores near the top
-of the float range can cause that. A Monte Carlo run simulates pools of m
-records: a Gaussian-kind chunk draws a (rows, m, 2) standard normal block,
-a non-parametric one a (rows, m) block of standardised validations and
-then one test residual per row. A curve makes two runs, keyed (0,) for its
-samples and (1,) for its smoothed band, and each sample is one nested
-sequence of records, drawn with replacement, read by every point: point m
-takes the first best-validation record among the first m. A sample counts
-as one record, so a chunk holds 2**14 samples and draws record j for all
-of its rows before record j + 1: the indices, then, in a band, the
-validation and test noise as one (2, rows) draw. A point's numbers
-therefore depend on the seed, the run, the sample count and m, not on the
-other points requested. Which replicates share a stream depends on the
-seed, the key, the kind of run and the resample size only, and chunks are
-concatenated in order, so output is bit-identical for a given seed. A run
-of B replicates is the first B of a longer run, except where a chunk's
-later draws follow its whole block: smoothed draws (the noise follows the
-indices), compare (B's block follows A's), the non-parametric Monte Carlo
-kind (the test residuals follow the validations), curves (record j of
-every sample precedes record j + 1) and a failed row's redraw. A drawn
-index is a position in the pool, whose records run worst to best (see
-:class:`ResultPool`), so the output is the same for the pool's records in
-any order, and every resample a callable statistic gets is a pool in that
-order too. A failed replicate is a NaN or infinite value, and a run prints
-no floating-point warnings.
+Determinism contract (stream version 9): every routine draws its replicates
+through one engine, in chunks of ``max(1, 2**14 // size)`` replicates of
+``size`` records; compare, whose replicate resamples both pools, holds at
+least ``min(8, 2**16 // size)`` a chunk. Chunk k draws from two streams split
+off by numpy SeedSequence spawn keys: (seed, *key, k) takes the chunk's block
+row by row, and (seed, *key, k, 1) its smoothing noise or, in compare, pool
+B's block; a row whose statistic failed is then redrawn, in row order, from
+both. A Monte Carlo chunk of pools of m records draws a (rows, m, 2) standard
+normal block for the Gaussian kind, and a (rows, m + 1) one, m validations
+and a test residual a row, for the non-parametric kind. No row's value
+depends on the rows beside it, so a run of B replicates is the first B
+values of every longer run, a failed row's redraw the one exception: it
+follows more draws in a longer run. Bootstrap, compare and Monte Carlo runs
+have an empty key. Boo(n) bootstraps of one estimator at several n (a
+``boon --n`` list) share each run, a column per n, in groups of
+max(1, 2**21 // max(replicates, size + 1)) n; an n's interval is its own
+run's unless a row fails at one n of its group and not at another, as the
+row is redrawn whole (only scores near the top of the float range do that).
+A curve makes two runs, keyed (0,) for its samples and (1,) for its smoothed
+band. Each sample is one nested sequence of records, drawn with replacement
+and read by every point: point m takes the first best-validation record
+among the first m. A sample counts as one record, so a chunk holds 2**14
+samples; it draws record j of every row (the index, then, in a band, the
+validation and test noise as one (2, rows) draw) before record j + 1, so a
+curve's runs are not prefixes of longer ones, and a point's numbers depend
+on the seed, the run, the sample count and m, not on the other points. The
+output is bit-identical for a given seed. A drawn index is a position in the
+pool, whose records run worst to best (see :class:`ResultPool`), so the
+output is the same for the pool's records in any order, and every resample
+a callable statistic gets is a pool in that order too. A failed replicate is
+a NaN or infinite value, and a run prints no floating-point warnings.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,14 +63,15 @@ from .estimators import (
     EstimatorKind,
     ResultPool,
     _CheckedPool,
-    _boon_weighted_average,
     _gaussian_boon,
     _linear_quantiles,
     _rank_powers,
     _rescaled,
     _signed_expected_max,
+    _sorted_boon,
     _std,
     _tie_groups,
+    _tie_weights,
     _worst_to_best,
     boon_nonparametric,
 )
@@ -97,7 +90,7 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 8
+STREAM_VERSION = 9
 
 # Replicate and sample counts are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
@@ -187,9 +180,26 @@ class ComparisonResult(NamedTuple):
     significant: bool
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
+class _Stream:
+    """The generator of one chunk, split off (seed, *key), whose methods it offers as its
+    own; its ``noise`` is a second one, split off (seed, *key, 1) on first use. It wraps the
+    generator: a subclass would load ``numpy.random`` on import, 8-10 ms of every command."""
+
+    def __init__(self, seed: int, *key: int):
+        self.key = (seed, *key)
+        self.generator = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+    def __getattr__(self, name: str):
+        return getattr(self.generator, name)
+
+    @functools.cached_property
+    def noise(self) -> _Stream:
+        return _rng(*self.key, 1)
+
+
+def _rng(seed: int, *key: int) -> _Stream:
     """Independent generator for one chunk."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
+    return _Stream(seed, *key)
 
 
 def _percentile_interval(
@@ -209,21 +219,14 @@ def _chunked_replicates(
     key: tuple[int, ...] = (),
     wide: bool = False,
 ) -> np.ndarray:
-    """``count`` replicate values, drawn chunk by chunk from the streams
-    split off (seed, *key, k) (see the module docstring for the layout).
-
-    Each replicate resamples ``size`` records, and ``block(rng, rows)``
-    draws one chunk's ``rows`` replicates from its stream and returns their
-    values, or a ``(rows, points)`` array. A chunk holds ``max(1,
-    _CHUNK_ELEMENTS // size)`` replicates; ``wide``, which only compare
-    sets, raises that to at least ``min(_WIDE_ROWS, _WIDE_ELEMENTS //
-    size)``. A failed replicate is a NaN or infinite value, and a run
-    prints no floating-point warnings.
-    Each row holding a failure is redrawn one at a time from its chunk's
-    stream until it is finite; the run aborts with
-    :class:`ResamplingDegenerateError` once failures exceed 1% of ``count``
-    plus failures, a share further draws can only raise, so it evaluates
-    at most about 1.01 * ``count`` rows.
+    """``count`` replicate values, drawn chunk by chunk (see the module docstring for the
+    layout): ``block(rng, rows)`` draws one chunk's ``rows`` replicates of ``size`` records
+    from ``rng``, split off (seed, *key, k), and ``rng.noise``, and returns their values or a
+    ``(rows, points)`` array; ``wide`` is compare's wider chunk. Each row holding a failure
+    (a NaN or infinite value) is redrawn one at a time from its chunk's streams until it is
+    finite; the run aborts with :class:`ResamplingDegenerateError` once failures exceed 1% of
+    ``count`` plus failures, a share further draws can only raise, so it evaluates at most
+    about 1.01 * ``count`` rows.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
     if wide:
@@ -269,12 +272,12 @@ def _draw(
 
     Each column is gathered at the drawn records and, when a bandwidth is
     nonzero, moved by that bandwidth times standard normal noise drawn for
-    all columns at once.
+    all columns at once from the chunk's noise stream.
     """
     idx = rng.integers(0, columns[0].size, size=(rows, size))
     out = [c[idx] for c in columns]
     if any(bandwidths):
-        noise = rng.standard_normal((rows, size, len(columns)))
+        noise = rng.noise.standard_normal((rows, size, len(columns)))
         for j, (c, h) in enumerate(zip(out, bandwidths)):
             c += h * noise[:, :, j]  # in place: the gathered columns are fresh arrays
     return out
@@ -323,16 +326,6 @@ def _count_boon(
         return np.concatenate([boon_rows(pos[i : i + step]) for i in range(0, len(pos), step)])
 
     return boon
-
-
-def _sorted_boon(vals: np.ndarray, tests: np.ndarray, n: int) -> np.ndarray:
-    """Non-parametric Boo(n) of each row of (vals, tests), its records worst to best: the
-    row's tests weighed with the fixed rank weights, or, for a row with tied validations,
-    the grouped formula."""
-    out = tests @ np.diff(_rank_powers(vals.shape[1], n))
-    for r in np.flatnonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1)):
-        out[r] = _boon_weighted_average(vals[r], tests[r], n)
-    return out
 
 
 def _evaluate(statistic: Callable[[ResultPool], float], pool: ResultPool) -> float:
@@ -567,8 +560,8 @@ def _monte_carlo_block(
 ) -> Callable[..., np.ndarray]:
     """Block for Boo(n) of pools of m records simulated from ``params``:
     Gaussian rows from a ``(rows, m, 2)`` standard normal draw, and
-    non-parametric rows from sorted validations plus one test residual
-    (see :func:`monte_carlo_ci_gaussian`)."""
+    non-parametric rows from a ``(rows, m + 1)`` one, m sorted validations and a
+    test residual (see :func:`monte_carlo_ci_gaussian`)."""
     if kind is EstimatorKind.GAUSSIAN_PARAMETRIC:
         e_n = std_normal_expected_max(n)
 
@@ -584,25 +577,28 @@ def _monte_carlo_block(
 
     power = _rank_powers(m, n)
     w = np.diff(power)
-    w_sum, w_norm = w.sum(), math.sqrt(w @ w)
+    w_sum, w_norm = w.sum(), math.sqrt((w * w).sum())
     slope = params.rho * params.sigma_test
     residual = params.sigma_test * math.sqrt(1.0 - params.rho**2)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        z = rng.standard_normal((rows, m))
-        g = rng.standard_normal(rows)
+        zg = rng.standard_normal((rows, m + 1))
+        z, g = zg[:, :m], zg[:, m]
         z.sort(axis=1)
-        out = params.mu_test * w_sum + slope * (z @ w) + residual * w_norm * g
+        # rows are summed as products, never through BLAS, whose bits depend on the row count
+        out = params.mu_test * w_sum + slope * (z * w).sum(axis=1) + residual * w_norm * g
         vals = params.mu_val + params.sigma_val * z
         # vals rise with the sorted z, so a row overflows at an end or not at
         # all; its equal infinities are no tie, and the row fails.
         finite = np.isfinite(vals[:, 0]) & np.isfinite(vals[:, -1])
         out[~finite] = np.nan
-        for r in np.flatnonzero(finite & (vals[:, 1:] == vals[:, :-1]).any(axis=1)):
-            start, end = _tie_groups(vals[r])
-            wr = np.repeat((power[end] - power[start]) / (end - start), end - start)
-            out[r] = (
-                params.mu_test * wr.sum() + slope * (z[r] @ wr) + residual * math.sqrt(wr @ wr) * g[r]
+        ties = vals[:, 1:] == vals[:, :-1]
+        if ties.any():  # most chunks hold none, and a row-wise any() costs more than this check
+            tied = finite & ties.any(axis=1)
+            wt = _tie_weights(vals[tied], power)
+            out[tied] = (
+                params.mu_test * wt.sum(axis=1) + slope * (z[tied] * wt).sum(axis=1)
+                + residual * np.sqrt((wt * wt).sum(axis=1)) * g[tied]
             )
         return out
 
@@ -718,8 +714,7 @@ def compare_architectures(
     b = _boon_block(pool_b, EstimatorKind.NONPARAMETRIC, [n], pool_b.m)
 
     def block(rng: np.random.Generator, rows: int) -> np.ndarray:
-        boon_a = a(rng, rows)  # A's records are drawn first
-        return b(rng, rows) - boon_a
+        return b(rng.noise, rows) - a(rng, rows)
 
     values = _chunked_replicates(
         config.replicates, pool_a.m + pool_b.m, config.seed, block, wide=True

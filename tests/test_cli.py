@@ -753,12 +753,13 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--output", out]) == EXIT_OK
         report = read_report(out)
-        assert report["stream_version"] == resampling.STREAM_VERSION == 8
+        assert report["stream_version"] == resampling.STREAM_VERSION == 9
         assert report["schema_version"] == 1
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 POOL_ROWS = [(0.1 * i, float(i % 7)) for i in range(12)]
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture(scope="module")
@@ -861,6 +862,53 @@ class TestProcessEntry:
         assert capsys.readouterr().out.encode() == result.stdout
         assert {p.name: p.read_bytes() for p in tmp_path.glob("report*")} == written
         assert len(written) == {"--version": 0, "curve": 2}.get(argv[0], 1)
+
+    def test_import_loads_no_numpy(self):
+        # The process entry caps numpy's threads, which only works before numpy loads.
+        script = "import sys, bestofn; print(sorted(m for m in sys.modules if 'numpy' in m))"
+        env = {**os.environ, "PYTHONPATH": SRC}
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task here")
+    def test_the_version_command_ends_on_one_thread_without_numpy_random(self):
+        # numpy.random costs 8-10 ms to load, and --version and summarize draw nothing.
+        script = """
+import os, runpy, sys
+sys.argv = ["bestofn", "--version"]
+try:
+    runpy.run_module("bestofn", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(len(os.listdir("/proc/self/task")), "numpy.random" in sys.modules)
+"""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        env["PYTHONPATH"] = SRC
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["bestofn 0.1.0", "1 False"]
+
+    def test_a_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # Boo(n) of 30,000 untied records sums its weights in one dot product, which
+        # OpenBLAS splits over its threads; the command runs it on one unless told otherwise.
+        rng = np.random.default_rng(30)
+        v = rng.normal(size=30_000)
+        pool = helpers.write_pool_csv(tmp_path / "pool.csv",
+                                      zip(v.tolist(), (0.6 * v + rng.normal(size=30_000)).tolist()))
+        argv = ["boon", pool, "--n", "1,5,20", "--bootstrap", "100", "--output", "report.json"]
+        reports = []
+        for setting in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+            env["PYTHONPATH"] = SRC
+            if setting:
+                env["OPENBLAS_NUM_THREADS"] = setting
+            result = subprocess.run([sys.executable, "-m", "bestofn", *argv], env=env,
+                                    cwd=tmp_path, capture_output=True, timeout=120)
+            assert result.returncode == EXIT_OK, result.stderr
+            reports.append((tmp_path / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_main_leaves_the_callers_gc_state_alone(self, toy_csv):
         # Only the process entry freezes the objects built on import.

@@ -158,6 +158,11 @@ class TestBoonNonparametric:
         with pytest.raises(InvalidDataError):
             ResultPool.from_pairs([(math.nan, 1.0)])
 
+    def test_a_non_finite_score_is_named_with_plain_floats(self):
+        with pytest.raises(InvalidDataError) as caught:
+            ResultPool.from_arrays([1.0, math.nan], [1.0, 2.0])
+        assert str(caught.value) == "non-finite score in record 1: (nan, 2.0)"
+
     @given(small_pools())
     @example([(0.0, 0.0), (0.0, 999603.0), (-1.0, -999830.0)])
     def test_n1_equals_test_mean_for_every_pool(self, records):

@@ -234,16 +234,17 @@ class TestBootstrapCI:
     # float.hex of bootstrap_ci(pool, boon5) endpoints on _pinned_pool (300
     # replicates, seed 21), recorded at stream version 7, after the row tests
     # below passed: draws are positions in the sorted pool, and a smoothed
-    # resample is sorted when its pool is built.
+    # resample is sorted when its pool is built. The smoothed entries were
+    # recorded at stream version 9, whose smoothing noise has its own stream.
     _PINNED = {
         ("maximize", None, "bootstrap"): ("-0x1.28da3e60f3937p-3", "0x1.23934ef6e06dep-5"),
-        ("maximize", None, "smoothed"): ("-0x1.284341c612c6ap-3", "0x1.94fd0a58b1c43p-5"),
+        ("maximize", None, "smoothed"): ("-0x1.426fb056751adp-3", "0x1.6ba7ca19d7017p-5"),
         ("maximize", 7, "bootstrap"): ("-0x1.6d92cc50f5151p+0", "0x1.f4f7f1715da29p-1"),
-        ("maximize", 7, "smoothed"): ("-0x1.7258e0f53c669p+0", "0x1.140610e4d1973p+0"),
+        ("maximize", 7, "smoothed"): ("-0x1.5027fb07bd552p+0", "0x1.0e11f89d19976p+0"),
         ("minimize", None, "bootstrap"): ("-0x1.6e6e537423754p-4", "0x1.82cdd6d51f8a3p-4"),
-        ("minimize", None, "smoothed"): ("-0x1.87a32106a63d0p-4", "0x1.a39e6996123a4p-4"),
+        ("minimize", None, "smoothed"): ("-0x1.7f610e2d7ee59p-4", "0x1.901e48414fb92p-4"),
         ("minimize", 7, "bootstrap"): ("-0x1.22945ee200f9ep+0", "0x1.4101f444a4ecfp+0"),
-        ("minimize", 7, "smoothed"): ("-0x1.1840281e69938p+0", "0x1.5a49eb2fc6007p+0"),
+        ("minimize", 7, "smoothed"): ("-0x1.33602f8451687p+0", "0x1.43ede7215a829p+0"),
     }
 
     # float.hex of bootstrap_ci(pool, boon5) endpoints (1,000 replicates, seed 2203) on
@@ -294,32 +295,33 @@ class TestBootstrapCI:
 
     # float.hex of the vectorised BoonStatistic(5, kind) endpoints on _pinned_pool (300
     # replicates, seed 21), recorded at stream version 7 while those blocks still negated a
-    # minimize pool's scores: weighing the records as stored must move none of them.
+    # minimize pool's scores: weighing the records as stored must move none of them. The
+    # smoothed entries were recorded at stream version 9, after the prefix test passed.
     _PINNED_BLOCKS = {
         ("maximize", None, "bootstrap", "gaussian_parametric"):
             ("-0x1.755846458ab5ap-4", "0x1.41e84c816ccd1p-4"),
         ("maximize", None, "smoothed", "nonparametric"):
-            ("-0x1.284341c612c6bp-3", "0x1.94fd0a58b1c42p-5"),
+            ("-0x1.426fb056751acp-3", "0x1.6ba7ca19d7016p-5"),
         ("maximize", None, "smoothed", "gaussian_parametric"):
-            ("-0x1.8f2e79f07bb10p-4", "0x1.5564d9ccccf1ep-4"),
+            ("-0x1.9f12ff5ff56f3p-4", "0x1.58ad5170b8b8ep-4"),
         ("maximize", 7, "bootstrap", "gaussian_parametric"):
             ("-0x1.3ba28f753fa70p+0", "0x1.0d64f73009637p+0"),
         ("maximize", 7, "smoothed", "nonparametric"):
-            ("-0x1.7258e0f53c669p+0", "0x1.140610e4d1973p+0"),
+            ("-0x1.5027fb07bd553p+0", "0x1.0e11f89d19976p+0"),
         ("maximize", 7, "smoothed", "gaussian_parametric"):
-            ("-0x1.4d8a5cac40fb9p+0", "0x1.25e8e43bffbccp+0"),
+            ("-0x1.4f47e5ce5550ap+0", "0x1.19fdbd8c64226p+0"),
         ("minimize", None, "bootstrap", "gaussian_parametric"):
             ("-0x1.f885d8af7fd25p-6", "0x1.16fadc3b01bedp-3"),
         ("minimize", None, "smoothed", "nonparametric"):
-            ("-0x1.87a32106a63d1p-4", "0x1.a39e6996123a4p-4"),
+            ("-0x1.7f610e2d7ee58p-4", "0x1.901e48414fb92p-4"),
         ("minimize", None, "smoothed", "gaussian_parametric"):
-            ("-0x1.42ed0b39fcb00p-5", "0x1.2570a56cd3e2ap-3"),
+            ("-0x1.3d6f6bb41dd17p-5", "0x1.2399baf7061b8p-3"),
         ("minimize", 7, "bootstrap", "gaussian_parametric"):
             ("-0x1.1897cda483df6p+0", "0x1.4e43964699b3fp+0"),
         ("minimize", 7, "smoothed", "nonparametric"):
-            ("-0x1.1840281e69938p+0", "0x1.5a49eb2fc6007p+0"),
+            ("-0x1.33602f8451688p+0", "0x1.43ede7215a829p+0"),
         ("minimize", 7, "smoothed", "gaussian_parametric"):
-            ("-0x1.3135824026443p+0", "0x1.65a96437f4977p+0"),
+            ("-0x1.21e61a9dc0f62p+0", "0x1.3d2d5bb5166c0p+0"),
     }
 
     @pytest.mark.parametrize("key", list(_PINNED_BLOCKS))
@@ -332,11 +334,12 @@ class TestBootstrapCI:
 
     # The same for smoothed BoonStatistic(5) on 40 records of one validation score: its
     # automatic validation bandwidth is 0, so every smoothed row is one tie group.
+    # Recorded at stream version 9.
     _PINNED_TIED_ROWS = {
-        ("maximize", None): ("-0x1.6201006660745p-2", "0x1.8d32f6bc29db2p-2"),
-        ("maximize", 7): ("-0x1.86db772366a72p-1", "0x1.8c8bac3b2bcf9p-1"),
-        ("minimize", None): ("-0x1.7aabcdc26fea2p-2", "0x1.6a2b52432b813p-2"),
-        ("minimize", 7): ("-0x1.b88a47307bdeep-1", "0x1.cd7c19a550753p-1"),
+        ("maximize", None): ("-0x1.58d92083a3043p-2", "0x1.590a68ca371a7p-2"),
+        ("maximize", 7): ("-0x1.a4c95b0ead627p-1", "0x1.85ba688d97ee3p-1"),
+        ("minimize", None): ("-0x1.7024feff15569p-2", "0x1.48667cbf92c9ep-2"),
+        ("minimize", 7): ("-0x1.b3d5c9bf0bd85p-1", "0x1.a9e02e17721b7p-1"),
     }
 
     @pytest.mark.parametrize("key", list(_PINNED_TIED_ROWS))
@@ -447,7 +450,7 @@ class TestBootstrapCI:
         smoothed_bootstrap_ci(pool, record, cfg)
         rng = resampling._rng(5, 0)
         pos = rng.integers(0, pool.m, size=(100, pool.m))
-        noise = rng.standard_normal((100, pool.m, 2))
+        noise = resampling._rng(5, 0, 1).standard_normal((100, pool.m, 2))  # the noise stream
         v = pool.validation_scores[pos] + 0.1 * noise[:, :, 0]
         t = pool.test_scores[pos] + 0.1 * noise[:, :, 1]
         assert len(seen) == 100
@@ -612,15 +615,13 @@ class TestMonteCarloCI:
         params = GaussianParams(mu_val=1.0, mu_test=2.0, sigma_val=0.5, sigma_test=1.5, rho=0.6)
         m, n, seed = 9, 4, 13
         rows = 16384 // m  # one chunk
-        rng = resampling._rng(seed, 0)
-        z = rng.standard_normal((rows, m))
-        g = rng.standard_normal(rows)
-        z.sort(axis=1)
+        zg = resampling._rng(seed, 0).standard_normal((rows, m + 1))
+        z, g = np.sort(zg[:, :m], axis=1), zg[:, m]  # each row's residual is its last draw
         w = np.diff((np.arange(m + 1) / m) ** n)
         want = (
             params.mu_test * w.sum()
-            + params.rho * params.sigma_test * (z @ w)
-            + params.sigma_test * math.sqrt(1.0 - params.rho**2) * math.sqrt(w @ w) * g
+            + params.rho * params.sigma_test * (z * w).sum(axis=1)
+            + params.sigma_test * math.sqrt(1.0 - params.rho**2) * math.sqrt((w * w).sum()) * g
         )
         block = resampling._monte_carlo_block(params, m, n, EstimatorKind.NONPARAMETRIC)
         np.testing.assert_array_equal(block(resampling._rng(seed, 0), rows), want)
@@ -631,11 +632,11 @@ class TestMonteCarloCI:
     @pytest.mark.parametrize("sigma_val", [1.0, 1e300])
     def test_validation_scale_leaves_the_interval_alone(self, sigma_val):
         # Validations only rank the records; at 1e308 they overflow, and
-        # those replicates fail (see _OVERFLOW_CASES).
+        # those replicates fail (see _OVERFLOW_CASES). Recorded at stream version 9.
         params = GaussianParams(0.0, 1.0, sigma_val, 1.0, 0.5)
         cfg = ResamplingConfig(replicates=2000, seed=0)
         ci = monte_carlo_ci_gaussian(params, 20, 5, EstimatorKind.NONPARAMETRIC, cfg)
-        assert (ci.lo.hex(), ci.hi.hex()) == ("0x1.ac1922efc7178p-1", "0x1.20a2584894751p+1")
+        assert (ci.lo.hex(), ci.hi.hex()) == ("0x1.b74a87ec59fe6p-1", "0x1.1d0e0ce796afbp+1")
 
     def test_overflowing_validation_rows_are_nan_and_the_others_unchanged(self):
         # Equal infinities are no tie: such a row fails instead of taking
@@ -648,7 +649,7 @@ class TestMonteCarloCI:
         ]
         with np.errstate(over="ignore"):
             base, huge = (block(resampling._rng(0, 0), rows) for block in blocks)
-            z = resampling._rng(0, 0).standard_normal((rows, m))
+            z = resampling._rng(0, 0).standard_normal((rows, m + 1))[:, :m]
             over = ~np.isfinite(1e308 * z).all(axis=1)
         assert 0 < over.sum() < rows
         np.testing.assert_array_equal(np.isnan(huge), over)
@@ -986,10 +987,9 @@ class TestEngine:
         )
         cfg = ResamplingConfig(replicates=100, seed=3)
         ci = compare_architectures(pool_a, pool_b, 3, cfg).ci
-        # one chunk holds all 100 replicates: A's index block, then B's
-        rng = resampling._rng(3, 0)
-        idx_a = rng.integers(0, pool_a.m, size=(100, pool_a.m))
-        idx_b = rng.integers(0, pool_b.m, size=(100, pool_b.m))
+        # one chunk holds all 100 replicates: A's index block, and B's from its noise stream
+        idx_a = resampling._rng(3, 0).integers(0, pool_a.m, size=(100, pool_a.m))
+        idx_b = resampling._rng(3, 0, 1).integers(0, pool_b.m, size=(100, pool_b.m))
         stat = BoonStatistic(3)
         want = _row_oracle(pool_b, idx_b, stat) - _row_oracle(pool_a, idx_a, stat)
         lo, hi = np.quantile(want, [0.025, 0.975])
@@ -1063,22 +1063,34 @@ class TestEngine:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("m", [50, 5000])
-    @pytest.mark.parametrize(
-        "routine", ["bootstrap", "gaussian bootstrap", "monte carlo gaussian", "callable"]
-    )
+    @pytest.mark.parametrize("routine", [
+        "bootstrap", "gaussian bootstrap", "smoothed", "smoothed gaussian", "callable",
+        "smoothed callable", "compare", "monte carlo", "monte carlo gaussian",
+    ])
     def test_a_run_is_the_first_replicates_of_a_longer_run(self, monkeypatch, routine, m):
-        # A shorter last chunk draws a prefix of the full chunk's block, and a row's
-        # value does not depend on the rows beside it. Neither replicate count is a
-        # multiple of the chunk's rows (327 of 50 records, 3 of 5,000).
+        # A shorter last chunk draws a prefix of the full chunk's block from each of
+        # its streams, and a row's value does not depend on the rows beside it. Neither
+        # replicate count is a multiple of the chunk's rows (327 of 50 records, 3 of
+        # 5,000; compare's 163 and 6 of two pools).
         pool = self._search_pool(m, 3, True, "minimize")
+        other = self._search_pool(m, 4, True, "minimize", shift=0.1)
         gaussian = EstimatorKind.GAUSSIAN_PARAMETRIC
         run = {
             "bootstrap": lambda cfg: bootstrap_ci(pool, BoonStatistic(5), cfg),
             "gaussian bootstrap": lambda cfg: bootstrap_ci(pool, BoonStatistic(5, gaussian), cfg),
+            "smoothed": lambda cfg: smoothed_bootstrap_ci(pool, BoonStatistic(5), cfg),
+            "smoothed gaussian": lambda cfg: smoothed_bootstrap_ci(
+                pool, BoonStatistic(5, gaussian), cfg
+            ),
+            "callable": lambda cfg: bootstrap_ci(pool, boon5, cfg),
+            "smoothed callable": lambda cfg: smoothed_bootstrap_ci(pool, boon5, cfg),
+            "compare": lambda cfg: compare_architectures(pool, other, 5, cfg),
+            "monte carlo": lambda cfg: monte_carlo_ci_gaussian(
+                _PARAMS, m, 5, EstimatorKind.NONPARAMETRIC, cfg
+            ),
             "monte carlo gaussian": lambda cfg: monte_carlo_ci_gaussian(
                 _PARAMS, m, 5, gaussian, cfg
             ),
-            "callable": lambda cfg: bootstrap_ci(pool, boon5, cfg),
         }[routine]
         runs = []
         chunked = resampling._chunked_replicates
@@ -1090,6 +1102,57 @@ class TestEngine:
         for count in (short, long):
             run(ResamplingConfig(replicates=count, seed=5))
         np.testing.assert_array_equal(runs[0], runs[1][:short])
+
+    class _Normals:
+        """A generator stand-in whose normal block is the given rows."""
+
+        def __init__(self, z):
+            self.z = z
+
+        def standard_normal(self, shape):
+            assert shape == self.z.shape
+            return self.z.copy()
+
+    @pytest.mark.parametrize("m", [50, 5000])
+    def test_a_row_has_the_same_bits_alone_in_its_chunk(self, m):
+        # Row sums go by products, not BLAS, so a row's value does not depend on how
+        # many rows share the chunk, tied or not.
+        rows, n = 12, 5
+        params = GaussianParams(mu_val=1.0, mu_test=0.5, sigma_val=0.5, sigma_test=1.0, rho=0.6)
+        z = np.random.default_rng(m).standard_normal((rows, m + 1))
+        z[::2, 1:4] = z[::2, :1]  # even rows hold a group of four equal validations
+        block = resampling._monte_carlo_block(params, m, n, EstimatorKind.NONPARAMETRIC)
+        chunk = block(self._Normals(z), rows)
+        alone = [block(self._Normals(z[i : i + 1]), 1)[0] for i in range(rows)]
+        np.testing.assert_array_equal(chunk, alone)
+        vals = np.sort(params.mu_val + params.sigma_val * z[:, :m], axis=1)
+        tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+        np.testing.assert_array_equal(tied, np.arange(rows) % 2 == 0)
+
+        tests = vals - params.mu_val + np.random.default_rng(m + 1).normal(size=(rows, m))
+        v, t = estimators._worst_to_best(vals, tests, Direction.MAXIMIZE)
+        chunk = estimators._sorted_boon(v, t, n)
+        alone = [estimators._sorted_boon(v[i : i + 1], t[i : i + 1], n)[0] for i in range(rows)]
+        np.testing.assert_array_equal(chunk, alone)
+
+    @pytest.mark.parametrize("m", [1, 2, 9, 50, 5000])
+    def test_tie_weights_weigh_rows_as_the_one_pool_estimator(self, m):
+        rng = np.random.default_rng(m)
+        vals = np.sort(rng.integers(0, max(2, m // 3), size=(20, m)) / 4.0, axis=1)
+        vals[0] = np.arange(m)  # one untied row: the rank weights themselves
+        tests = rng.normal(size=(20, m))
+        for n in (1, 5, 20):
+            power = estimators._rank_powers(m, n)
+            weights = estimators._tie_weights(vals, power)
+            np.testing.assert_array_equal(weights[0], np.diff(power))
+            for v, t, w in zip(vals, tests, weights):
+                # bit for bit the weights of each tie group, spread over its records
+                start, end = estimators._tie_groups(v)
+                np.testing.assert_array_equal(
+                    w, np.repeat((power[end] - power[start]) / (end - start), end - start)
+                )
+                want = estimators._boon_weighted_average(v, t, n)
+                assert (t * w).sum() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_many_n_at_a_large_replicate_count_stay_in_the_run_budget(self):
         # 30 n at 200,000 replicates: one block would hold 6e6 values (48 MB);
@@ -1161,14 +1224,14 @@ class TestEngine:
         assert (values[failed] != first[failed]).all()
 
     # float.hex of compare_architectures(A, B, 5) at 100 replicates, seed 11,
-    # recorded at stream version 7 after test_chunks_are_the_documented_streams
+    # recorded at stream version 9 after test_chunks_are_the_documented_streams
     # passed: 9,000 records a replicate make 7 replicates a chunk, so the last
     # chunk holds 2.
     _PINNED_COMPARE = {
-        (False, "maximize"): ("0x1.25b4823756327p-5", "0x1.6e46c34f29448p-3"),
-        (False, "minimize"): ("0x1.947bc91109cbdp-5", "0x1.72ea0d23d7732p-3"),
-        (True, "maximize"): ("0x1.fc6620e1db2abp-5", "0x1.7b31d5686d8fbp-3"),
-        (True, "minimize"): ("0x1.6e11b99d8e4fcp-5", "0x1.77e6b832909d6p-3"),
+        (False, "maximize"): ("0x1.97bcd456e4512p-5", "0x1.51acda74dce4fp-3"),
+        (False, "minimize"): ("0x1.820b622071111p-5", "0x1.62d691dc4a10fp-3"),
+        (True, "maximize"): ("0x1.9ff284f9d5192p-5", "0x1.6e78a694f0a1ap-3"),
+        (True, "minimize"): ("0x1.6636f08dd02dfp-5", "0x1.4c7caa81a1eddp-3"),
     }
 
     @staticmethod
@@ -1202,7 +1265,8 @@ class TestEngine:
     @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
     def test_chunks_are_the_documented_streams(self, monkeypatch, tied):
         # A run holds max(1, 2**14 // size) replicates a chunk, 3 of 5,000 records;
-        # compare holds at least min(8, 2**16 // size), 7 of 9,000 records.
+        # compare holds at least min(8, 2**16 // size), 7 of 9,000 records, and
+        # draws pool B's block from each chunk's noise stream.
         runs = []
         chunked = resampling._chunked_replicates
         monkeypatch.setattr(
@@ -1225,9 +1289,9 @@ class TestEngine:
 
         want = []
         for k, first in enumerate(range(0, 100, 7)):
-            rng, rows = resampling._rng(11, k), min(7, 100 - first)
-            idx_a = rng.integers(0, pool_a.m, size=(rows, pool_a.m))  # A's records first
-            idx_b = rng.integers(0, pool_b.m, size=(rows, pool_b.m))
+            rows = min(7, 100 - first)
+            idx_a = resampling._rng(11, k).integers(0, pool_a.m, size=(rows, pool_a.m))
+            idx_b = resampling._rng(11, k, 1).integers(0, pool_b.m, size=(rows, pool_b.m))
             stat = BoonStatistic(5)
             want.append(_row_oracle(pool_b, idx_b, stat) - _row_oracle(pool_a, idx_a, stat))
         np.testing.assert_allclose(compare_values[:, 0], np.concatenate(want), rtol=1e-12)
@@ -1266,7 +1330,9 @@ class TestEngine:
         rng = resampling._rng
         monkeypatch.setattr(resampling, "_rng", lambda *key: keys.append(key) or rng(*key))
         run()
-        assert keys == [(1, k) for k in range(chunks)]
+        # a chunk's noise stream, split off its key, serves smoothing noise and pool B
+        noise = routine in ("smoothed", "smoothed gaussian", "compare")
+        assert keys == [key for k in range(chunks) for key in [(1, k), (1, k, 1)][: 1 + noise]]
 
     def test_failed_rows_of_a_wide_chunk_are_redrawn_from_its_own_stream(self):
         # 8 replicates a chunk of 5,000 records; at seed 11 rows 2 and 5 of
