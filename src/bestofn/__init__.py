@@ -8,23 +8,13 @@ model out of n runs, normalized to a stated n: empirically from pools of
 fit, with resampling-based confidence intervals throughout.
 """
 
+from .distributions import *
+from .errors import *
+from .estimators import *
+from .resampling import *
+
 __version__ = "0.1.0"
 
-# A public name is listed once, in its own module's __all__. `import bestofn` loads none of
-# these modules, so the command line can cap numpy's threads before numpy loads (__main__).
-_MODULES = ("distributions", "estimators", "resampling", "errors")
-
-
-def __getattr__(name: str):
-    """The first lookup of a name this module lacks (PEP 562) imports the modules and binds
-    every public name here, so later lookups are plain attribute reads. Dunder probes, as
-    import tools make, import nothing."""
-    if name == "__all__" or not name.startswith("__"):
-        import importlib
-
-        modules = [importlib.import_module(f"{__name__}.{m}") for m in _MODULES]
-        public = {n: getattr(module, n) for module in modules for n in module.__all__}
-        globals().update(public, __all__=["__version__", *public])
-    if name in globals():
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# A public name is listed once, in its own module's __all__.
+__all__ = ["__version__", *distributions.__all__, *estimators.__all__, *resampling.__all__,
+           *errors.__all__]

@@ -1,29 +1,3 @@
-"""The ``bestofn`` command: ``python -m bestofn`` and the installed script."""
+from .cli import entry_point
 
-import gc
-import os
-import sys
-
-
-def entry_point() -> None:
-    # numpy's long dot products (boon_nonparametric's beyond about 10,000 tie groups) are
-    # split over BLAS threads, which changes their last bits with the host's core count.
-    # One thread each, set before numpy loads; a caller's own setting wins.
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, "1")
-    from .cli import main
-
-    # Every object that numpy, the standard library and bestofn built on
-    # import lives until exit anyway. Frozen, those ~22,000 objects are
-    # walked neither by the command's own collections nor at exit, where the
-    # interpreter's final collections and teardown otherwise spend about
-    # 17 ms on them (exit after `boon` on a 50-record pool: ~24 ms unfrozen,
-    # ~7 ms frozen; 2-vCPU Xeon VM, BENCH_17.json). Objects the command
-    # creates are collected as before. main() makes no GC call, so
-    # in-process callers keep their own GC state.
-    gc.freeze()
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry_point()
+entry_point()

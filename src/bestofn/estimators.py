@@ -252,7 +252,8 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     """Rank-weighted test average of records worst to best, in (validation, test) order or
     its reverse: tied-validation groups are summed in that one order, so the value is
     bit-identical for the records in any order. Either direction's worst-to-best pool takes
-    the same weights, and negating both arrays would only negate the result."""
+    the same weights, and negating both arrays would only negate the result. The weighted
+    sum is a product sum, never a BLAS product, whose bits depend on its thread count."""
     global _last_shape
     m = vals.size
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
@@ -264,7 +265,7 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     power = _rank_powers(m, n)[bounds] if _last_shape == (m, n) else (bounds / m) ** n
     _last_shape = (m, n)
     group_mean_test = np.add.reduceat(tests, bounds[:-1]) / (bounds[1:] - bounds[:-1])
-    return float(np.dot(power[1:] - power[:-1], group_mean_test))
+    return float(((power[1:] - power[:-1]) * group_mean_test).sum())
 
 
 def _tie_weights(vals: np.ndarray, power: np.ndarray) -> np.ndarray:

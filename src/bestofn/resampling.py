@@ -9,19 +9,20 @@ through one engine, in chunks of ``max(1, 2**14 // size)`` replicates of
 ``size`` records; compare, whose replicate resamples both pools, holds at
 least ``min(8, 2**16 // size)`` a chunk. Chunk k draws from two streams split
 off by numpy SeedSequence spawn keys: (seed, *key, k) takes the chunk's block
-row by row, and (seed, *key, k, 1) its smoothing noise or, in compare, pool
-B's block; a row whose statistic failed is then redrawn, in row order, from
-both. A Monte Carlo chunk of pools of m records draws a (rows, m, 2) standard
-normal block for the Gaussian kind, and a (rows, m + 1) one, m validations
-and a test residual a row, for the non-parametric kind. No row's value
-depends on the rows beside it, so a run of B replicates is the first B
-values of every longer run, a failed row's redraw the one exception: it
-follows more draws in a longer run. Bootstrap, compare and Monte Carlo runs
-have an empty key. Boo(n) bootstraps of one estimator at several n (a
-``boon --n`` list) share each run, a column per n, in groups of
-max(1, 2**21 // max(replicates, size + 1)) n; an n's interval is its own
-run's unless a row fails at one n of its group and not at another, as the
-row is redrawn whole (only scores near the top of the float range do that).
+row by row, and (seed, *key, k, 1, 0), longer than any chunk's own key, its
+smoothing noise or, in compare, pool B's block; a row whose statistic failed
+is then redrawn, in row order, from both. A Monte Carlo chunk of pools of m
+records draws a (rows, m, 2) standard normal block for the Gaussian kind,
+and a (rows, m + 1) one, m validations and a test residual a row, for the
+non-parametric kind. No row's value depends on the rows beside it, so a run
+of B replicates is the first B values of every longer run, a failed row's
+redraw the one exception: it follows more draws in a longer run. Bootstrap,
+compare and Monte Carlo runs have an empty key. Boo(n) bootstraps of one
+estimator at several n (a ``boon --n`` list) share each run, a column per n,
+in groups of max(1, 2**21 // max(replicates, size + 1)) n; an n's interval
+is its own run's unless a row fails at one n of its group and not at
+another, as the row is redrawn whole (only scores near the top of the float
+range do that).
 A curve makes two runs, keyed (0,) for its samples and (1,) for its smoothed
 band. Each sample is one nested sequence of records, drawn with replacement
 and read by every point: point m takes the first best-validation record
@@ -182,7 +183,7 @@ class ComparisonResult(NamedTuple):
 
 class _Stream:
     """The generator of one chunk, split off (seed, *key), whose methods it offers as its
-    own; its ``noise`` is a second one, split off (seed, *key, 1) on first use. It wraps the
+    own; its ``noise`` is a second one, split off (seed, *key, 1, 0) on first use. It wraps the
     generator: a subclass would load ``numpy.random`` on import, 8-10 ms of every command."""
 
     def __init__(self, seed: int, *key: int):
@@ -194,7 +195,7 @@ class _Stream:
 
     @functools.cached_property
     def noise(self) -> _Stream:
-        return _rng(*self.key, 1)
+        return _rng(*self.key, 1, 0)
 
 
 def _rng(seed: int, *key: int) -> _Stream:

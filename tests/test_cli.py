@@ -356,8 +356,8 @@ class TestBoon:
         self, argv, tmp_path, capsys
     ):
         # The rank weights sum to one only up to rounding, so the weighted
-        # sum of 199 largest floats passes the float range.
-        rows = [(i, sys.float_info.max) for i in range(199)]
+        # sum of 103 largest floats passes the float range at n = 1 and 5.
+        rows = [(i, sys.float_info.max) for i in range(103)]
         path = helpers.write_pool_csv(tmp_path / "maxed.csv", rows)
         out = tmp_path / "report.json"
         argv = [arg.format(p=path) for arg in argv] + ["--output", out]
@@ -863,47 +863,35 @@ class TestProcessEntry:
         assert {p.name: p.read_bytes() for p in tmp_path.glob("report*")} == written
         assert len(written) == {"--version": 0, "curve": 2}.get(argv[0], 1)
 
-    def test_import_loads_no_numpy(self):
-        # The process entry caps numpy's threads, which only works before numpy loads.
-        script = "import sys, bestofn; print(sorted(m for m in sys.modules if 'numpy' in m))"
-        env = {**os.environ, "PYTHONPATH": SRC}
-        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                                text=True, timeout=120)
-        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task here")
-    def test_the_version_command_ends_on_one_thread_without_numpy_random(self):
+    def test_the_version_command_loads_no_numpy_random(self):
         # numpy.random costs 8-10 ms to load, and --version and summarize draw nothing.
         script = """
-import os, runpy, sys
+import runpy, sys
 sys.argv = ["bestofn", "--version"]
 try:
     runpy.run_module("bestofn", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-print(len(os.listdir("/proc/self/task")), "numpy.random" in sys.modules)
+print("numpy.random" in sys.modules)
 """
-        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
-        env["PYTHONPATH"] = SRC
+        env = {**os.environ, "PYTHONPATH": SRC}
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                 text=True, timeout=120)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines() == ["bestofn 0.1.0", "1 False"]
+        assert result.stdout.splitlines() == ["bestofn 0.1.0", "False"]
 
     def test_a_report_does_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # Boo(n) of 30,000 untied records sums its weights in one dot product, which
-        # OpenBLAS splits over its threads; the command runs it on one unless told otherwise.
+        # Boo(n) of 30,000 untied records weighs 30,000 tie groups; a BLAS dot product
+        # that long is split over OpenBLAS's threads, and its last bits with it.
         rng = np.random.default_rng(30)
         v = rng.normal(size=30_000)
         pool = helpers.write_pool_csv(tmp_path / "pool.csv",
                                       zip(v.tolist(), (0.6 * v + rng.normal(size=30_000)).tolist()))
         argv = ["boon", pool, "--n", "1,5,20", "--bootstrap", "100", "--output", "report.json"]
         reports = []
-        for setting in (None, "1"):
+        for threads in ("1", "2"):
             env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
-            env["PYTHONPATH"] = SRC
-            if setting:
-                env["OPENBLAS_NUM_THREADS"] = setting
+            env.update(PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
             result = subprocess.run([sys.executable, "-m", "bestofn", *argv], env=env,
                                     cwd=tmp_path, capture_output=True, timeout=120)
             assert result.returncode == EXIT_OK, result.stderr

@@ -234,27 +234,29 @@ class TestBootstrapCI:
     # float.hex of bootstrap_ci(pool, boon5) endpoints on _pinned_pool (300
     # replicates, seed 21), recorded at stream version 7, after the row tests
     # below passed: draws are positions in the sorted pool, and a smoothed
-    # resample is sorted when its pool is built. The smoothed entries were
-    # recorded at stream version 9, whose smoothing noise has its own stream.
+    # resample is sorted when its pool is built. Re-recorded at stream version 9,
+    # whose smoothing noise has its own stream and whose boon_nonparametric sums
+    # its weights as products; a smoothed entry equals its _PINNED_BLOCKS one.
     _PINNED = {
-        ("maximize", None, "bootstrap"): ("-0x1.28da3e60f3937p-3", "0x1.23934ef6e06dep-5"),
-        ("maximize", None, "smoothed"): ("-0x1.426fb056751adp-3", "0x1.6ba7ca19d7017p-5"),
+        ("maximize", None, "bootstrap"): ("-0x1.28da3e60f3937p-3", "0x1.23934ef6e06dfp-5"),
+        ("maximize", None, "smoothed"): ("-0x1.229f3e090f20ep-3", "0x1.bf032ce265acep-5"),
         ("maximize", 7, "bootstrap"): ("-0x1.6d92cc50f5151p+0", "0x1.f4f7f1715da29p-1"),
-        ("maximize", 7, "smoothed"): ("-0x1.5027fb07bd552p+0", "0x1.0e11f89d19976p+0"),
-        ("minimize", None, "bootstrap"): ("-0x1.6e6e537423754p-4", "0x1.82cdd6d51f8a3p-4"),
-        ("minimize", None, "smoothed"): ("-0x1.7f610e2d7ee59p-4", "0x1.901e48414fb92p-4"),
-        ("minimize", 7, "bootstrap"): ("-0x1.22945ee200f9ep+0", "0x1.4101f444a4ecfp+0"),
-        ("minimize", 7, "smoothed"): ("-0x1.33602f8451687p+0", "0x1.43ede7215a829p+0"),
+        ("maximize", 7, "smoothed"): ("-0x1.6fa31c5490d1ap+0", "0x1.d8fbbfe10ca63p-1"),
+        ("minimize", None, "bootstrap"): ("-0x1.6e6e537423753p-4", "0x1.82cdd6d51f8a2p-4"),
+        ("minimize", None, "smoothed"): ("-0x1.8291e324987adp-4", "0x1.969a54387e51fp-4"),
+        ("minimize", 7, "bootstrap"): ("-0x1.22945ee200f9dp+0", "0x1.4101f444a4ecfp+0"),
+        ("minimize", 7, "smoothed"): ("-0x1.4c9fcb29f6617p+0", "0x1.7036e60e689a6p+0"),
     }
 
     # float.hex of bootstrap_ci(pool, boon5) endpoints (1,000 replicates, seed 2203) on
     # _callable_pool, recorded while boon_nonparametric still negated a minimize pool's
-    # scores: weighing the records as stored moved no endpoint.
+    # scores: weighing the records as stored moved no endpoint. Re-recorded at stream
+    # version 9, when boon_nonparametric's weighted sum became a product sum.
     _PINNED_CALLABLE = {
-        ("minimize", None): ("-0x1.5f2bbdc7816e5p-1", "0x1.a472269383e54p-7"),
-        ("minimize", 7): ("-0x1.512ecee22a66fp+0", "0x1.df309045eeb7dp-2"),
-        ("maximize", None): ("0x1.16a999288040ep-1", "0x1.5853bd133b0c9p+0"),
-        ("maximize", 7): ("-0x1.7e1cdb1332d28p-1", "0x1.ad691b834e3a6p+0"),
+        ("minimize", None): ("-0x1.5f2bbdc7816e5p-1", "0x1.a472269383e53p-7"),
+        ("minimize", 7): ("-0x1.512ecee22a66fp+0", "0x1.df309045eeb7cp-2"),
+        ("maximize", None): ("0x1.16a999288040ep-1", "0x1.5853bd133b0c8p+0"),
+        ("maximize", 7): ("-0x1.7e1cdb1332d28p-1", "0x1.ad691b834e3a5p+0"),
     }
 
     @staticmethod
@@ -301,27 +303,27 @@ class TestBootstrapCI:
         ("maximize", None, "bootstrap", "gaussian_parametric"):
             ("-0x1.755846458ab5ap-4", "0x1.41e84c816ccd1p-4"),
         ("maximize", None, "smoothed", "nonparametric"):
-            ("-0x1.426fb056751acp-3", "0x1.6ba7ca19d7016p-5"),
+            ("-0x1.229f3e090f20ep-3", "0x1.bf032ce265acep-5"),
         ("maximize", None, "smoothed", "gaussian_parametric"):
-            ("-0x1.9f12ff5ff56f3p-4", "0x1.58ad5170b8b8ep-4"),
+            ("-0x1.915a63a2c1723p-4", "0x1.5926828c19e24p-4"),
         ("maximize", 7, "bootstrap", "gaussian_parametric"):
             ("-0x1.3ba28f753fa70p+0", "0x1.0d64f73009637p+0"),
         ("maximize", 7, "smoothed", "nonparametric"):
-            ("-0x1.5027fb07bd553p+0", "0x1.0e11f89d19976p+0"),
+            ("-0x1.6fa31c5490d1ap+0", "0x1.d8fbbfe10ca63p-1"),
         ("maximize", 7, "smoothed", "gaussian_parametric"):
-            ("-0x1.4f47e5ce5550ap+0", "0x1.19fdbd8c64226p+0"),
+            ("-0x1.535907733b72dp+0", "0x1.085c4c38c289cp+0"),
         ("minimize", None, "bootstrap", "gaussian_parametric"):
             ("-0x1.f885d8af7fd25p-6", "0x1.16fadc3b01bedp-3"),
         ("minimize", None, "smoothed", "nonparametric"):
-            ("-0x1.7f610e2d7ee58p-4", "0x1.901e48414fb92p-4"),
+            ("-0x1.8291e324987adp-4", "0x1.969a54387e51fp-4"),
         ("minimize", None, "smoothed", "gaussian_parametric"):
-            ("-0x1.3d6f6bb41dd17p-5", "0x1.2399baf7061b8p-3"),
+            ("-0x1.1ab9e5f4c789ep-5", "0x1.1a31946c5b4b1p-3"),
         ("minimize", 7, "bootstrap", "gaussian_parametric"):
             ("-0x1.1897cda483df6p+0", "0x1.4e43964699b3fp+0"),
         ("minimize", 7, "smoothed", "nonparametric"):
-            ("-0x1.33602f8451688p+0", "0x1.43ede7215a829p+0"),
+            ("-0x1.4c9fcb29f6617p+0", "0x1.7036e60e689a6p+0"),
         ("minimize", 7, "smoothed", "gaussian_parametric"):
-            ("-0x1.21e61a9dc0f62p+0", "0x1.3d2d5bb5166c0p+0"),
+            ("-0x1.33bb8a1f7acaep+0", "0x1.57ad3dc5cb65bp+0"),
     }
 
     @pytest.mark.parametrize("key", list(_PINNED_BLOCKS))
@@ -336,10 +338,10 @@ class TestBootstrapCI:
     # automatic validation bandwidth is 0, so every smoothed row is one tie group.
     # Recorded at stream version 9.
     _PINNED_TIED_ROWS = {
-        ("maximize", None): ("-0x1.58d92083a3043p-2", "0x1.590a68ca371a7p-2"),
-        ("maximize", 7): ("-0x1.a4c95b0ead627p-1", "0x1.85ba688d97ee3p-1"),
-        ("minimize", None): ("-0x1.7024feff15569p-2", "0x1.48667cbf92c9ep-2"),
-        ("minimize", 7): ("-0x1.b3d5c9bf0bd85p-1", "0x1.a9e02e17721b7p-1"),
+        ("maximize", None): ("-0x1.6759fbe97e237p-2", "0x1.793a6062e09d3p-2"),
+        ("maximize", 7): ("-0x1.96d4d4a836779p-1", "0x1.b698e42d3812bp-1"),
+        ("minimize", None): ("-0x1.7e63fb293dbdap-2", "0x1.5eafdfeef6673p-2"),
+        ("minimize", 7): ("-0x1.a11d1fd1b0e62p-1", "0x1.9e1c61d0c08b4p-1"),
     }
 
     @pytest.mark.parametrize("key", list(_PINNED_TIED_ROWS))
@@ -450,7 +452,7 @@ class TestBootstrapCI:
         smoothed_bootstrap_ci(pool, record, cfg)
         rng = resampling._rng(5, 0)
         pos = rng.integers(0, pool.m, size=(100, pool.m))
-        noise = resampling._rng(5, 0, 1).standard_normal((100, pool.m, 2))  # the noise stream
+        noise = resampling._rng(5, 0, 1, 0).standard_normal((100, pool.m, 2))  # the noise stream
         v = pool.validation_scores[pos] + 0.1 * noise[:, :, 0]
         t = pool.test_scores[pos] + 0.1 * noise[:, :, 1]
         assert len(seen) == 100
@@ -989,7 +991,7 @@ class TestEngine:
         ci = compare_architectures(pool_a, pool_b, 3, cfg).ci
         # one chunk holds all 100 replicates: A's index block, and B's from its noise stream
         idx_a = resampling._rng(3, 0).integers(0, pool_a.m, size=(100, pool_a.m))
-        idx_b = resampling._rng(3, 0, 1).integers(0, pool_b.m, size=(100, pool_b.m))
+        idx_b = resampling._rng(3, 0, 1, 0).integers(0, pool_b.m, size=(100, pool_b.m))
         stat = BoonStatistic(3)
         want = _row_oracle(pool_b, idx_b, stat) - _row_oracle(pool_a, idx_a, stat)
         lo, hi = np.quantile(want, [0.025, 0.975])
@@ -1228,10 +1230,10 @@ class TestEngine:
     # passed: 9,000 records a replicate make 7 replicates a chunk, so the last
     # chunk holds 2.
     _PINNED_COMPARE = {
-        (False, "maximize"): ("0x1.97bcd456e4512p-5", "0x1.51acda74dce4fp-3"),
-        (False, "minimize"): ("0x1.820b622071111p-5", "0x1.62d691dc4a10fp-3"),
-        (True, "maximize"): ("0x1.9ff284f9d5192p-5", "0x1.6e78a694f0a1ap-3"),
-        (True, "minimize"): ("0x1.6636f08dd02dfp-5", "0x1.4c7caa81a1eddp-3"),
+        (False, "maximize"): ("0x1.9fb0717771757p-5", "0x1.4a931c3bfbc68p-3"),
+        (False, "minimize"): ("0x1.5325b050f7a91p-5", "0x1.550ce4559e098p-3"),
+        (True, "maximize"): ("0x1.c8209d4ad852ep-5", "0x1.74c07108b88ffp-3"),
+        (True, "minimize"): ("0x1.7180f4e1283aep-5", "0x1.61b84220a46d4p-3"),
     }
 
     @staticmethod
@@ -1291,7 +1293,7 @@ class TestEngine:
         for k, first in enumerate(range(0, 100, 7)):
             rows = min(7, 100 - first)
             idx_a = resampling._rng(11, k).integers(0, pool_a.m, size=(rows, pool_a.m))
-            idx_b = resampling._rng(11, k, 1).integers(0, pool_b.m, size=(rows, pool_b.m))
+            idx_b = resampling._rng(11, k, 1, 0).integers(0, pool_b.m, size=(rows, pool_b.m))
             stat = BoonStatistic(5)
             want.append(_row_oracle(pool_b, idx_b, stat) - _row_oracle(pool_a, idx_a, stat))
         np.testing.assert_allclose(compare_values[:, 0], np.concatenate(want), rtol=1e-12)
@@ -1332,7 +1334,35 @@ class TestEngine:
         run()
         # a chunk's noise stream, split off its key, serves smoothing noise and pool B
         noise = routine in ("smoothed", "smoothed gaussian", "compare")
-        assert keys == [key for k in range(chunks) for key in [(1, k), (1, k, 1)][: 1 + noise]]
+        assert keys == [key for k in range(chunks) for key in [(1, k), (1, k, 1, 0)][: 1 + noise]]
+
+    def test_no_two_runs_share_a_stream(self, monkeypatch):
+        # Under one seed, the streams of one-pool runs, compare and Monte Carlo runs
+        # (empty key, chunk k's noise split off (k, 1, 0)) and of a curve's two runs
+        # (keyed (0, k) and (1, k)) are disjoint; 2**15 replicates or samples make two
+        # chunks of a curve run and more of the others.
+        pool = ResultPool.from_arrays([0.1, 0.4, 0.2, 0.3, 0.5], [1.0, 3.0, 2.0, 5.0, 4.0])
+        config = ResamplingConfig(replicates=2**15, seed=1)
+        runs = {
+            "bootstrap": lambda: bootstrap_ci(pool, BoonStatistic(2), config),
+            "smoothed": lambda: smoothed_bootstrap_ci(pool, BoonStatistic(2), config),
+            "compare": lambda: compare_architectures(pool, pool, 2, config),
+            "monte carlo": lambda: monte_carlo_ci_gaussian(
+                _PARAMS, 5, 2, EstimatorKind.NONPARAMETRIC, config
+            ),
+            "curve": lambda: best_of_m_curve(pool, [1, 3], 2**15, config),
+        }
+        keys = {}
+        rng = resampling._rng
+        for name, run in runs.items():
+            opened = keys[name] = []
+            monkeypatch.setattr(resampling, "_rng", lambda *key: opened.append(key) or rng(*key))
+            run()
+        assert (1, 1, 1, 0) in keys["smoothed"] and (1, 1, 1, 0) in keys["compare"]
+        assert {(1, 0, 1), (1, 1, 1)} <= set(keys["curve"])  # chunk 1 of runs 0 and 1
+        curve = set(keys.pop("curve"))
+        for name, opened in keys.items():
+            assert not curve & set(opened), name
 
     def test_failed_rows_of_a_wide_chunk_are_redrawn_from_its_own_stream(self):
         # 8 replicates a chunk of 5,000 records; at seed 11 rows 2 and 5 of
