@@ -50,6 +50,7 @@ from .estimators import (
     summarize,
 )
 from .resampling import (
+    MAX_CURVE_M,
     MAX_REPLICATES,
     STREAM_VERSION,
     ResamplingConfig,
@@ -71,10 +72,6 @@ DEFAULT_N = 5
 DEFAULT_REPLICATES = 10_000
 DEFAULT_LEVEL = 0.95
 DEFAULT_COLUMNS = ("validation", "test")
-# Up to 2**21 // max(samples, replicates) points (209 at the defaults) a
-# curve is one scan of m-max records per sample. Each further scan redraws
-# every sample from record 1, so beyond that the work grows with m-max**2.
-MAX_CURVE_M = 100_000
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ class DegeneratePoolError(BestOfNError, ValueError):
 
 class ResamplingDegenerateError(BestOfNError, RuntimeError):
     """The statistic failed on more than the tolerated fraction of resamples;
-    ``failure_fraction`` is the failed share of the evaluations made."""
+    ``failure_fraction`` is the failed share of the replicates drawn, in the worst column."""
 
     def __init__(self, failure_fraction: float):
         self.failure_fraction = failure_fraction

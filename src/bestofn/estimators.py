@@ -50,7 +50,6 @@ __all__ = [
 # A2 * (1 + 4/m - 25/m^2).
 _AD_CRITICAL_5PCT = 0.752
 
-_last_shape = None  # the (m, n) of the last _boon_weighted_average call
 _TINY = float(np.finfo(float).tiny)  # a variance or sum of squares below it has lost digits
 
 
@@ -254,16 +253,13 @@ def _boon_weighted_average(vals: np.ndarray, tests: np.ndarray, n: int) -> float
     bit-identical for the records in any order. Either direction's worst-to-best pool takes
     the same weights, and negating both arrays would only negate the result. The weighted
     sum is a product sum, never a BLAS product, whose bits depend on its thread count."""
-    global _last_shape
     m = vals.size
     # Tie-group boundaries: group g spans bounds[g]:bounds[g + 1].
     new_group = np.empty(m + 1, dtype=bool)
     new_group[0] = new_group[m] = True
     np.not_equal(vals[1:], vals[:-1], out=new_group[1:m])
     bounds = new_group.nonzero()[0]
-    # A repeated (m, n), as in a bootstrap, reads the table; a new one powers only its bounds.
-    power = _rank_powers(m, n)[bounds] if _last_shape == (m, n) else (bounds / m) ** n
-    _last_shape = (m, n)
+    power = _rank_powers(m, n)[bounds]
     group_mean_test = np.add.reduceat(tests, bounds[:-1]) / (bounds[1:] - bounds[:-1])
     return float(((power[1:] - power[:-1]) * group_mean_test).sum())
 

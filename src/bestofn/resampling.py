@@ -4,25 +4,22 @@ Percentile bootstrap, Gaussian-kernel smoothed bootstrap, parametric Monte
 Carlo intervals, expected-best curves over the number of experiments, and
 two-pool comparison through the interval on the estimate difference.
 
-Determinism contract (stream version 9): every routine draws its replicates
+Determinism contract (stream version 10): every routine draws its replicates
 through one engine, in chunks of ``max(1, 2**14 // size)`` replicates of
 ``size`` records; compare, whose replicate resamples both pools, holds at
 least ``min(8, 2**16 // size)`` a chunk. Chunk k draws from two streams split
 off by numpy SeedSequence spawn keys: (seed, *key, k) takes the chunk's block
 row by row, and (seed, *key, k, 1, 0), longer than any chunk's own key, its
-smoothing noise or, in compare, pool B's block; a row whose statistic failed
-is then redrawn, in row order, from both. A Monte Carlo chunk of pools of m
-records draws a (rows, m, 2) standard normal block for the Gaussian kind,
-and a (rows, m + 1) one, m validations and a test residual a row, for the
-non-parametric kind. No row's value depends on the rows beside it, so a run
-of B replicates is the first B values of every longer run, a failed row's
-redraw the one exception: it follows more draws in a longer run. Bootstrap,
-compare and Monte Carlo runs have an empty key. Boo(n) bootstraps of one
-estimator at several n (a ``boon --n`` list) share each run, a column per n,
-in groups of max(1, 2**21 // max(replicates, size + 1)) n; an n's interval
-is its own run's unless a row fails at one n of its group and not at
-another, as the row is redrawn whole (only scores near the top of the float
-range do that).
+smoothing noise or, in compare, pool B's block. A Monte Carlo chunk of pools
+of m records draws a (rows, m, 2) standard normal block for the Gaussian
+kind, and a (rows, m + 1) one, m validations and a test residual a row, for
+the non-parametric kind. A failed replicate (a NaN or infinite value) is left
+out, not redrawn, so every value is a function of the seed, the key and its
+row alone, and a run of B replicates is the first B values of every longer
+run. Bootstrap, compare and Monte Carlo runs have an empty key. Boo(n)
+bootstraps of one estimator at several n (a ``boon --n`` list) share each
+run, a column per n, in groups of max(1, 2**21 // max(replicates, size + 1))
+n, each column the values of its n's own run.
 A curve makes two runs, keyed (0,) for its samples and (1,) for its smoothed
 band. Each sample is one nested sequence of records, drawn with replacement
 and read by every point: point m takes the first best-validation record
@@ -34,8 +31,8 @@ on the seed, the run, the sample count and m, not on the other points. The
 output is bit-identical for a given seed. A drawn index is a position in the
 pool, whose records run worst to best (see :class:`ResultPool`), so the
 output is the same for the pool's records in any order, and every resample
-a callable statistic gets is a pool in that order too. A failed replicate is
-a NaN or infinite value, and a run prints no floating-point warnings.
+a callable statistic gets is a pool in that order too. A run prints no
+floating-point warnings.
 """
 
 from __future__ import annotations
@@ -91,13 +88,16 @@ __all__ = [
 ]
 
 # Recorded in every report: changes whenever a seed maps to other draws.
-STREAM_VERSION = 9
+STREAM_VERSION = 10
 
-# Replicate and sample counts are allocated up front, 8 bytes each.
+# Replicate, sample, resample and simulated pool sizes are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
+# A curve's largest m: past 2**21 // max(samples, replicates) points (209 at the CLI's
+# defaults) each further scan redraws every sample from record 1, so work grows with m**2.
+MAX_CURVE_M = 100_000
 
-# Retries are tolerated for up to this fraction of all statistic
-# evaluations before a resampling run is declared degenerate.
+# Failed values are tolerated for up to this fraction of a run's replicates in
+# each of its columns before the run is declared degenerate.
 _FAILURE_BUDGET = 0.01
 
 # Resampled records per replicate chunk, and the least rows compare's chunk
@@ -207,7 +207,8 @@ def _percentile_interval(
     values: np.ndarray, config: ResamplingConfig, method: CIMethod
 ) -> ConfidenceInterval:
     level = config.level
-    lo, hi = _linear_quantiles(values, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+    finite = values[np.isfinite(values)]  # a run's failed values are left out
+    lo, hi = _linear_quantiles(finite, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
     return ConfidenceInterval(lo, hi, level, method, config.replicates)
 
 
@@ -223,35 +224,26 @@ def _chunked_replicates(
     """``count`` replicate values, drawn chunk by chunk (see the module docstring for the
     layout): ``block(rng, rows)`` draws one chunk's ``rows`` replicates of ``size`` records
     from ``rng``, split off (seed, *key, k), and ``rng.noise``, and returns their values or a
-    ``(rows, points)`` array; ``wide`` is compare's wider chunk. Each row holding a failure
-    (a NaN or infinite value) is redrawn one at a time from its chunk's streams until it is
-    finite; the run aborts with :class:`ResamplingDegenerateError` once failures exceed 1% of
-    ``count`` plus failures, a share further draws can only raise, so it evaluates at most
-    about 1.01 * ``count`` rows.
+    ``(rows, points)`` array; ``wide`` is compare's wider chunk. A failed value (NaN or
+    infinite) stays where it falls, and readers of the run leave it out; the run aborts with
+    :class:`ResamplingDegenerateError` after the first chunk that takes any column's failures
+    past 1% of ``count``.
     """
     rows = max(1, _CHUNK_ELEMENTS // size)
     if wide:
         rows = max(rows, min(_WIDE_ROWS, _WIDE_ELEMENTS // size))
     out = None
-    failures = evaluations = 0
+    failures = 0
     # Around user callables too, on purpose: a non-finite result fails its
     # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
     with np.errstate(all="ignore"):
         for k, first in enumerate(range(0, count, rows)):
-            rng = _rng(seed, *key, k)
-            values = block(rng, min(rows, count - first))
-            evaluations += len(values)
-            failed = np.flatnonzero(~np.isfinite(values.reshape(len(values), -1)).all(axis=1))
-            failures += failed.size
-            for i in failed:
-                while failures / (count + failures) <= _FAILURE_BUDGET:
-                    values[i] = block(rng, 1)[0]
-                    evaluations += 1
-                    if np.isfinite(values[i]).all():
-                        break
-                    failures += 1
-                else:
-                    raise ResamplingDegenerateError(failures / evaluations)
+            values = block(_rng(seed, *key, k), min(rows, count - first))
+            finite = np.isfinite(values)
+            if not finite.all():  # counted per column only in a chunk that holds a failure
+                failures = failures + (~finite).sum(axis=0)
+                if failures.max() > _FAILURE_BUDGET * count:
+                    raise ResamplingDegenerateError(float(failures.max()) / (first + len(values)))
             # A one-chunk run is its chunk; a longer one fills one array, so a
             # run never holds its values twice.
             if out is None:
@@ -441,7 +433,9 @@ def _bootstrap_intervals(
     """
     if pool.m < 2:
         raise InsufficientDataError(f"bootstrap needs m >= 2 records, got m={pool.m}")
-    size = pool.m if resample_size is None else _integer_arg(resample_size, "resample_size")
+    size = pool.m
+    if resample_size is not None:
+        size = _integer_arg(resample_size, "resample_size", 1, MAX_REPLICATES)
     first = statistics[0]
     if isinstance(first, BoonStatistic):
         ns = [s.n for s in statistics]
@@ -478,9 +472,10 @@ def bootstrap_ci(
     own size unless ``resample_size`` narrows them), evaluates the
     statistic on each, and takes the (1-level)/2 and (1+level)/2 quantiles
     of the replicate values. A replicate whose statistic raises or gives a
-    NaN or infinite value has failed and is redrawn; the run aborts with
-    :class:`ResamplingDegenerateError` if more than 1% of evaluations fail,
-    and prints no floating-point warnings, the statistic's own included.
+    NaN or infinite value has failed and is left out of those quantiles; the
+    run aborts with :class:`ResamplingDegenerateError` if more than 1% of
+    replicates fail, and prints no floating-point warnings, the statistic's
+    own included.
 
     A :class:`BoonStatistic` is evaluated on a whole chunk of resamples at
     once; any other callable is called on one resampled pool at a time,
@@ -548,7 +543,7 @@ def monte_carlo_ci_gaussian(
     """
     estimator_kind = EstimatorKind(estimator_kind)
     _integer_arg(n, "n", 1, _MAX_N)
-    _integer_arg(m, "m")
+    _integer_arg(m, "m", 1, MAX_REPLICATES)
     if estimator_kind is EstimatorKind.GAUSSIAN_PARAMETRIC and m < 3:
         raise InsufficientDataError("parametric estimation needs m >= 3 simulated records")
     block = _monte_carlo_block(params, m, n, estimator_kind)
@@ -633,7 +628,7 @@ def best_of_m_curve(
         raise ValueError("m_values must not be empty")
     _integer_arg(samples_per_m, "samples_per_m", 1, MAX_REPLICATES)
     for m in m_values:
-        _integer_arg(m, "m")
+        _integer_arg(m, "m", 1, MAX_CURVE_M)
     sign = -1.0 if pool.direction is Direction.MINIMIZE else 1.0  # the scans keep the largest
     vals, tests = sign * pool.validation_scores, sign * pool.test_scores
     bandwidths = _resolve_bandwidths(pool, config.bandwidth) if with_ci else ()

@@ -753,7 +753,7 @@ def test_every_report_records_the_stream_version(toy_csv, tmp_path):
         out = tmp_path / f"{argv[0]}.json"
         assert run(argv + ["--output", out]) == EXIT_OK
         report = read_report(out)
-        assert report["stream_version"] == resampling.STREAM_VERSION == 9
+        assert report["stream_version"] == resampling.STREAM_VERSION == 10
         assert report["schema_version"] == 1
 
 

@@ -425,18 +425,19 @@ class TestRankPowers:
                 table[0] = 1.0
             assert estimators._rank_powers.cache_info().currsize <= 1
 
-    def test_a_table_is_built_only_for_a_repeated_shape(self):
-        # Two n taken in turn power only their group bounds, as a single
-        # call does; the same (m, n) twice in a row reads one table.
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_alternating_n_give_the_bits_of_fresh_calls(self, tied):
+        # No call leaves state that moves the next one: each n taken in turn, with
+        # the table of another (m, n) or of its own kept, gives a fresh call's bits.
         pool = helpers.bivariate_normal_pool(m=50, rho=0.5, seed=2)
-        boon_nonparametric(pool, 3)
-        estimators._rank_powers.cache_clear()
-        for _ in range(5):
-            boon_nonparametric(pool, 1), boon_nonparametric(pool, 5)
-        assert estimators._rank_powers.cache_info().misses == 0
-        for _ in range(5):
-            boon_nonparametric(pool, 5)
-        assert estimators._rank_powers.cache_info()[:2] == (4, 1)  # hits, misses
+        if tied:
+            pool = ResultPool.from_arrays(pool.validation_scores.round(1), pool.test_scores)
+        ns = (1, 5, 20, 5, 5, 1)
+        fresh = []
+        for n in ns:
+            estimators._rank_powers.cache_clear()
+            fresh.append(boon_nonparametric(pool, n).value.hex())
+        assert [boon_nonparametric(pool, n).value.hex() for n in ns] == fresh
 
 
 class TestBoonParametricGaussian:
