@@ -24,10 +24,12 @@ A curve makes two runs, keyed (0,) for its samples and (1,) for its smoothed
 band. Each sample is one nested sequence of records, drawn with replacement
 and read by every point: point m takes the first best-validation record
 among the first m. A sample counts as one record, so a chunk holds 2**14
-samples; it draws record j of every row (the index, then, in a band, the
-validation and test noise as one (2, rows) draw) before record j + 1, so a
-curve's runs are not prefixes of longer ones, and a point's numbers depend
-on the seed, the run, the sample count and m, not on the other points. The
+samples; a run scans records 1 to the largest m once, every chunk drawing
+record j of its rows (the index, then, in a band, the validation and test
+noise as one (2, rows) draw) before any draws record j + 1, and keeps each
+sample's running best validation and test. So a curve's runs are not
+prefixes of longer ones, and a point's numbers depend on the seed, the run,
+the sample count and m, not on the other points. The
 output is bit-identical for a given seed. A drawn index is a position in the
 pool, whose records run worst to best (see :class:`ResultPool`), so the
 output is the same for the pool's records in any order, and every resample
@@ -42,7 +44,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,8 +94,8 @@ STREAM_VERSION = 10
 
 # Replicate, sample, resample and simulated pool sizes are allocated up front, 8 bytes each.
 MAX_REPLICATES = 10_000_000
-# A curve's largest m: past 2**21 // max(samples, replicates) points (209 at the CLI's
-# defaults) each further scan redraws every sample from record 1, so work grows with m**2.
+# A curve's largest m: each run draws that many records for every sample, so its time grows
+# linearly with m.
 MAX_CURVE_M = 100_000
 
 # Failed values are tolerated for up to this fraction of a run's replicates in
@@ -107,10 +109,9 @@ _CHUNK_ELEMENTS = 1 << 14
 _WIDE_ROWS = 8
 _WIDE_ELEMENTS = 1 << 16
 
-# Best test scores one curve scan holds (8 bytes each), and replicate values
-# one Boo(n) run over several n holds; further points or n take further runs
-# of the same streams.
-_CURVE_VALUES = 1 << 21
+# Replicate values one Boo(n) run over several n holds (8 bytes each); further
+# n take further runs of the same streams.
+_RUN_VALUES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -218,13 +219,12 @@ def _chunked_replicates(
     seed: int,
     block: Callable[..., np.ndarray],
     *,
-    key: tuple[int, ...] = (),
     wide: bool = False,
 ) -> np.ndarray:
     """``count`` replicate values, drawn chunk by chunk (see the module docstring for the
     layout): ``block(rng, rows)`` draws one chunk's ``rows`` replicates of ``size`` records
-    from ``rng``, split off (seed, *key, k), and ``rng.noise``, and returns their values or a
-    ``(rows, points)`` array; ``wide`` is compare's wider chunk. A failed value (NaN or
+    from ``rng``, split off (seed, k), and ``rng.noise``, and returns their values or a
+    ``(rows, columns)`` array; ``wide`` is compare's wider chunk. A failed value (NaN or
     infinite) stays where it falls, and readers of the run leave it out; the run aborts with
     :class:`ResamplingDegenerateError` after the first chunk that takes any column's failures
     past 1% of ``count``.
@@ -238,7 +238,7 @@ def _chunked_replicates(
     # replicate anyway, and numpy's warning (an error under -W error) adds nothing.
     with np.errstate(all="ignore"):
         for k, first in enumerate(range(0, count, rows)):
-            values = block(_rng(seed, *key, k), min(rows, count - first))
+            values = block(_rng(seed, k), min(rows, count - first))
             finite = np.isfinite(values)
             if not finite.all():  # counted per column only in a chunk that holds a failure
                 failures = failures + (~finite).sum(axis=0)
@@ -426,9 +426,9 @@ def _bootstrap_intervals(
     other kind.
 
     Boo(n) statistics share each run (see the module docstring) in groups
-    of ``max(1, _CURVE_VALUES // max(replicates, size + 1))`` n, so a run
-    keeps at most ``max(replicates, _CURVE_VALUES)`` replicate values and
-    the count kernel at most ``max(size + 1, _CURVE_VALUES)`` power-table
+    of ``max(1, _RUN_VALUES // max(replicates, size + 1))`` n, so a run
+    keeps at most ``max(replicates, _RUN_VALUES)`` replicate values and
+    the count kernel at most ``max(size + 1, _RUN_VALUES)`` power-table
     entries.
     """
     if pool.m < 2:
@@ -439,7 +439,7 @@ def _bootstrap_intervals(
     first = statistics[0]
     if isinstance(first, BoonStatistic):
         ns = [s.n for s in statistics]
-        per_run = max(1, _CURVE_VALUES // max(config.replicates, size + 1))
+        per_run = max(1, _RUN_VALUES // max(config.replicates, size + 1))
         blocks = [
             _boon_block(pool, first.kind, ns[g : g + per_run], size, bandwidths)
             for g in range(0, len(ns), per_run)
@@ -621,6 +621,12 @@ def best_of_m_curve(
     best-single-model statistic at that pool size is attached
     (``config.replicates`` smoothed draws).
 
+    Each run holds two values per sample, its running best validation and
+    test, and reduces a point as its scan reaches it, so its time grows
+    linearly with ``max(m_values)``. A band run fails at the first point, in
+    increasing m, whose values hold more than 1% failed (non-finite) ones:
+    :class:`ResamplingDegenerateError` reports that point's failed share.
+
     ``workers`` is accepted for compatibility and has no effect.
     """
     m_values = list(m_values)
@@ -632,29 +638,31 @@ def best_of_m_curve(
     sign = -1.0 if pool.direction is Direction.MINIMIZE else 1.0  # the scans keep the largest
     vals, tests = sign * pool.validation_scores, sign * pool.test_scores
     bandwidths = _resolve_bandwidths(pool, config.bandwidth) if with_ci else ()
+    wanted = set(m_values)
 
-    def best_tests(ms: list[int], count: int, run: int, h: tuple[float, ...]) -> np.ndarray:
-        """``(len(ms), count)`` test scores of the best-validation record among the first m
-        records of each sample, for the increasing sizes ``ms``, from the run keyed (run,)."""
-
-        def scan(rng: np.random.Generator, rows: int) -> np.ndarray:
-            out = np.empty((len(ms), rows))
-            out_row = dict(zip(ms, out))
-            best_v, best_t = np.full(rows, -np.inf), np.full(rows, np.nan)
-            for j in range(1, ms[-1] + 1):
-                idx = rng.integers(0, pool.m, size=rows)
-                v, t = vals[idx], tests[idx]
-                if any(h):
-                    noise = rng.standard_normal((2, rows))
-                    v, t = v + h[0] * noise[0], t + h[1] * noise[1]
-                np.copyto(best_t, t, where=v > best_v)
-                np.maximum(best_v, v, out=best_v)
-                if j in out_row:
-                    np.multiply(best_t, sign, out=out_row[j])
-            return out.T
-
-        values = _chunked_replicates(count, 1, config.seed, scan, key=(run,))
-        return np.ascontiguousarray(values.T)  # one contiguous row per size
+    def scan(count: int, run: int, h: tuple[float, ...]) -> Iterator[tuple[int, np.ndarray]]:
+        """``(m, values)`` per requested m, increasing: the test scores of the best-validation
+        record among the first m of each of ``count`` samples of the run keyed (run,), which
+        scans records 1 to the largest m once, raising at a point failed past 1% of ``count``."""
+        best_v, best_t = np.full(count, -np.inf), np.full(count, np.nan)
+        parts = [slice(i, i + _CHUNK_ELEMENTS) for i in range(0, count, _CHUNK_ELEMENTS)]
+        chunks = [(_rng(config.seed, run, k), best_v[p], best_t[p]) for k, p in enumerate(parts)]
+        for j in range(1, max(wanted) + 1):
+            with np.errstate(all="ignore"):  # an overflowed draw fails its sample
+                for rng, chunk_v, chunk_t in chunks:
+                    idx = rng.integers(0, pool.m, size=chunk_v.size)
+                    v, t = vals[idx], tests[idx]
+                    if any(h):
+                        noise = rng.standard_normal((2, chunk_v.size))
+                        v, t = v + h[0] * noise[0], t + h[1] * noise[1]
+                    np.copyto(chunk_t, t, where=v > chunk_v)
+                    np.maximum(chunk_v, v, out=chunk_v)
+            if j in wanted:
+                values = sign * best_t
+                failures = values.size - np.count_nonzero(np.isfinite(values))
+                if failures > _FAILURE_BUDGET * count:
+                    raise ResamplingDegenerateError(float(failures) / count)
+                yield j, values
 
     def estimate(draws: np.ndarray) -> tuple[float, float | None]:
         mc_se = None
@@ -662,21 +670,11 @@ def best_of_m_curve(
             mc_se = _rescaled(lambda d: _std(d) / math.sqrt(samples_per_m), draws)
         return _rescaled(np.mean, draws), mc_se
 
-    points = {}
-    ms = sorted(set(m_values))
-    per_scan = max(1, _CURVE_VALUES // max(samples_per_m, config.replicates if with_ci else 1))
-    for g in range(0, len(ms), per_scan):
-        group = ms[g : g + per_scan]
-        estimates = [estimate(d) for d in best_tests(group, samples_per_m, 0, ())]
-        cis = [None] * len(group)
-        if with_ci:
-            cis = [
-                _percentile_interval(b, config, CIMethod.SMOOTHED_BOOTSTRAP)
-                for b in best_tests(group, config.replicates, 1, bandwidths)
-            ]
-        for m, (mean, mc_se), ci in zip(group, estimates, cis):
-            points[m] = CurvePoint(m=m, expected_best_test=mean, ci=ci, mc_se=mc_se)
-    return [points[m] for m in m_values]
+    # One run at a time: the samples run's state is freed before the band run draws.
+    estimates = {m: estimate(draws) for m, draws in scan(samples_per_m, 0, ())}
+    bands = scan(config.replicates, 1, bandwidths) if with_ci else ()
+    cis = {m: _percentile_interval(b, config, CIMethod.SMOOTHED_BOOTSTRAP) for m, b in bands}
+    return [CurvePoint(m, estimates[m][0], cis.get(m), estimates[m][1]) for m in m_values]
 
 
 def compare_architectures(

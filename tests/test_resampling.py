@@ -141,7 +141,7 @@ def test_a_bool_is_not_an_integer_argument(name, flag):
 
 
 _CFG100 = ResamplingConfig(replicates=100)
-_SIZE_ARGS = [  # (name, bound, call): an index block, a simulated pool or a curve scan
+_SIZE_ARGS = [  # (name, bound, call): an index block, a simulated pool or a curve run
     ("resample_size", resampling.MAX_REPLICATES,
      lambda s: bootstrap_ci(_POOL, BoonStatistic(2), _CFG100, resample_size=s)),
     ("resample_size", resampling.MAX_REPLICATES,
@@ -161,7 +161,9 @@ def test_a_size_argument_past_its_bound_is_refused_before_anything_is_built(
     def built(*args, **kwargs):
         raise AssertionError("built before the size was checked")
 
-    for builder in ("_chunked_replicates", "_boon_block", "_statistic_block", "_monte_carlo_block"):
+    # _rng: a curve opens its streams, and allocates its per-sample state, after the check
+    for builder in ("_chunked_replicates", "_boon_block", "_statistic_block", "_monte_carlo_block",
+                    "_rng"):
         monkeypatch.setattr(resampling, builder, built)
     with pytest.raises(ValueError, match=rf"^{name} must be an integer in \[1, {bound}\], got "):
         call(bound + 1)
@@ -744,6 +746,53 @@ class TestMonteCarloCI:
         assert scipy_stats.ks_2samp(fast, slow).pvalue > 0.01
 
 
+def tied_pool():
+    """30 bivariate normal records whose validations, rounded to 0.1, hold ties."""
+    base = helpers.bivariate_normal_pool(m=30, rho=0.4, seed=9)
+    return ResultPool.from_arrays(base.validation_scores.round(1), base.test_scores)
+
+
+def nested_scan(pool, seed, run, count, m, h):
+    """Point m's values in the curve run keyed (run,), as the module docstring lays it out:
+    chunk k of 2**14 samples draws from the stream (seed, run, k), record by record for all
+    of its rows: an index, then (band only) a (2, rows) noise draw. A sample's value is the
+    test score of its first best-validation record among its first m."""
+    sign = -1.0 if pool.direction is Direction.MINIMIZE else 1.0
+    out = []
+    for k in range(-(-count // 2**14)):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, k)))
+        rows = min(2**14, count - k * 2**14)
+        v, t = np.empty((rows, m)), np.empty((rows, m))
+        for j in range(m):
+            idx = rng.integers(0, pool.m, size=rows)
+            v[:, j], t[:, j] = sign * pool.validation_scores[idx], sign * pool.test_scores[idx]
+            if h:
+                noise = rng.standard_normal((2, rows))
+                v[:, j] += h * noise[0]
+                t[:, j] += h * noise[1]
+        out.append(sign * t[np.arange(rows), v.argmax(axis=1)])
+    return np.concatenate(out)
+
+
+def curve_hex(point):
+    return [x.hex() for x in (point.expected_best_test, point.mc_se, point.ci.lo, point.ci.hi)]
+
+
+# Points of tied_pool()'s curve over m = 1..300 at 3,000 samples, recorded from the
+# curve that scanned records 1-104, 1-208 and 1-300 for its points.
+_LONG_CONFIG = ResamplingConfig(replicates=20_000, seed=5)
+_LONG_CURVE_PINS = {
+    1: ["0x1.4597a6b3020fep-5", "0x1.0e45656f297f2p-6",
+        "-0x1.bc73334e2fd34p+0", "0x1.1f5e47f5591d5p+1"],
+    104: ["0x1.acad3325b9d57p-6", "0x1.c64c1a56ef4eap-10",
+          "-0x1.750b3327ae970p+0", "0x1.25ec11d8973d0p+0"],
+    105: ["0x1.afad85855c73ep-6", "0x1.c3e71f1222170p-10",
+          "-0x1.74899dc459d9dp+0", "0x1.25543351fb006p+0"],
+    300: ["0x1.5c9f2ea5ca7d7p-5", "0x1.2b2dee0a6f078p-63",
+          "-0x1.6ec553ff199f2p+0", "0x1.1963056d3ea5ep+0"],
+}
+
+
 class TestBestOfMCurve:
     def test_m1_recovers_the_test_mean(self):
         pool = helpers.bivariate_normal_pool(m=60, rho=0.5, seed=18)
@@ -827,10 +876,7 @@ class TestBestOfMCurve:
             best_of_m_curve(pool, [], 100, ResamplingConfig(replicates=500, seed=0))
 
     def test_point_is_the_documented_nested_scan(self):
-        # every sample is a nested sequence of records; chunk k of 2**14
-        # samples draws from the stream (seed, run, k), record by record for
-        # all of its rows: an index, then (band only) a (2, rows) noise draw.
-        # Point m takes the first best-validation record among the first m.
+        # a minimizing pool of 20,000 samples (two chunks) and a smoothed band
         base = helpers.bivariate_normal_pool(m=40, rho=0.5, seed=8)
         pool = ResultPool.from_arrays(
             base.validation_scores.round(1), base.test_scores, Direction.MINIMIZE
@@ -838,33 +884,16 @@ class TestBestOfMCurve:
         m, seed, h, samples, replicates = 5, 12, 0.25, 20_000, 5000
         cfg = ResamplingConfig(replicates=replicates, seed=seed, bandwidth=h)
         (point,) = best_of_m_curve(pool, [m], samples, cfg)
-
-        def best_tests(run, count, h):
-            out = []
-            for k in range(-(-count // 2**14)):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run, k)))
-                rows = min(2**14, count - k * 2**14)
-                v, t = np.empty((rows, m)), np.empty((rows, m))
-                for j in range(m):
-                    idx = rng.integers(0, pool.m, size=rows)
-                    v[:, j], t[:, j] = -pool.validation_scores[idx], -pool.test_scores[idx]
-                    if h:
-                        noise = rng.standard_normal((2, rows))
-                        v[:, j] += h * noise[0]
-                        t[:, j] += h * noise[1]
-                out.append(-t[np.arange(rows), v.argmax(axis=1)])
-            return np.concatenate(out)
-
-        draws = best_tests(0, samples, 0.0)
+        draws = nested_scan(pool, seed, 0, samples, m, 0.0)
         assert point.expected_best_test == float(draws.mean())
         assert point.mc_se == float(draws.std(ddof=1) / math.sqrt(samples))
         level = cfg.level
-        lo, hi = np.quantile(best_tests(1, replicates, h), [(1 - level) / 2, (1 + level) / 2])
+        band = nested_scan(pool, seed, 1, replicates, m, h)
+        lo, hi = np.quantile(band, [(1 - level) / 2, (1 + level) / 2])
         assert (point.ci.lo, point.ci.hi) == (lo, hi)
 
-    def test_point_does_not_depend_on_the_other_points(self, monkeypatch):
-        base = helpers.bivariate_normal_pool(m=30, rho=0.4, seed=9)
-        pool = ResultPool.from_arrays(base.validation_scores.round(1), base.test_scores)
+    def test_point_does_not_depend_on_the_other_points(self):
+        pool = tied_pool()
         cfg = ResamplingConfig(replicates=700, seed=5)
         m, samples = 7, 3000
         (alone,) = best_of_m_curve(pool, [m], samples, cfg)
@@ -873,9 +902,51 @@ class TestBestOfMCurve:
         assert alone.ci is not None
         assert alone == full[m - 1] == pair[1]
         assert full[19] == pair[0]
-        # a scan holding one point's samples at a time gives the same curve
-        monkeypatch.setattr(resampling, "_CURVE_VALUES", samples)
-        assert best_of_m_curve(pool, range(1, 21), samples, cfg) == full
+        # point 105 alone is point 105 of the 300-point curve pinned below, which a curve
+        # holding 2**21 // 20,000 = 104 points' values at a time took from a second scan
+        (late,) = best_of_m_curve(pool, [105], samples, _LONG_CONFIG)
+        assert curve_hex(late) == _LONG_CURVE_PINS[105]
+
+    def test_a_long_curve_opens_each_stream_once_and_keeps_its_numbers(self, monkeypatch):
+        # 300 points at 20,000 replicates: scans of 104 points would open every stream 3 times
+        opened = []
+        rng = resampling._rng
+        monkeypatch.setattr(resampling, "_rng", lambda *key: opened.append(key) or rng(*key))
+        points = best_of_m_curve(tied_pool(), range(1, 301), 3000, _LONG_CONFIG)
+        assert opened == [(5, 0, 0), (5, 1, 0), (5, 1, 1)]  # 3,000 samples; 20,000 band draws
+        assert {m: curve_hex(points[m - 1]) for m in _LONG_CURVE_PINS} == _LONG_CURVE_PINS
+
+    def test_memory_does_not_grow_with_the_points(self):
+        # a run holds two values per sample and one point's values, however many points
+        pool = helpers.bivariate_normal_pool(m=50, rho=0.5, seed=3)
+        cfg = ResamplingConfig(replicates=10_000, seed=1)
+        peaks = []
+        for points in (20, 200):
+            tracemalloc.start()
+            try:
+                best_of_m_curve(pool, range(1, points + 1), 10_000, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_a_band_fails_at_its_first_failing_point(self):
+        # The last of 200 records has the largest validation and a test score whose noise
+        # overflows about a fifth of the time, so point m fails about 0.22 * (1 - 0.995**m)
+        # of its band: under 1% at m = 1, about 2% at m = 20 and 9% at m = 100. The run
+        # stops at m = 20 and reports that point's share, not a larger one further on.
+        vals, tests = np.zeros(200), np.zeros(200)
+        vals[-1], tests[-1] = 1e308, 1.79e308
+        pool = ResultPool.from_arrays(vals, tests)
+        cfg = ResamplingConfig(replicates=2000, seed=8, bandwidth=1e306)
+        with pytest.raises(ResamplingDegenerateError) as err:
+            best_of_m_curve(pool, [1, 20, 100], 100, cfg)
+        with np.errstate(over="ignore"):
+            failed = {m: np.count_nonzero(~np.isfinite(nested_scan(pool, 8, 1, 2000, m, 1e306)))
+                      for m in (1, 20, 100)}
+        assert failed[1] <= 20 < failed[20] < failed[100]
+        assert err.value.failure_fraction == failed[20] / 2000
+        assert type(err.value.failure_fraction) is float
 
     @pytest.mark.parametrize("direction", [Direction.MAXIMIZE, Direction.MINIMIZE])
     def test_first_of_tied_records_is_unbiased(self, direction):
@@ -1232,7 +1303,7 @@ class TestEngine:
             tracemalloc.stop()
         assert len(cis) == 30
         # the budget plus a quarter for one chunk's and one quantile's temporaries
-        assert peak < 1.25 * 8 * resampling._CURVE_VALUES
+        assert peak < 1.25 * 8 * resampling._RUN_VALUES
 
     @pytest.mark.parametrize(
         "m,replicates,runs",
@@ -1240,7 +1311,7 @@ class TestEngine:
     )
     def test_n_list_is_split_to_the_run_budget(self, monkeypatch, m, replicates, runs):
         # a group holds budget // max(replicates, size + 1) n
-        monkeypatch.setattr(resampling, "_CURVE_VALUES", 1000)
+        monkeypatch.setattr(resampling, "_RUN_VALUES", 1000)
         pool = helpers.bivariate_normal_pool(m=m, rho=0.5, seed=3)
         config = ResamplingConfig(replicates=replicates, seed=2)
         statistics = [BoonStatistic(n) for n in range(1, 26)]
